@@ -19,10 +19,7 @@ from .characters import (
     CharacterTable,
     character_table,
     class_size,
-    irreducible_character,
     mn_character,
-    permutation_character,
-    sign_twist_check,
 )
 from .families import (
     Family,
@@ -40,7 +37,6 @@ from .families import (
 )
 from .partitions import (
     classify,
-    count_standard_tableaux,
     dimension,
     parse_partition,
     format_partition,

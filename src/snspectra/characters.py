@@ -1,16 +1,9 @@
 """Exact integer characters of symmetric groups.
 
-Three independent routes are implemented:
-
-* ``permutation_character`` counts tabloids fixed by a class representative
-  (a tabloid is fixed iff every cycle lies inside one row, so the count is a
-  distribution count over the multiset of cycle lengths);
-* ``irreducible_character`` expands the irreducible character as a signed
-  sum of permutation characters over row rearrangements (the determinantal
-  expansion), pruning rearrangements that produce a negative row;
-* ``mn_character`` removes border strips recursively (Murnaghan-Nakayama),
-  implemented on first-column hook lengths.  It shares no code with the
-  determinantal route and serves as its oracle.
+``mn_character`` removes border strips recursively (Murnaghan-Nakayama),
+implemented on first-column hook lengths; ``CharacterTable`` fills full
+tables from it.  The independent determinantal route that cross-checks it
+lives with the test oracles.
 
 Everything is arbitrary-precision integer arithmetic; no floats.
 """
@@ -22,14 +15,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import (
-    Partition,
-    check_partition,
-    dimension,
-    partitions_of,
-    transpose,
-)
-from .perms import sign_of_type
+from .partitions import Partition, check_partition, dimension, partitions_of
 
 CycleType = tuple[int, ...]
 
@@ -46,101 +32,7 @@ def class_size(ctype: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Permutation characters.
-
-
-@lru_cache(maxsize=None)
-def _distribution_count(rows: tuple[int, ...], cycles: tuple[int, ...]) -> int:
-    """Number of ways to assign the multiset ``cycles`` (distinguishable
-    cycles, equal lengths interchangeable) to ordered rows with prescribed
-    sums ``rows``.  Both keys are sorted non-increasing; the count only
-    depends on the multisets."""
-    if not rows:
-        return 1 if not cycles else 0
-    target = rows[0]
-    rest_rows = rows[1:]
-    counts = sorted(Counter(cycles).items(), reverse=True)
-    total = 0
-
-    def choose(idx: int, remaining: int, ways: int, taken: list[int]) -> None:
-        nonlocal total
-        if remaining == 0:
-            leftover: list[int] = []
-            for (v, m), k in zip(counts, taken + [0] * (len(counts) - len(taken))):
-                leftover.extend([v] * (m - k))
-            total += ways * _distribution_count(
-                rest_rows, tuple(sorted(leftover, reverse=True))
-            )
-            return
-        if idx == len(counts):
-            return
-        v, m = counts[idx]
-        for k in range(min(m, remaining // v) + 1):
-            choose(idx + 1, remaining - k * v, ways * math.comb(m, k), taken + [k])
-
-    choose(0, target, 1, [])
-    return total
-
-
-def permutation_character(alpha: Sequence[int], ctype: Sequence[int]) -> int:
-    """Number of alpha-tabloids fixed by any permutation of the given cycle
-    type.  Special cases: alpha=(n-1,1) counts fixed points, alpha=(n-2,2)
-    counts fixed 2-subsets."""
-    alpha = check_partition(alpha)
-    ctype = check_partition(ctype)
-    if sum(alpha) != sum(ctype):
-        raise ValueError(f"mismatched degrees: {alpha} vs {ctype}")
-    return _distribution_count(alpha, ctype)
-
-
-# ---------------------------------------------------------------------------
-# Determinantal expansion.
-
-
-@lru_cache(maxsize=None)
-def irreducible_character(alpha: Partition, ctype: CycleType) -> int:
-    """Irreducible character value chi_alpha at the class ``ctype`` via the
-    signed sum of permutation characters chi_alpha =
-    sum_pi sgn(pi) xi_{alpha - id + pi}, pi ranging over row rearrangements;
-    any rearrangement producing a negative entry contributes zero."""
-    alpha = check_partition(alpha)
-    ctype = check_partition(ctype)
-    n = sum(alpha)
-    if n != sum(ctype):
-        raise ValueError(f"mismatched degrees: {alpha} vs {ctype}")
-    l = len(alpha)
-    total = 0
-    used = [False] * l
-    entries = [0] * l
-
-    def walk(i: int, parity: int) -> None:
-        nonlocal total
-        if i == l:
-            rows = tuple(sorted((e for e in entries if e > 0), reverse=True))
-            value = _distribution_count(rows, ctype)
-            total += -value if parity else value
-            return
-        for j in range(l):
-            if used[j]:
-                continue
-            e = alpha[i] - (i + 1) + (j + 1)
-            if e < 0:
-                continue  # negative entry kills the whole rearrangement
-            used[j] = True
-            entries[i] = e
-            # parity of the partial assignment: inversions added by column j
-            inv = sum(
-                1 for jj in range(j + 1, l) if used[jj]
-            )
-            walk(i + 1, parity ^ (inv & 1))
-            used[j] = False
-
-    walk(0, 0)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Murnaghan-Nakayama oracle.
+# Murnaghan-Nakayama.
 
 
 def _beta_numbers(alpha: Partition) -> tuple[int, ...]:
@@ -182,16 +74,6 @@ def mn_character(alpha: Partition, ctype: CycleType) -> int:
     return total
 
 
-def sign_twist_check(alpha: Sequence[int], ctype: Sequence[int]) -> bool:
-    """True iff chi_{alpha^t}(c) = sgn(c) * chi_alpha(c): twisting by the
-    sign representation transposes the diagram."""
-    alpha = check_partition(alpha)
-    ctype = check_partition(ctype)
-    return irreducible_character(transpose(alpha), ctype) == sign_of_type(
-        ctype
-    ) * irreducible_character(alpha, ctype)
-
-
 # ---------------------------------------------------------------------------
 # Full tables.
 
@@ -204,14 +86,13 @@ class CharacterTable:
     is never invalidated.
     """
 
-    def __init__(self, n: int, *, use_oracle: bool = False):
+    def __init__(self, n: int):
         self.n = n
         self.partitions = partitions_of(n)
         self.classes = partitions_of(n)
         self.class_sizes = {c: class_size(c) for c in self.classes}
-        fn = mn_character if use_oracle else irreducible_character
         self.entries = {
-            (a, c): fn(a, c) for a in self.partitions for c in self.classes
+            (a, c): mn_character(a, c) for a in self.partitions for c in self.classes
         }
 
     def value(self, alpha: Partition, ctype: CycleType) -> int:

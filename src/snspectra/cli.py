@@ -27,10 +27,12 @@ def _write(text: str, out: str | None) -> None:
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+        lo, hi = (int(end) for end in text.split("..", 1))
+    else:
+        lo = hi = int(text)
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:

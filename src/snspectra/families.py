@@ -23,8 +23,6 @@ from .perms import (
     derangement_count,
     fixed_points,
     identity,
-    num_fixed_points,
-    all_perms,
     perms_fixing,
 )
 
@@ -373,22 +371,6 @@ def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
     return sum(
         1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
     )
-
-
-def fixed_point_census(n: int) -> dict[int, int]:
-    """Histogram of fixed-point counts over all of S_n, by enumeration."""
-    census: dict[int, int] = {}
-    for s in all_perms(n):
-        k = num_fixed_points(s)
-        census[k] = census.get(k, 0) + 1
-    return census
-
-
-def many_fixed_points_count(n: int) -> int:
-    """Number of permutations with at least floor(n/2) fixed points (exact,
-    by enumeration); at most n!/floor(n/2)!."""
-    half = n // 2
-    return sum(v for k, v in fixed_point_census(n).items() if k >= half)
 
 
 # Regression bands for asymptotic ratios, frozen from exact computation at

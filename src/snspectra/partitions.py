@@ -100,29 +100,6 @@ def dimension(alpha: Partition) -> int:
     return fact // denom
 
 
-def count_standard_tableaux(alpha: Sequence[int]) -> int:
-    """Brute-force count of standard Young tableaux of shape alpha by
-    recursively deleting the cell holding n.  Independent of hook lengths;
-    used as the dimension oracle in tests."""
-    alpha = check_partition(alpha)
-
-    @lru_cache(maxsize=None)
-    def count(shape: Partition) -> int:
-        if sum(shape) <= 1:
-            return 1
-        total = 0
-        # n sits in a removable corner: last cell of a row strictly longer
-        # than the next one.
-        for i in range(len(shape)):
-            if i + 1 < len(shape) and shape[i] == shape[i + 1]:
-                continue
-            smaller = shape[:i] + ((shape[i] - 1,) if shape[i] > 1 else ()) + shape[i + 1 :]
-            total += count(smaller)
-        return total
-
-    return count(alpha)
-
-
 # ---------------------------------------------------------------------------
 # k-fat / k-tall / k-medium trichotomy.
 

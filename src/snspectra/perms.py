@@ -196,19 +196,6 @@ def derangement_count(n: int) -> int:
     return sum((-1) ** i * (fact_n // math.factorial(i)) for i in range(n + 1))
 
 
-def derangement_count_recurrence(n: int) -> int:
-    """d_n by the recurrence d_n = (n-1)(d_{n-1} + d_{n-2}); independent of
-    the inclusion-exclusion route."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    a, b = 1, 0  # d_0, d_1
-    if n == 0:
-        return a
-    for m in range(2, n + 1):
-        a, b = b, (m - 1) * (a + b)
-    return b
-
-
 def derangement_counts(n: int) -> DerangementCounts:
     """Total/even/odd derangement counts, using d = e + o together with the
     identity e_n - o_n = (-1)^(n-1) (n-1)."""

@@ -18,27 +18,24 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .bounds import bound_report
 from .perms import agree_count
-
-SEARCH_CAP = 7
-NAIVE_CAP = 4
+from .spectrum import agreement_neighbours, permutation_list
 
 
 @lru_cache(maxsize=None)
 def graph_bitsets(n: int, t: int = 2) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(vertices in lex order, adjacency bitmasks)."""
-    if n > SEARCH_CAP:
-        raise ValueError(f"search graphs capped at n <= {SEARCH_CAP}")
-    verts = tuple(itertools.permutations(range(1, n + 1)))
-    size = len(verts)
-    adj = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if agree_count(verts[i], verts[j]) == t - 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return verts, tuple(adj)
+    """(vertices in lex order, adjacency bitmasks); bit j of mask i is set
+    when vertices i and j are adjacent."""
+    nbrs = agreement_neighbours(n, t)
+    size = len(nbrs)
+    rows = np.zeros((size, size), dtype=bool)
+    np.put_along_axis(rows, nbrs, True, axis=1)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return tuple(permutation_list(n)), adj
 
 
 @dataclass(frozen=True)
@@ -157,56 +154,12 @@ def max_independent_set(
     )
 
 
-def max_independent_set_naive(n: int, t: int = 2) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Unpruned exhaustive scan over all independent sets, as the oracle for
-    the branch-and-bound at tiny n."""
-    if n > NAIVE_CAP:
-        raise ValueError(f"naive search capped at n <= {NAIVE_CAP}")
-    verts, adj = graph_bitsets(n, t)
-    size = len(verts)
-    best = (0, 0)
-
-    def walk(index: int, chosen: int, chosen_size: int, blocked: int) -> None:
-        nonlocal best
-        if chosen_size > best[0]:
-            best = (chosen_size, chosen)
-        for v in range(index, size):
-            if not (blocked >> v) & 1:
-                walk(v + 1, chosen | (1 << v), chosen_size + 1, blocked | adj[v] | (1 << v))
-
-    walk(0, 0, 0, 0)
-    count, mask = best
-    return count, tuple(verts[i] for i in range(size) if mask >> i & 1)
-
-
-def maximum_sets(n: int, t: int = 2) -> list[tuple[tuple[int, ...], ...]]:
-    """Every maximum independent set, for tiny n (uniqueness studies)."""
-    if n > NAIVE_CAP:
-        raise ValueError(f"exhaustive listing capped at n <= {NAIVE_CAP}")
-    verts, adj = graph_bitsets(n, t)
-    size = len(verts)
-    best_size = max_independent_set(n, t).independence_number
-    found: list[int] = []
-
-    def walk(index: int, chosen: int, chosen_size: int, blocked: int) -> None:
-        if chosen_size == best_size:
-            found.append(chosen)
-        for v in range(index, size):
-            if not (blocked >> v) & 1:
-                if chosen_size + (size - v) < best_size:
-                    break
-                walk(v + 1, chosen | (1 << v), chosen_size + 1, blocked | adj[v] | (1 << v))
-
-    walk(0, 0, 0, 0)
-    return [
-        tuple(verts[i] for i in range(size) if mask >> i & 1) for mask in sorted(found)
-    ]
-
-
 def verify_certificate(result: SearchResult) -> bool:
-    """Re-check the witness: pairwise independent, and no single vertex
-    extends it.  Maximality-by-extension does not by itself prove the
-    independence number; that comes from the exhausted search tree."""
+    """Re-check the witness: pairwise independent, and, when the search was
+    exhausted, no single vertex extends it.  A search cut short by its node
+    budget claims no maximality, so its witness is checked for independence
+    only.  Maximality-by-extension does not by itself prove the independence
+    number; that comes from the exhausted search tree."""
     members = result.witness
     if len(members) != result.independence_number:
         return False
@@ -214,6 +167,8 @@ def verify_certificate(result: SearchResult) -> bool:
         for j in range(i + 1, len(members)):
             if agree_count(members[i], members[j]) == result.t - 1:
                 return False
+    if not result.exact:
+        return True
     chosen = set(members)
     for v in itertools.permutations(range(1, result.n + 1)):
         if v in chosen:
@@ -221,25 +176,3 @@ def verify_certificate(result: SearchResult) -> bool:
         if all(agree_count(v, m) != result.t - 1 for m in members):
             return False  # extension found; witness not even maximal
     return True
-
-
-def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) -> int:
-    """Independence number of the graph with points renamed by ``relabel``
-    (conjugating every vertex); must match the unrelabelled value."""
-    verts = list(itertools.permutations(range(1, n + 1)))
-    inv = [0] * n
-    for i, v in enumerate(relabel, start=1):
-        inv[v - 1] = i
-    conj = {
-        s: tuple(relabel[s[inv[i - 1] - 1] - 1] for i in range(1, n + 1))
-        for s in verts
-    }
-    size = len(verts)
-    adj = [0] * size
-    for i in range(size):
-        for j in range(i + 1, size):
-            if agree_count(conj[verts[i]], conj[verts[j]]) == t - 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    result = _solve(tuple(verts), tuple(adj), t, force_identity=False, node_budget=None)
-    return result.independence_number

@@ -228,9 +228,9 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle with exactness certificate.
+# The explicit graph, and the brute-force oracle with exactness certificate.
 
-BRUTE_FORCE_CAP = 7
+GRAPH_CAP = 7
 
 
 def permutation_list(n: int) -> list[tuple[int, ...]]:
@@ -238,21 +238,38 @@ def permutation_list(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(1, n + 1)))
 
 
+def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
+    """Neighbour ranks of the graph joining permutations that agree on
+    exactly t-1 points, vertices in lexicographic order: row g lists the
+    ranks of g∘s for the generators s with exactly t-1 fixed points (shape
+    n! x degree, int32).  A generator is never the identity, so no vertex
+    lists itself."""
+    if n > GRAPH_CAP:
+        raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    perms = np.array(permutation_list(n), dtype=np.int8) - 1
+    gens = perms[(perms == np.arange(n)).sum(axis=1) == t - 1]
+    # base-n code of a one-line permutation; increasing in lex order, and
+    # below 7^7 < 2^31 under the cap
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    codes = perms @ place
+    # code(g∘s) = sum_i g[s[i]] place[i] = sum_j g[j] place[s^-1[j]]
+    weights = place[np.argsort(gens, axis=1)].T
+    nbrs = np.empty((len(perms), len(gens)), dtype=np.int32)
+    block = 1024
+    for start in range(0, len(perms), block):
+        nbrs[start : start + block] = np.searchsorted(codes, perms[start : start + block] @ weights)
+    return nbrs
+
+
 def adjacency_matrix(n: int, t: int = 2) -> np.ndarray:
     """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
     the graph joining permutations that agree on exactly t-1 points, rows
     and columns in lexicographic vertex order."""
-    if n > BRUTE_FORCE_CAP:
-        raise ValueError(f"adjacency matrix refused for n={n} (cap {BRUTE_FORCE_CAP})")
-    perms = np.array(permutation_list(n), dtype=np.int8)
-    nverts = perms.shape[0]
-    adj = np.zeros((nverts, nverts), dtype=np.float64)
-    block = max(1, 2**22 // (nverts * n))
-    for start in range(0, nverts, block):
-        stop = min(nverts, start + block)
-        agree = (perms[start:stop, None, :] == perms[None, :, :]).sum(axis=2)
-        adj[start:stop] = agree == t - 1
-    np.fill_diagonal(adj, 0.0)
+    nbrs = agreement_neighbours(n, t)
+    adj = np.zeros((len(nbrs), len(nbrs)), dtype=np.float64)
+    np.put_along_axis(adj, nbrs, 1.0, axis=1)
     return adj
 
 

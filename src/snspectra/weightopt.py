@@ -44,7 +44,7 @@ class ClassWeighting:
 def uniform_weighting(n: int, t: int = 2) -> ClassWeighting:
     gen = fixed_point_generating_set(n, t)
     if not gen.classes:
-        raise ValueError(f"no generating classes for n={n}, t={t}")
+        raise NoGeneratingClassesError(n, t)
     total = gen.total
     return ClassWeighting(
         n=n, t=t, weights=tuple((c, Fraction(1, total)) for c, _ in gen.classes)
@@ -72,6 +72,15 @@ def weighted_eigenvalue(alpha: Partition, weighting: ClassWeighting) -> Fraction
 
 class LPError(Exception):
     pass
+
+
+class NoGeneratingClassesError(LPError, ValueError):
+    """No class of S_n has exactly t-1 fixed points (t = n), so the graph has
+    no edges and there is nothing to weight: an input error, not a failed
+    solve."""
+
+    def __init__(self, n: int, t: int):
+        super().__init__(f"no generating classes for n={n}, t={t}")
 
 
 def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
@@ -228,7 +237,7 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     gen: GeneratingSet = fixed_point_generating_set(n, t)
     classes = gen.classes
     if not classes:
-        raise LPError(f"no generating classes for n={n}, t={t}")
+        raise NoGeneratingClassesError(n, t)
     k = len(classes)
     alphas = [a for a in partitions_of(n) if a != (n,)]
 

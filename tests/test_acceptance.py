@@ -6,6 +6,11 @@ import math
 import random
 from fractions import Fraction
 
+from oracles import (
+    derangement_count_recurrence,
+    irreducible_character,
+    max_independent_set_naive,
+)
 from snspectra.bounds import (
     bound_report,
     cross_hoffman_bound_squared,
@@ -17,7 +22,7 @@ from snspectra.bounds import (
     projections_orthogonal,
     stability_gap_bound,
 )
-from snspectra.characters import CharacterTable, irreducible_character, mn_character
+from snspectra.characters import CharacterTable, mn_character
 from snspectra.families import (
     RATIO_BANDS,
     count_agreeing_exactly_once,
@@ -33,18 +38,13 @@ from snspectra.perms import (
     agree_count,
     all_perms,
     derangement_count,
-    derangement_count_recurrence,
     derangement_counts,
     num_fixed_points,
     parse_cycles,
     perms_fixing,
     sign,
 )
-from snspectra.search import (
-    max_independent_set,
-    max_independent_set_naive,
-    verify_certificate,
-)
+from snspectra.search import max_independent_set, verify_certificate
 from snspectra.spectrum import (
     TABLE_ROWS,
     brute_force_spectrum,

@@ -102,11 +102,37 @@ def test_search(capsys):
     assert data["witness_verified"] is True
 
 
+def test_budgeted_search_passes_verification(capsys):
+    # a search cut short by its budget claims independence, not maximality
+    code, out, err = run_cli(capsys, ["search", "--n", "6", "--node-budget", "10"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["exact"] is False
+    assert data["witness_verified"] is True
+    assert int(data["upper_bound"]) >= int(data["independence_number"])
+
+
+@pytest.mark.parametrize("t", ["0", "5"])
+def test_search_t_out_of_range_is_usage_error(capsys, t):
+    code, out, err = run_cli(capsys, ["search", "--n", "4", "--t", t])
+    assert code == 2
+    assert out == ""
+    assert "1 <= t <= n" in err
+
+
 def test_wopt(capsys):
     code, out, _ = run_cli(capsys, ["wopt", "--n", "6", "--t", "2"])
     data = json.loads(out)
     assert data["certified"] is True
     assert data["bound"] == "48"
+
+
+def test_wopt_without_generating_classes_is_usage_error(capsys):
+    # no permutation of degree 5 has exactly 4 fixed points
+    code, out, err = run_cli(capsys, ["wopt", "--n", "5", "--t", "5"])
+    assert code == 2
+    assert out == ""
+    assert "no generating classes for n=5, t=5" in err
 
 
 def test_reproduce_bundle(capsys):
@@ -118,11 +144,12 @@ def test_reproduce_bundle(capsys):
 
 
 def test_reproduce_empty_range(capsys):
-    code, out, _ = run_cli(capsys, ["reproduce", "--n-range", "9..8"])
-    assert code == 0
-    data = json.loads(out)
-    assert data["all_checks_pass"] is True
-    assert data["sections"]["spectral_extremes"] == []
+    # a reversed range would check nothing and pass vacuously
+    for argv in (["reproduce", "--n-range", "9..8"], ["table", "--n-range", "12..6"]):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "empty range" in err
 
 
 def test_usage_error_exit_code(capsys):

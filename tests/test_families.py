@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import fixed_point_census, many_fixed_points_count
 from snspectra.families import (
     Family,
     RATIO_BANDS,
@@ -17,11 +18,9 @@ from snspectra.families import (
     family_H_lower_bound_outside,
     family_M,
     family_M_lower_bound,
-    fixed_point_census,
     fixed_points_ge5,
     hilton_milner_tail,
     hm_family,
-    many_fixed_points_count,
     moved_points_ge5,
     t_coset,
     verify,

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import count_standard_tableaux
 from snspectra.partitions import (
     classify,
-    count_standard_tableaux,
     dimension,
     format_partition,
     hook_lengths,

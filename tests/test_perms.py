@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import derangement_count_recurrence
 from snspectra.perms import (
     DegreeMismatchError,
     agree_count,
@@ -11,7 +12,6 @@ from snspectra.perms import (
     compose,
     cycle_type,
     derangement_count,
-    derangement_count_recurrence,
     derangement_counts,
     fixed_points,
     format_cycles,

@@ -1,15 +1,18 @@
+import dataclasses
 import math
 
 import pytest
 
+from oracles import (
+    max_independent_set_naive,
+    maximum_sets,
+    relabel_graph_independence_number,
+)
 from snspectra.bounds import bound_report
 from snspectra.search import (
     SearchResult,
     graph_bitsets,
     max_independent_set,
-    max_independent_set_naive,
-    maximum_sets,
-    relabel_graph_independence_number,
     verify_certificate,
 )
 
@@ -103,10 +106,23 @@ def test_tampered_witness_fails():
     assert not verify_certificate(bad)
 
 
+def test_budgeted_witness_needs_independence_only():
+    # the first 6 members of the n=5 maximum set are independent but extend;
+    # only an exhausted search vouches for maximality
+    result = max_independent_set(5, 2)
+    partial = SearchResult(
+        n=5, t=2, independence_number=6, witness=result.witness[:6],
+        nodes=10, exact=False, forced_identity=True,
+    )
+    assert verify_certificate(partial)
+    assert not verify_certificate(dataclasses.replace(partial, exact=True))
+
+
 def test_maximality_flag_on_coset_witness():
     # the 2-coset at n=5 admits no single-vertex extension even though the
-    # true independence number is 13; the certificate checks the flag, it
-    # does not assert global maximality
+    # true independence number is 13; the certificate checks independence
+    # and, for an exact result, the extension flag; it does not assert
+    # global maximality
     from snspectra.perms import perms_fixing
 
     coset = tuple(sorted(perms_fixing([(1, 1), (2, 2)], 5)))
@@ -115,6 +131,7 @@ def test_maximality_flag_on_coset_witness():
         nodes=0, exact=False, forced_identity=False,
     )
     assert verify_certificate(framed)
+    assert verify_certificate(dataclasses.replace(framed, exact=True))
 
 
 def test_relabel_invariance():

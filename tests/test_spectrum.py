@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import agreement_bitsets, agreement_matrix
 from snspectra.partitions import classify, dimension, partitions_of
 from snspectra.perms import derangement_count, derangement_counts
+from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
     TABLE_ROWS,
     adjacency_matrix,
@@ -15,6 +18,7 @@ from snspectra.spectrum import (
     full_spectrum,
     generating_set_from_types,
     graph_spectrum,
+    permutation_list,
     table_row_partition,
 )
 
@@ -155,6 +159,20 @@ def test_adjacency_matrix_structure():
     assert adj.shape == (24, 24)
     assert adj.sum() == 24 * 4 * derangement_count(3)
     assert (adj == adj.T).all()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_builder_matches_direct_agreement_count(n):
+    verts = permutation_list(n)
+    for t in range(1, n + 1):
+        direct = agreement_matrix(verts, t)
+        dense = adjacency_matrix(n, t)
+        assert dense.dtype == np.float64
+        assert np.array_equal(dense, direct.astype(np.float64)), t
+        assert graph_bitsets(n, t) == (tuple(verts), agreement_bitsets(verts, t)), t
+    for t in (0, n + 1):
+        with pytest.raises(ValueError):
+            adjacency_matrix(n, t)
 
 
 @pytest.mark.parametrize("n,t", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3)])
