@@ -98,13 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[common], help="exact maximum independent set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
-    p.add_argument("--exact", action="store_true", help="no node budget (default)")
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument(
+        "--exact", action="store_true", help="no node budget (the default below n = 6)"
+    )
     p.add_argument(
         "--slow",
         action="store_true",
         help="allow the large n=6..7 searches without a budget",
     )
-    p.add_argument("--node-budget", type=int, default=None)
+    budget.add_argument("--node-budget", type=int, default=None)
 
     p = sub.add_parser("wopt", parents=[common], help="optimal conjugation-invariant weighted bound")
     p.add_argument("--n", type=int, required=True)
@@ -183,7 +186,7 @@ def run(args: argparse.Namespace) -> str:
 
     if args.command == "search":
         budget = args.node_budget
-        if budget is None and args.n >= 6 and not args.slow:
+        if budget is None and args.n >= 6 and not (args.slow or args.exact):
             budget = 500_000
         report = reports.search_report(args.n, args.t, budget)
         if not report["witness_verified"]:

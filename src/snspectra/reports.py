@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from . import families as fam_mod
 from .bounds import bound_report
 from .characters import CharacterTable
-from .partitions import classify, format_partition, partitions_of
+from .partitions import classify, format_partition
 from .perms import derangement_counts, format_cycles
 from .search import max_independent_set, verify_certificate
 from .spectrum import (

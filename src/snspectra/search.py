@@ -23,6 +23,7 @@ import numpy as np
 from .bounds import bound_report
 from .perms import agree_count
 from .spectrum import agreement_neighbours, permutation_list
+from .weightopt import NoGeneratingClassesError, optimize_bound
 
 
 @lru_cache(maxsize=None)
@@ -68,6 +69,21 @@ def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...]) -> int:
             common &= adj[u]
         cliques += 1
     return cliques
+
+
+def _spectral_upper_bound(n: int, t: int) -> int:
+    """floor of the certified optimal weighted Hoffman bound, or of the plain
+    Hoffman bound when the LP optimum fails its certificate.  The weighted
+    bound is never the weaker: uniform weights are feasible for its LP.  At
+    t = n no class has t-1 fixed points, the graph has no edges and no
+    eigenvalue bound applies, so the bound is the vertex count n!."""
+    try:
+        weighted = optimize_bound(n, t)
+    except NoGeneratingClassesError:
+        return math.factorial(n)
+    if weighted.certified:
+        return math.floor(weighted.bound)
+    return math.floor(bound_report(n, t).hoffman_value)
 
 
 def _solve(
@@ -123,7 +139,7 @@ def _solve(
     witness = tuple(verts[i] for i in range(size) if best_mask >> i & 1)
     upper = None
     if not exhausted and 1 <= t <= n:
-        upper = math.floor(bound_report(n, t).hoffman_value)
+        upper = _spectral_upper_bound(n, t)
     return SearchResult(
         n=n,
         t=t,

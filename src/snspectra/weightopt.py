@@ -6,8 +6,9 @@ The best Hoffman-type bound under such weightings is a small linear program:
 maximize the least nontrivial weighted eigenvalue m; the induced bound is
 (-m)/(1-m) * n!.
 
-The LP is solved in exact rational arithmetic by a dense two-phase simplex
-with Bland's rule, and the solution is not trusted: primal feasibility, dual
+The LP is solved in exact rational arithmetic by a two-phase simplex with
+Bland's rule that carries its reduced-cost row and pivots over nonzero
+entries only, and the solution is not trusted: primal feasibility, dual
 feasibility, and objective equality are re-verified exactly, which together
 certify optimality.
 """
@@ -83,14 +84,21 @@ class NoGeneratingClassesError(LPError, ValueError):
         super().__init__(f"no generating classes for n={n}, t={t}")
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = 1 / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
-    basis[row] = col
+def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan step on ``rows[row][col]``, in place: scale that row to a
+    unit entry and clear the column from every other row.  Only the nonzero
+    entries of the pivot row and the rows with a nonzero entry in the pivot
+    column are touched; every other entry would be unchanged."""
+    prow = rows[row]
+    inv = 1 / prow[col]
+    support = [j for j, a in enumerate(prow) if a]
+    for j in support:
+        prow[j] *= inv
+    for r, other in enumerate(rows):
+        factor = other[col]
+        if factor and r != row:
+            for j in support:
+                other[j] -= factor * prow[j]
 
 
 def _simplex_phase(
@@ -100,29 +108,35 @@ def _simplex_phase(
     allowed: int,
 ) -> Fraction:
     """Run Bland-rule simplex to optimality on the given cost row;
-    ``allowed`` caps the columns eligible to enter (excludes artificials in
-    phase 2).  Returns the optimal objective value."""
-    nrows = len(tableau)
+    ``allowed`` is the number of tableau columns before the right-hand side,
+    all eligible to enter (phase 2 runs on a tableau without the artificial
+    columns, while ``cost`` still prices every basis index).  Returns the
+    optimal objective value.
+
+    The reduced costs c_j - c_B . column_j are carried as an extra row,
+    built once here and updated by each pivot; its last entry is minus the
+    objective value."""
+    reduced = [Fraction(cost[j]) for j in range(allowed)] + [Fraction(0)]
+    for r, b in enumerate(basis):
+        if cost[b]:
+            for j, a in enumerate(tableau[r]):
+                if a:
+                    reduced[j] -= cost[b] * a
+    rows = [*tableau, reduced]
     while True:
-        # reduced costs: c_j - c_B . column_j
-        reduced = []
-        for j in range(allowed):
-            rc = cost[j] - sum(cost[basis[r]] * tableau[r][j] for r in range(nrows))
-            reduced.append(rc)
-        entering = next((j for j, rc in enumerate(reduced) if rc < 0), None)
+        entering = next((j for j in range(allowed) if reduced[j] < 0), None)
         if entering is None:
-            return sum(
-                cost[basis[r]] * tableau[r][-1] for r in range(nrows)
-            )
+            return -reduced[-1]
         ratios = [
-            (tableau[r][-1] / tableau[r][entering], basis[r], r)
-            for r in range(nrows)
-            if tableau[r][entering] > 0
+            (row[-1] / row[entering], basis[r], r)
+            for r, row in enumerate(tableau)
+            if row[entering] > 0
         ]
         if not ratios:
             raise LPError("unbounded linear program")
         _, _, leaving_row = min(ratios)  # min ratio, ties by basis index
-        _pivot(tableau, basis, leaving_row, entering)
+        _eliminate(rows, leaving_row, entering)
+        basis[leaving_row] = entering
 
 
 def solve_lp_min(
@@ -154,12 +168,16 @@ def solve_lp_min(
     value = _simplex_phase(tableau, basis, phase1_cost, ncols + nrows)
     if value != 0:
         raise LPError("infeasible linear program")
+    # no artificial column can enter again, so drop them
+    for row in tableau:
+        del row[ncols:-1]
     # drive leftover artificials out of the basis
     for r in range(nrows):
         if basis[r] >= ncols:
             col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, r, col)
+                _eliminate(tableau, r, col)
+                basis[r] = col
     # any remaining artificial rows are redundant zero rows; freeze them
     phase2_cost = [Fraction(x) for x in cost] + [Fraction(0)] * nrows
     objective = _simplex_phase(tableau, basis, phase2_cost, ncols)
@@ -179,32 +197,21 @@ def _dual_solution(
     unit vectors, so their dual rows are direct)."""
     nrows = len(a_eq)
     ncols = len(cost)
-    # column j of the constraint matrix, artificials included
-    def column(j: int) -> list[Fraction]:
-        if j < ncols:
-            return [Fraction(a_eq[r][j]) for r in range(nrows)]
-        unit = [Fraction(0)] * nrows
-        unit[j - ncols] = Fraction(1)
-        return unit
-
-    def basic_cost(j: int) -> Fraction:
-        return Fraction(cost[j]) if j < ncols else Fraction(0)
-
-    mat = [[column(b)[r] for b in basis] for r in range(nrows)]
-    rhs = [basic_cost(b) for b in basis]
-    # solve mat^T y = rhs by Gaussian elimination
-    aug = [[mat[r][c] for r in range(nrows)] + [rhs[c]] for c in range(nrows)]
+    # row i of [B^T | c_B] is basic column basis[i], artificials included
+    aug = []
+    for b in basis:
+        if b < ncols:
+            aug.append([Fraction(a_eq[r][b]) for r in range(nrows)] + [Fraction(cost[b])])
+        else:
+            unit = [Fraction(0)] * (nrows + 1)
+            unit[b - ncols] = Fraction(1)
+            aug.append(unit)
     for col in range(nrows):
         pivot = next((r for r in range(col, nrows) if aug[r][col] != 0), None)
         if pivot is None:
             raise LPError("singular basis while extracting the dual")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(nrows):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        _eliminate(aug, col, col)
     return [aug[r][nrows] for r in range(nrows)]
 
 

@@ -11,7 +11,10 @@ production routes against.  None of them is used by the package itself.
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
-  the branch-and-bound.
+  the branch-and-bound;
+* the dense two-phase Bland simplex that recomputes every reduced cost on
+  each iteration and pivots across whole rows, the oracle for the sparse
+  carried-row kernel of ``weightopt.solve_lp_min``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,6 +31,7 @@ import numpy as np
 from snspectra.partitions import Partition, check_partition, transpose
 from snspectra.perms import all_perms, num_fixed_points, sign_of_type
 from snspectra.search import _solve, graph_bitsets, max_independent_set
+from snspectra.weightopt import LPError
 
 CycleType = tuple[int, ...]
 
@@ -266,3 +271,94 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
     adj = agreement_bitsets(conj, t)
     result = _solve(tuple(verts), adj, t, force_identity=False, node_budget=None)
     return result.independence_number
+
+
+# ---------------------------------------------------------------------------
+# Dense exact simplex (minimization, equality form, x >= 0).
+
+
+def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    inv = 1 / tableau[row][col]
+    tableau[row] = [x * inv for x in tableau[row]]
+    for r in range(len(tableau)):
+        if r != row and tableau[r][col] != 0:
+            factor = tableau[r][col]
+            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
+    basis[row] = col
+
+
+def _simplex_phase(
+    tableau: list[list[Fraction]],
+    basis: list[int],
+    cost: Sequence[Fraction],
+    allowed: int,
+) -> Fraction:
+    """Run Bland-rule simplex to optimality on the given cost row;
+    ``allowed`` caps the columns eligible to enter (excludes artificials in
+    phase 2).  Returns the optimal objective value."""
+    nrows = len(tableau)
+    while True:
+        # reduced costs: c_j - c_B . column_j
+        reduced = []
+        for j in range(allowed):
+            rc = cost[j] - sum(cost[basis[r]] * tableau[r][j] for r in range(nrows))
+            reduced.append(rc)
+        entering = next((j for j, rc in enumerate(reduced) if rc < 0), None)
+        if entering is None:
+            return sum(
+                cost[basis[r]] * tableau[r][-1] for r in range(nrows)
+            )
+        ratios = [
+            (tableau[r][-1] / tableau[r][entering], basis[r], r)
+            for r in range(nrows)
+            if tableau[r][entering] > 0
+        ]
+        if not ratios:
+            raise LPError("unbounded linear program")
+        _, _, leaving_row = min(ratios)  # min ratio, ties by basis index
+        _pivot(tableau, basis, leaving_row, entering)
+
+
+def solve_lp_min(
+    cost: Sequence[Fraction],
+    a_eq: Sequence[Sequence[Fraction]],
+    b_eq: Sequence[Fraction],
+) -> tuple[list[Fraction], Fraction, list[int]]:
+    """Minimize cost.x subject to a_eq x = b_eq, x >= 0, exactly.
+
+    Returns (x, objective, basis column indices).  Raises LPError when
+    infeasible or unbounded.
+    """
+    nrows = len(a_eq)
+    ncols = len(cost)
+    tableau = []
+    for r in range(nrows):
+        row = [Fraction(x) for x in a_eq[r]]
+        rhs = Fraction(b_eq[r])
+        if rhs < 0:
+            row = [-x for x in row]
+            rhs = -rhs
+        tableau.append(row + [Fraction(0)] * nrows + [rhs])
+    # artificial identity basis
+    for r in range(nrows):
+        tableau[r][ncols + r] = Fraction(1)
+    basis = [ncols + r for r in range(nrows)]
+
+    phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * nrows
+    value = _simplex_phase(tableau, basis, phase1_cost, ncols + nrows)
+    if value != 0:
+        raise LPError("infeasible linear program")
+    # drive leftover artificials out of the basis
+    for r in range(nrows):
+        if basis[r] >= ncols:
+            col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
+            if col is not None:
+                _pivot(tableau, basis, r, col)
+    # any remaining artificial rows are redundant zero rows; freeze them
+    phase2_cost = [Fraction(x) for x in cost] + [Fraction(0)] * nrows
+    objective = _simplex_phase(tableau, basis, phase2_cost, ncols)
+    x = [Fraction(0)] * ncols
+    for r, b in enumerate(basis):
+        if b < ncols:
+            x[b] = tableau[r][-1]
+    return x, objective, basis

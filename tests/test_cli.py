@@ -112,6 +112,30 @@ def test_budgeted_search_passes_verification(capsys):
     assert int(data["upper_bound"]) >= int(data["independence_number"])
 
 
+@pytest.mark.parametrize(
+    "flags,budget",
+    [([], 500_000), (["--exact"], None), (["--slow"], None), (["--node-budget", "7"], 7)],
+)
+def test_search_node_budget_from_flags(capsys, monkeypatch, flags, budget):
+    seen = []
+
+    def fake_search_report(n, t, node_budget):
+        seen.append(node_budget)
+        return {"config": {}, "witness_verified": True}
+
+    monkeypatch.setattr(reports, "search_report", fake_search_report)
+    code, _, err = run_cli(capsys, ["search", "--n", "6", *flags])
+    assert code == 0, err
+    assert seen == [budget]
+
+
+def test_search_exact_with_node_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--n", "4", "--exact", "--node-budget", "10"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t", ["0", "5"])
 def test_search_t_out_of_range_is_usage_error(capsys, t):
     code, out, err = run_cli(capsys, ["search", "--n", "4", "--t", t])

@@ -8,6 +8,7 @@ from oracles import (
     maximum_sets,
     relabel_graph_independence_number,
 )
+from snspectra import search
 from snspectra.bounds import bound_report
 from snspectra.search import (
     SearchResult,
@@ -15,6 +16,7 @@ from snspectra.search import (
     max_independent_set,
     verify_certificate,
 )
+from snspectra.weightopt import optimize_bound
 
 
 def test_gamma3_is_k33():
@@ -90,6 +92,27 @@ def test_budgeted_search_reports_upper_bound():
     if not result.exact:
         assert result.upper_bound is not None
         assert result.upper_bound >= result.independence_number
+
+
+def test_budgeted_search_reports_certified_weighted_bound():
+    # floor(Hoffman) is 170 at n = 7, t = 2; the certified LP optimum is 168
+    result = max_independent_set(7, 2, node_budget=10)
+    assert not result.exact
+    assert result.upper_bound == 168
+
+
+def test_budgeted_search_on_the_edgeless_graph_bounds_by_vertex_count():
+    # at t = n no two permutations agree on exactly n-1 points; the Hoffman
+    # bound needs a negative eigenvalue, which the edgeless graph lacks
+    result = max_independent_set(4, 4, node_budget=1)
+    assert not result.exact
+    assert result.upper_bound == 24
+
+
+def test_budgeted_search_falls_back_to_hoffman_when_uncertified(monkeypatch):
+    uncertified = dataclasses.replace(optimize_bound(7, 2), certified=False)
+    monkeypatch.setattr(search, "optimize_bound", lambda n, t: uncertified)
+    assert max_independent_set(7, 2, node_budget=10).upper_bound == 170
 
 
 def test_tampered_witness_fails():

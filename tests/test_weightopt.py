@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from snspectra import weightopt
 from snspectra.characters import class_size
 from snspectra.partitions import partitions_of
 from snspectra.spectrum import fixed_point_generating_set, graph_spectrum
@@ -79,8 +81,75 @@ def test_simplex_unbounded():
         solve_lp_min(cost, a_eq, b_eq)
 
 
+def _outcome(solver, lp):
+    try:
+        return solver(*lp)
+    except LPError as exc:
+        return str(exc)
+
+
+def _random_lp(rng):
+    nrows = rng.randint(1, 4)
+    ncols = rng.randint(1, 6)
+    entries = [-2, -1, 0, 0, 0, Fraction(1, 2), 1, 2]
+    a_eq = [[Fraction(rng.choice(entries)) for _ in range(ncols)] for _ in range(nrows)]
+    # zero right-hand sides make degenerate vertices and ratio ties
+    b_eq = [Fraction(rng.choice([-1, 0, 0, 1, 2])) for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.25:
+        # a redundant row leaves an artificial basic after phase 1
+        a_eq[-1], b_eq[-1] = list(a_eq[0]), b_eq[0]
+    cost = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+    return cost, a_eq, b_eq
+
+
+def test_simplex_matches_dense_oracle_on_random_lps(monkeypatch):
+    ties = 0
+
+    def tie_counting_min(ratios):
+        nonlocal ties
+        ratios = sorted(ratios)
+        if len(ratios) > 1 and ratios[0][0] == ratios[1][0]:
+            ties += 1
+        return ratios[0]
+
+    # the oracle's min-ratio choice, with ties counted
+    monkeypatch.setattr(oracles, "min", tie_counting_min, raising=False)
+    rng = random.Random(3)
+    kinds = {"feasible": 0, "infeasible linear program": 0, "unbounded linear program": 0}
+    for _ in range(400):
+        lp = _random_lp(rng)
+        expected = _outcome(oracles.solve_lp_min, lp)
+        assert _outcome(solve_lp_min, lp) == expected, lp
+        kinds["feasible" if isinstance(expected, tuple) else expected] += 1
+    assert all(kinds.values()), kinds
+    assert ties > 0
+
+
+def test_simplex_matches_dense_oracle_on_beale_cycling_example():
+    # Beale's degenerate LP, on which the largest-coefficient rule cycles;
+    # Bland's rule reaches the optimum -1/20 at x4 = 1/25, x6 = 1
+    cost = [0, 0, 0, Fraction(-3, 4), 150, Fraction(-1, 50), 6]
+    a_eq = [
+        [1, 0, 0, Fraction(1, 4), -60, Fraction(-1, 25), 9],
+        [0, 1, 0, Fraction(1, 2), -90, Fraction(-1, 50), 3],
+        [0, 0, 1, 0, 0, 1, 0],
+    ]
+    b_eq = [0, 0, 1]
+    x, objective, basis = solve_lp_min(cost, a_eq, b_eq)
+    assert objective == Fraction(-1, 20)
+    assert x[3] == Fraction(1, 25) and x[5] == 1
+    assert (x, objective, basis) == oracles.solve_lp_min(cost, a_eq, b_eq)
+
+
 # ---------------------------------------------------------------------------
 # The weighted bound.
+
+
+@pytest.mark.parametrize("n,t", [(n, t) for n in range(3, 9) for t in (2, 3) if t < n])
+def test_optimized_bound_matches_dense_oracle(monkeypatch, n, t):
+    result = optimize_bound(n, t)
+    monkeypatch.setattr(weightopt, "solve_lp_min", oracles.solve_lp_min)
+    assert optimize_bound(n, t) == result
 
 
 @pytest.mark.parametrize("n,t", [(6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3)])
