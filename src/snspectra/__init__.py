@@ -51,7 +51,6 @@ from .perms import (
     derangement_count,
     derangement_counts,
     format_cycles,
-    generating_set,
     identity,
     inverse,
     parse_cycles,

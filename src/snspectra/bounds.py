@@ -16,8 +16,8 @@ import numpy as np
 
 from .characters import mn_character
 from .partitions import Partition, dimension, partitions_of
-from .perms import compose, cycle_type, inverse
-from .spectrum import Spectrum, graph_spectrum, permutation_list
+from .perms import all_perms, compose, cycle_type, inverse
+from .spectrum import Spectrum, graph_spectrum
 
 PROJECTION_CAP = 5
 
@@ -134,12 +134,12 @@ class ProjectionMatrix:
 
 
 def isotypic_projection(alpha: Partition, n: int) -> ProjectionMatrix:
-    """Materialized projection matrix; capped at n <= 5 (n! x n! entries)."""
+    """Materialized projection matrix (n! x n! entries), for n <= PROJECTION_CAP."""
     if n > PROJECTION_CAP:
         raise ValueError(f"projection matrices are capped at n <= {PROJECTION_CAP}")
     if sum(alpha) != n:
         raise ValueError(f"{alpha} is not a partition of {n}")
-    perms = permutation_list(n)
+    perms = list(all_perms(n))
     char_by_type = {c: mn_character(alpha, c) for c in partitions_of(n)}
     size = len(perms)
     mat = np.zeros((size, size), dtype=np.int64)

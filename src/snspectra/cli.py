@@ -7,10 +7,14 @@ is named on stderr), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import reports
+from .families import FAMILIES, PAIRWISE_CAP
 from .perms import DEFAULT_ENUMERATION_CAP
+from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP
+from .spectrum import GRAPH_CAP, SPECTRUM_CAP
 
 
 class VerificationFailure(Exception):
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
 
     p = sub.add_parser("families", parents=[common], help="construct and check a named family")
-    p.add_argument("--family", required=True, choices=reports.FAMILY_NAMES)
+    p.add_argument("--family", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--verify-independence", action="store_true")
@@ -100,12 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=2)
     budget = p.add_mutually_exclusive_group()
     budget.add_argument(
-        "--exact", action="store_true", help="no node budget (the default below n = 6)"
+        "--exact",
+        action="store_true",
+        help=f"no node budget (the default below n = {EXHAUSTIVE_CAP})",
     )
     p.add_argument(
         "--slow",
         action="store_true",
-        help="allow the large n=6..7 searches without a budget",
+        help=f"allow the large n = {EXHAUSTIVE_CAP} search without a budget",
     )
     budget.add_argument("--node-budget", type=int, default=None)
 
@@ -125,13 +131,60 @@ def _finish(report: dict, args: argparse.Namespace) -> str:
     return reports.to_json(report)
 
 
+def _node_budget(args: argparse.Namespace) -> int | None:
+    if args.node_budget is None and args.n >= EXHAUSTIVE_CAP and not (args.slow or args.exact):
+        return DEFAULT_NODE_BUDGET
+    return args.node_budget
+
+
+def _cap(what: str, value: int, cap: int, by: str) -> None:
+    if value > cap:
+        raise ValueError(f"{what} capped at {cap} by {by} (got {value})")
+
+
+def check_caps(args: argparse.Namespace) -> None:
+    """The cap policy: size the input from the arguments alone and refuse it
+    before any work.  Each limit is the constant beside the route it guards."""
+    command, n = args.command, getattr(args, "n", None)
+    if command == "derangements":
+        # d_n, the integer nearest n!/e, prints within the interpreter's limit
+        # of L digits exactly when log10(n!/e) < L
+        limit = sys.get_int_max_str_digits()
+        if limit and n > 1 and (math.lgamma(n + 1) - 1) / math.log(10) >= limit:
+            raise ValueError(
+                f"derangements: d_{n} has more than {limit} digits, the "
+                "sys.get_int_max_str_digits() limit for printing integers"
+            )
+    elif command == "chartable":
+        _cap("chartable: n is", n, args.cap, "--cap")
+    elif command in ("spectrum", "hoffman", "reproduce"):
+        top = _parse_range(args.n_range)[1] if command == "reproduce" else n
+        _cap("full spectra: n is", top, SPECTRUM_CAP, "SPECTRUM_CAP")
+        if command == "spectrum" and args.verify:
+            _cap("spectrum --verify: n is", n, GRAPH_CAP, "GRAPH_CAP")
+    elif command == "search":
+        _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
+        if _node_budget(args) is None:
+            _cap("search without a node budget: n is", n, EXHAUSTIVE_CAP, "EXHAUSTIVE_CAP")
+    elif command == "families":
+        name, spec, t = args.family, FAMILIES[args.family], args.t
+        free = n - spec.pinned(t)
+        if not 1 <= t <= n:
+            raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+        if free < spec.min_free:
+            raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
+        _cap(f"family {name}: unpinned points are", free, args.cap, "--cap")
+        if args.verify_independence and not args.members:
+            size = spec.size_formula(n) if spec.size_formula else math.factorial(free)
+            _cap(f"pairwise check: family {name} size is", size, PAIRWISE_CAP, "PAIRWISE_CAP")
+
+
 def run(args: argparse.Namespace) -> str:
+    check_caps(args)
     if args.command == "derangements":
         return _finish(reports.derangements_report(args.n), args)
 
     if args.command == "chartable":
-        if args.n > args.cap:
-            raise ValueError(f"chartable capped at n <= {args.cap}")
         report, csv_text = reports.chartable_report(args.n)
         if not all(report["checks"].values()):
             failing = [k for k, v in report["checks"].items() if not v]
@@ -162,11 +215,6 @@ def run(args: argparse.Namespace) -> str:
         return _finish(reports.hoffman_report(args.n, args.t), args)
 
     if args.command == "families":
-        if args.n - 2 > args.cap:
-            raise ValueError(
-                f"family construction enumerates degree {args.n - 2} cosets; "
-                f"raise --cap (currently {args.cap}) to allow it"
-            )
         if args.members:
             return reports.family_members_text(args.family, args.n, args.t)
         report = reports.family_report(
@@ -185,10 +233,7 @@ def run(args: argparse.Namespace) -> str:
         return _finish(report, args)
 
     if args.command == "search":
-        budget = args.node_budget
-        if budget is None and args.n >= 6 and not (args.slow or args.exact):
-            budget = 500_000
-        report = reports.search_report(args.n, args.t, budget)
+        report = reports.search_report(args.n, args.t, _node_budget(args))
         if not report["witness_verified"]:
             raise VerificationFailure("search witness failed re-verification")
         return _finish(report, args)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,8 +178,8 @@ def family_G(j: int, n: int) -> Family:
 def hm_family(n: int, t: int) -> Family:
     """Permutations fixing 1..t and some further point beyond t+1, together
     with the t transpositions (i t+1)."""
-    if n < t + 2:
-        raise ValueError("need n >= t + 2")
+    if not 1 <= t <= n - 2:
+        raise ValueError(f"need 1 <= t <= n - 2, got t={t}, n={n}")
     members = [
         s
         for s in perms_fixing([(i, i) for i in range(1, t + 1)], n)
@@ -190,6 +190,50 @@ def hm_family(n: int, t: int) -> Family:
         images[i - 1], images[t] = t + 1, i
         members.append(tuple(images))
     return _family(n, f"HM(t={t})", members)
+
+
+# ---------------------------------------------------------------------------
+# The registry of named families.
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """``build(n, t)`` constructs the family; ``size_formula(n)``, if any, is
+    its exact size.  The constructor pins ``pinned(t)`` points, enumerates the
+    permutations of the rest and needs at least ``min_free`` of those points."""
+
+    build: Callable[[int, int], Family]
+    size_formula: Callable[[int], int] | None
+    min_free: int
+    pins_t: bool = False  # pins 1..t instead of 1 and 2
+
+    def pinned(self, t: int) -> int:
+        return t if self.pins_t else 2
+
+
+# In CLI order.  Each entry looks its constructor up by name when called, so
+# a wrapper set in place of ``family_B`` or another constructor sees the call.
+# G_j exists for every n >= 2, but its formula needs d_{n-3} (j <= 2),
+# d_{n-4} (j = 3) or d_{n-5} (j = 4).
+FAMILIES: dict[str, FamilySpec] = {
+    "B": FamilySpec(lambda n, t: family_B(n), family_B_size_formula, 5),
+    **{
+        f"F{j}": FamilySpec(lambda n, t, j=j: family_F(j, n), partial(family_F_size_formula, j), 5)
+        for j in (1, 2, 3, 4)
+    },
+    **{
+        f"G{j}": FamilySpec(
+            lambda n, t, j=j: family_G(j, n),
+            lambda n, j=j: math.factorial(n - 2) - family_F_size_formula(j, n),
+            free,
+        )
+        for j, free in ((1, 1), (2, 1), (3, 2), (4, 3))
+    },
+    "2coset": FamilySpec(
+        lambda n, t: t_coset([(1, 1), (2, 2)], n), lambda n: math.factorial(n - 2), 0
+    ),
+    "HM": FamilySpec(lambda n, t: hm_family(n, t), None, 2, pins_t=True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -274,34 +318,24 @@ class VerificationResult:
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _agreement_blocks(members: list[tuple[int, ...]], block: int = 512):
-    arr = np.array(members, dtype=np.int16)
-    for start in range(0, len(members), block):
-        stop = min(len(members), start + block)
-        counts = (arr[start:stop, None, :] == arr[None, :, :]).sum(axis=2)
-        yield start, arr, counts
-
-
-def _scan_pairs(members: list[tuple[int, ...]], bad) -> VerificationResult:
-    """bad(counts, rows, arr, start) -> boolean matrix of violations over the
+def _scan_pairs(members: list[tuple[int, ...]], bad, predicate: str) -> VerificationResult:
+    """bad(counts, rows, arr, start) -> boolean matrix of violations over a
     (block x all) agreement-count matrix; entries at or below the diagonal
     are ignored."""
     total = len(members) * (len(members) - 1) // 2
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for start, arr, counts in _agreement_blocks(members):
+    arr = np.array(members, dtype=np.int16)
+    for start in range(0, len(members), 512):
+        counts = (arr[start : start + 512, None, :] == arr[None, :, :]).sum(axis=2)
         rows = counts.shape[0]
         mask = bad(counts, rows, arr, start)
         cols = np.arange(counts.shape[1])
-        upper = cols[None, :] > (np.arange(start, start + rows))[:, None]
-        mask &= upper
-        if mask.any():
-            for i, j in np.argwhere(mask):
-                pair = (members[start + int(i)], members[int(j)])
-                if best is None or pair < best:
-                    best = pair
-    if best is not None:
-        return VerificationResult(False, "", total, best)
-    return VerificationResult(True, "", total, None)
+        mask &= cols[None, :] > (np.arange(start, start + rows))[:, None]
+        for i, j in np.argwhere(mask):
+            pair = (members[start + int(i)], members[int(j)])
+            if best is None or pair < best:
+                best = pair
+    return VerificationResult(best is None, predicate, total, best)
 
 
 def verify(family: Family, predicate: str, t: int | None = None) -> VerificationResult:
@@ -354,8 +388,7 @@ def verify(family: Family, predicate: str, t: int | None = None) -> Verification
     else:
         raise ValueError(f"unknown predicate {predicate!r}")
 
-    result = _scan_pairs(members, bad)
-    return VerificationResult(result.ok, predicate, result.checked_pairs, result.witness)
+    return _scan_pairs(members, bad, predicate)
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +404,3 @@ def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
     return sum(
         1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
     )
-
-
-# Regression bands for asymptotic ratios, frozen from exact computation at
-# desk scale.  These guard the implementation; they are not theorems.
-RATIO_BANDS: dict[str, tuple[Fraction, Fraction]] = {
-    # count_agreeing_exactly_once(tau, n) / (n-2)! hovers near 1/e ~ 0.368
-    "agree-once": (Fraction(3, 10), Fraction(45, 100)),
-    # |B| / (n-2)! approaches 1 - 1/e ~ 0.632 from above over n = 8..12
-    "family-B": (Fraction(60, 100), Fraction(67, 100)),
-}

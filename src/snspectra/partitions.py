@@ -56,10 +56,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return out
 
 
-def partition_count(n: int) -> int:
-    return len(partitions_of(n))
-
-
 def transpose(alpha: Sequence[int]) -> Partition:
     """Transpose (conjugate) of the Young diagram: column heights.
 

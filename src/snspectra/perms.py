@@ -33,15 +33,6 @@ def is_permutation(images: Sequence[int]) -> bool:
     return sorted(images) == list(range(1, n + 1))
 
 
-def check_permutation(images: Sequence[int]) -> tuple[int, ...]:
-    """Return ``images`` as a tuple, raising ValueError if it is not a
-    permutation of {1..n}."""
-    p = tuple(images)
-    if not is_permutation(p):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p!r}")
-    return p
-
-
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
@@ -215,7 +206,7 @@ def rencontres_count(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generating sets of the forbidden-agreement Cayley graphs.
+# Enumeration.
 
 
 def all_perms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
@@ -223,38 +214,6 @@ def all_perms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int,
     if n > cap:
         raise ValueError(f"refusing to enumerate S_{n} (cap {cap})")
     return itertools.permutations(range(1, n + 1))
-
-
-def generating_set(
-    n: int, t: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> frozenset[tuple[int, ...]]:
-    """Permutations of S_n with exactly t-1 fixed points: the generators of
-    the graph joining permutations that agree at exactly t-1 points.
-
-    For t = 2 the set has size n*d_{n-1}.  ``t - 1 = n - 1`` is impossible
-    (one misplaced point forces another), so that case yields the empty set;
-    the report layer attaches the warning.  t > n is an error.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    k = t - 1
-    return frozenset(p for p in all_perms(n, cap=cap) if num_fixed_points(p) == k)
-
-
-def generating_set_size(n: int, t: int) -> int:
-    """|generating_set(n, t)| without enumeration: C(n, t-1) * d_{n-t+1}."""
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    return rencontres_count(n, t - 1)
-
-
-def random_permutation(n: int, rng) -> tuple[int, ...]:
-    """Uniform permutation of degree n from a ``random.Random`` instance."""
-    images = list(range(1, n + 1))
-    rng.shuffle(images)
-    return tuple(images)
 
 
 def perms_fixing(pairs: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, ...]]:

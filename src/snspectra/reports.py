@@ -26,6 +26,7 @@ from .spectrum import (
     eigenvalue,
     fixed_point_generating_set,
     full_spectrum,
+    graph_spectrum,
     table_row_partition,
 )
 from .weightopt import optimize_bound
@@ -198,38 +199,10 @@ def hoffman_report(n: int, t: int) -> dict:
     return report
 
 
-FAMILY_NAMES = ("B", "F1", "F2", "F3", "F4", "G1", "G2", "G3", "G4", "2coset", "HM")
-
-
-def build_family(name: str, n: int, t: int) -> fam_mod.Family:
-    if name == "B":
-        return fam_mod.family_B(n)
-    if name.startswith("F") and name[1:] in "1234":
-        return fam_mod.family_F(int(name[1:]), n)
-    if name.startswith("G") and name[1:] in "1234":
-        return fam_mod.family_G(int(name[1:]), n)
-    if name == "2coset":
-        return fam_mod.t_coset([(1, 1), (2, 2)], n)
-    if name == "HM":
-        return fam_mod.hm_family(n, t)
-    raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-
-
-def _family_size_formula(name: str, n: int) -> int | None:
-    if name == "B":
-        return fam_mod.family_B_size_formula(n)
-    if name.startswith("F") and name[1:] in "1234":
-        return fam_mod.family_F_size_formula(int(name[1:]), n)
-    if name.startswith("G") and name[1:] in "1234":
-        return math.factorial(n - 2) - fam_mod.family_F_size_formula(int(name[1:]), n)
-    if name == "2coset":
-        return math.factorial(n - 2)
-    return None
-
-
 def family_report(name: str, n: int, t: int, verify_independence: bool) -> dict:
-    family = build_family(name, n, t)
-    formula = _family_size_formula(name, n)
+    spec = fam_mod.FAMILIES[name]
+    family = spec.build(n, t)
+    formula = None if spec.size_formula is None else spec.size_formula(n)
     report = _base(
         "families",
         {"family": name, "n": n, "t": t, "verify_independence": verify_independence},
@@ -258,7 +231,7 @@ def family_report(name: str, n: int, t: int, verify_independence: bool) -> dict:
 
 
 def family_members_text(name: str, n: int, t: int) -> str:
-    family = build_family(name, n, t)
+    family = fam_mod.FAMILIES[name].build(n, t)
     return "\n".join(format_cycles(s) for s in family.sorted_members()) + "\n"
 
 
@@ -320,8 +293,7 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
 
     extremes = []
     for n in range(max(n_start, 4), n_stop + 1):
-        gen = fixed_point_generating_set(n, 2)
-        spec = full_spectrum(gen)
+        spec = graph_spectrum(n, 2)
         hoff = bound_report(n, 2)
         ok = spec.trace_identity_holds()
         statuses.append(ok)
@@ -345,8 +317,9 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
     sizes = []
     for n in range(max(n_start, 7), min(n_stop, 9) + 1):
         for name in ("B", "F1", "F2", "F3", "F4"):
-            family = build_family(name, n, 2)
-            formula = _family_size_formula(name, n)
+            spec = fam_mod.FAMILIES[name]
+            family = spec.build(n, 2)
+            formula = spec.size_formula(n)
             match = len(family) == formula
             statuses.append(match)
             sizes.append(

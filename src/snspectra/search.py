@@ -13,7 +13,6 @@ reduction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import bound_report
-from .perms import agree_count
-from .spectrum import agreement_neighbours, permutation_list
+from .perms import agree_count, all_perms
+from .spectrum import agreement_neighbours
 from .weightopt import NoGeneratingClassesError, optimize_bound
 
 
@@ -36,7 +35,7 @@ def graph_bitsets(n: int, t: int = 2) -> tuple[tuple[tuple[int, ...], ...], tupl
     np.put_along_axis(rows, nbrs, True, axis=1)
     packed = np.packbits(rows, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return tuple(permutation_list(n)), adj
+    return tuple(all_perms(n)), adj
 
 
 @dataclass(frozen=True)
@@ -152,6 +151,12 @@ def _solve(
     )
 
 
+# Without a node budget the tree is searched to the end only up to n = 6
+# (99,591 nodes); from n = 6 on the CLI sets this budget unless told not to.
+EXHAUSTIVE_CAP = 6
+DEFAULT_NODE_BUDGET = 500_000
+
+
 def max_independent_set(
     n: int,
     t: int = 2,
@@ -186,7 +191,7 @@ def verify_certificate(result: SearchResult) -> bool:
     if not result.exact:
         return True
     chosen = set(members)
-    for v in itertools.permutations(range(1, result.n + 1)):
+    for v in all_perms(result.n):
         if v in chosen:
             continue
         if all(agree_count(v, m) != result.t - 1 for m in members):

@@ -15,7 +15,6 @@ multiplicities from exact power-trace moments through a Vandermonde solve.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ import numpy as np
 
 from .characters import CycleType, class_size, mn_character
 from .partitions import Partition, dimension, partitions_of
-from .perms import derangement_count
+from .perms import all_perms, derangement_count
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,11 @@ class Spectrum:
         return sum(r.multiplicity for r in self.rows)
 
 
+# Largest degree of the full-spectrum commands: p(26) = 2,436 eigenvalues,
+# about 25 s on one core, and each further 2 in n costs about 2.4 times more.
+SPECTRUM_CAP = 26
+
+
 def full_spectrum(gen: GeneratingSet) -> Spectrum:
     rows = tuple(
         SpectrumRow(
@@ -233,11 +237,6 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
 GRAPH_CAP = 7
 
 
-def permutation_list(n: int) -> list[tuple[int, ...]]:
-    """All of S_n in lexicographic one-line order."""
-    return list(itertools.permutations(range(1, n + 1)))
-
-
 def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
     """Neighbour ranks of the graph joining permutations that agree on
     exactly t-1 points, vertices in lexicographic order: row g lists the
@@ -248,7 +247,7 @@ def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
         raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    perms = np.array(permutation_list(n), dtype=np.int8) - 1
+    perms = np.array(list(all_perms(n)), dtype=np.int8) - 1
     gens = perms[(perms == np.arange(n)).sum(axis=1) == t - 1]
     # base-n code of a one-line permutation; increasing in lex order, and
     # below 7^7 < 2^31 under the cap
@@ -397,22 +396,6 @@ def _exact_traces_walks(
     return [nverts * w for w in walks[0]]
 
 
-def _solve_vandermonde(values: Sequence[int], moments: Sequence[int]) -> list[Fraction]:
-    """Solve sum_i m_i values_i^k = moments_k (k = 0..r-1) exactly."""
-    r = len(values)
-    mat = [[Fraction(values[i]) ** k for i in range(r)] + [Fraction(moments[k])] for k in range(r)]
-    for col in range(r):
-        pivot = next(row for row in range(col, r) if mat[row][col] != 0)
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        for row in range(r):
-            if row != col and mat[row][col] != 0:
-                factor = mat[row][col]
-                mat[row] = [a - factor * b for a, b in zip(mat[row], mat[col])]
-    return [mat[i][r] for i in range(r)]
-
-
 def brute_force_spectrum(
     n: int, t: int = 2, *, seed: int = 0
 ) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
@@ -460,7 +443,12 @@ def brute_force_spectrum(
         traces = _exact_traces_matrix(adj, r + 1, degree)
     else:
         traces = _exact_traces_walks(adj, r + 1, degree, spot_checks=8, seed=seed)
-    mults = _solve_vandermonde(distinct, traces[:r])
+    from .weightopt import solve_linear
+
+    # Vandermonde system sum_i m_i distinct_i^k = traces_k, k = 0..r-1
+    mults = solve_linear(
+        [[Fraction(lam) ** k for lam in distinct] + [Fraction(traces[k])] for k in range(r)]
+    )
     if any(m.denominator != 1 or m < 0 for m in mults):
         raise ArithmeticError(f"non-integral multiplicities: {mults}")
     counts = [int(m) for m in mults]

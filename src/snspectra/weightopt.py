@@ -101,6 +101,20 @@ def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
                 other[j] -= factor * prow[j]
 
 
+def solve_linear(aug: list[list[Fraction]]) -> list[Fraction]:
+    """Solve the square system [A | b], given as augmented rows and reduced in
+    place, exactly by Gauss-Jordan elimination with the first nonzero pivot
+    at or below the diagonal; ArithmeticError when A is singular."""
+    size = len(aug)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        _eliminate(aug, col, col)
+    return [row[size] for row in aug]
+
+
 def _simplex_phase(
     tableau: list[list[Fraction]],
     basis: list[int],
@@ -206,13 +220,10 @@ def _dual_solution(
             unit = [Fraction(0)] * (nrows + 1)
             unit[b - ncols] = Fraction(1)
             aug.append(unit)
-    for col in range(nrows):
-        pivot = next((r for r in range(col, nrows) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise LPError("singular basis while extracting the dual")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        _eliminate(aug, col, col)
-    return [aug[r][nrows] for r in range(nrows)]
+    try:
+        return solve_linear(aug)
+    except ArithmeticError as exc:
+        raise LPError("singular basis while extracting the dual") from exc
 
 
 # ---------------------------------------------------------------------------

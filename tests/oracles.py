@@ -7,7 +7,7 @@ production routes against.  None of them is used by the package itself.
 * a standard-tableau count, the oracle for hook-length dimensions;
 * the derangement recurrence, the oracle for inclusion-exclusion;
 * a fixed-point census of S_n by enumeration, the oracle for rencontres
-  numbers;
+  numbers, and the generating set of each agreement graph by enumeration;
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
@@ -15,6 +15,9 @@ production routes against.  None of them is used by the package itself.
 * the dense two-phase Bland simplex that recomputes every reduced cost on
   each iteration and pivots across whole rows, the oracle for the sparse
   carried-row kernel of ``weightopt.solve_lp_min``.
+
+It also holds ``RATIO_BANDS``, the regression bands the tests put on two
+asymptotic ratios.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from snspectra.partitions import Partition, check_partition, transpose
-from snspectra.perms import all_perms, num_fixed_points, sign_of_type
+from snspectra.perms import DEFAULT_ENUMERATION_CAP, all_perms, num_fixed_points, sign_of_type
 from snspectra.search import _solve, graph_bitsets, max_independent_set
 from snspectra.weightopt import LPError
 
@@ -182,6 +185,18 @@ def fixed_point_census(n: int) -> dict[int, int]:
         k = num_fixed_points(s)
         census[k] = census.get(k, 0) + 1
     return census
+
+
+def generating_set(n: int, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[tuple[int, ...]]:
+    """Permutations of S_n with exactly t-1 fixed points, by enumeration: the
+    generators of the graph joining permutations that agree at exactly t-1
+    points.  ``t - 1 = n - 1`` is impossible (one misplaced point forces
+    another), so that case yields the empty set; t outside 1..n is an error."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    return frozenset(p for p in all_perms(n, cap=cap) if num_fixed_points(p) == t - 1)
 
 
 def many_fixed_points_count(n: int) -> int:
@@ -362,3 +377,14 @@ def solve_lp_min(
         if b < ncols:
             x[b] = tableau[r][-1]
     return x, objective, basis
+
+
+# ---------------------------------------------------------------------------
+# Regression bands for asymptotic ratios, frozen from exact computation at
+# desk scale.  These guard the implementation; they are not theorems.
+RATIO_BANDS: dict[str, tuple[Fraction, Fraction]] = {
+    # count_agreeing_exactly_once(tau, n) / (n-2)! hovers near 1/e ~ 0.368
+    "agree-once": (Fraction(3, 10), Fraction(45, 100)),
+    # |B| / (n-2)! approaches 1 - 1/e ~ 0.632 from above over n = 8..12
+    "family-B": (Fraction(60, 100), Fraction(67, 100)),
+}

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from oracles import (
+    RATIO_BANDS,
     derangement_count_recurrence,
     irreducible_character,
     max_independent_set_naive,
@@ -24,7 +25,6 @@ from snspectra.bounds import (
 )
 from snspectra.characters import CharacterTable, mn_character
 from snspectra.families import (
-    RATIO_BANDS,
     count_agreeing_exactly_once,
     family_B,
     family_B_size_formula,

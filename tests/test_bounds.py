@@ -18,8 +18,8 @@ from snspectra.bounds import (
     stability_gap_bound,
 )
 from snspectra.partitions import dimension, partitions_of
-from snspectra.perms import agree_count, perms_fixing
-from snspectra.spectrum import graph_spectrum, permutation_list
+from snspectra.perms import agree_count, all_perms, perms_fixing
+from snspectra.spectrum import graph_spectrum
 
 
 def test_hoffman_formula():
@@ -110,7 +110,7 @@ def test_projection_cap():
 def test_projection_mass_matches_matrix_route():
     n = 4
     members = list(perms_fixing([(1, 1), (2, 2)], n))
-    perms = permutation_list(n)
+    perms = list(all_perms(n))
     index = {p: i for i, p in enumerate(perms)}
     fact = math.factorial(n)
     for alpha in partitions_of(n):
@@ -141,7 +141,7 @@ def test_masses_resolve_norm():
 
 def test_distance_edge_cases():
     assert exact_distance_sq_to_span([], [(5,)], 5) == 0
-    everyone = permutation_list(4)
+    everyone = list(all_perms(4))
     assert exact_distance_sq_to_span(everyone, [(4,)], 4) == 0
 
 

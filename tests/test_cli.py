@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -206,3 +207,83 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["d"] == "265"
+
+
+def forbid_reports(monkeypatch, *names):
+    """Replace report builders with stubs that fail the test if entered."""
+
+    def entered(*args, **kwargs):
+        pytest.fail("the costly route was entered before the cap check")
+
+    for name in names:
+        monkeypatch.setattr(reports, name, entered)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # vacuous passes: no pair agrees on exactly -1 or 8 points
+        ("families --family B --n 8 --t 0 --verify-independence", "1 <= t <= n"),
+        ("families --family B --n 8 --t 9 --verify-independence", "1 <= t <= n"),
+        # used to build a family labelled HM(t=-1)
+        ("families --family HM --n 6 --t -1", "1 <= t <= n"),
+        # HM pins t = 1 point, so it enumerates 11! permutations
+        ("families --family HM --n 12 --t 1", "capped at 10 by --cap (got 11)"),
+        # used to build G4, then fail in its size formula
+        ("families --family G4 --n 4", "family G4 needs n >= 5"),
+        # used to build 40,320 permutations before the pairwise cap refused
+        ("families --family B --n 10 --verify-independence", "capped at 12000 by PAIRWISE_CAP"),
+        ("search --n 7 --t 2 --exact", "capped at 6 by EXHAUSTIVE_CAP"),
+        ("search --n 7 --t 2 --slow", "capped at 6 by EXHAUSTIVE_CAP"),
+        ("search --n 8 --node-budget 10", "capped at 7 by GRAPH_CAP"),
+        ("spectrum --n 40", "capped at 26 by SPECTRUM_CAP"),
+        ("hoffman --n 27", "capped at 26 by SPECTRUM_CAP"),
+        ("reproduce --n-range 6..27", "capped at 26 by SPECTRUM_CAP"),
+        # used to compute the whole character spectrum first
+        ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),
+    ],
+)
+def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    forbid_reports(
+        monkeypatch,
+        "family_report",
+        "family_members_text",
+        "search_report",
+        "spectrum_report",
+        "hoffman_report",
+        "reproduce_report",
+    )
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_families_cap_counts_the_points_the_family_pins(capsys, monkeypatch):
+    # HM with t = 3 pins three points: n = 13 enumerates degree 10 cosets
+    seen = []
+    monkeypatch.setattr(
+        reports, "family_members_text", lambda name, n, t: seen.append((name, n, t)) or ""
+    )
+    code, _, err = run_cli(capsys, ["families", "--family", "HM", "--n", "13", "--t", "3", "--members"])
+    assert code == 0, err
+    assert seen == [("HM", 13, 3)]
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+def test_derangements_refused_past_the_interpreter_digit_limit(capsys, monkeypatch, limit):
+    # d_1559 has 4,303 digits, past the default limit of 4,300 for str(int);
+    # the exact boundary is where d_n = n d_{n-1} + (-1)^n first reaches 10**limit
+    first_too_long, d = 1, 0
+    while d < 10**limit:
+        first_too_long += 1
+        d = first_too_long * d + (-1) ** first_too_long
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
+    forbid_reports(monkeypatch, "derangements_report")
+    code, out, err = run_cli(capsys, ["derangements", "--n", str(first_too_long)])
+    assert code == 2
+    assert out == ""
+    assert f"has more than {limit} digits" in err
+    monkeypatch.setattr(reports, "derangements_report", lambda n: {"config": {}})
+    code, _, err = run_cli(capsys, ["derangements", "--n", str(first_too_long - 1)])
+    assert code == 0, err

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import fixed_point_census, many_fixed_points_count
+from oracles import RATIO_BANDS, fixed_point_census, many_fixed_points_count
+from snspectra import families, reports
+from snspectra.cli import build_parser
 from snspectra.families import (
+    FAMILIES,
     Family,
-    RATIO_BANDS,
     count_agreeing_exactly_once,
     family_B,
     family_B_size_formula,
@@ -254,3 +256,55 @@ def test_family_B_ratio_trend():
     # the ratio approaches 1 - 1/e ~ 0.63212 from above at desk scale
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert all(r > Fraction(63212, 100000) for r in ratios)
+
+
+def test_hm_family_rejects_t_below_one():
+    with pytest.raises(ValueError, match="1 <= t <= n - 2"):
+        hm_family(6, -1)
+    with pytest.raises(ValueError, match="1 <= t <= n - 2"):
+        hm_family(6, 0)
+
+
+def test_registry_names_are_the_cli_choices():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    family = next(a for a in sub.choices["families"]._actions if a.dest == "family")
+    assert tuple(family.choices) == tuple(FAMILIES)
+
+
+@pytest.mark.parametrize("name", [k for k, spec in FAMILIES.items() if spec.size_formula])
+def test_registry_size_formulas_match_the_constructors(name):
+    spec = FAMILIES[name]
+    least = spec.pinned(2) + spec.min_free
+    for n in range(least, 10):
+        assert spec.size_formula(n) == len(spec.build(n, 2)), (name, n)
+    # the minimum is tight: one point fewer, the constructor or formula fails
+    with pytest.raises(ValueError):
+        spec.size_formula(least - 1)
+        spec.build(least - 1, 2)
+
+
+def test_registry_hm_pins_t_points():
+    spec = FAMILIES["HM"]
+    for t in (1, 2, 3):
+        assert spec.pinned(t) == t
+        assert len(spec.build(t + spec.min_free, t)) > 0
+        with pytest.raises(ValueError):
+            spec.build(t + spec.min_free - 1, t)
+
+
+def test_registry_calls_the_module_constructor(monkeypatch):
+    # the benchmark's tracer swaps families.family_B and the other
+    # constructors for wrappers; a reference stored in the registry would
+    # bypass them and its build time would read zero
+    calls = []
+    original = families.family_B
+
+    def recording(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(families, "family_B", recording)
+    report = reports.family_report("B", 7, 2, False)
+    assert calls == [7]
+    assert report["formula_match"] is True

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import agreement_bitsets, agreement_matrix
 from snspectra.partitions import classify, dimension, partitions_of
-from snspectra.perms import derangement_count, derangement_counts
+from snspectra.perms import all_perms, derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
     TABLE_ROWS,
@@ -18,7 +18,6 @@ from snspectra.spectrum import (
     full_spectrum,
     generating_set_from_types,
     graph_spectrum,
-    permutation_list,
     table_row_partition,
 )
 
@@ -163,7 +162,7 @@ def test_adjacency_matrix_structure():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_builder_matches_direct_agreement_count(n):
-    verts = permutation_list(n)
+    verts = list(all_perms(n))
     for t in range(1, n + 1):
         direct = agreement_matrix(verts, t)
         dense = adjacency_matrix(n, t)

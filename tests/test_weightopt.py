@@ -13,6 +13,7 @@ from snspectra.weightopt import (
     ClassWeighting,
     LPError,
     optimize_bound,
+    solve_linear,
     solve_lp_min,
     uniform_weighting,
     weighted_eigenvalue,
@@ -63,6 +64,25 @@ def test_simplex_small_dictionary():
     x, obj, _ = solve_lp_min(cost, a_eq, b_eq)
     assert obj == -1
     assert x[0] + x[1] == 1
+
+
+def test_solve_linear_vandermonde_and_singular():
+    # multiplicities 2, 1, 3 of the values 3, -1, 0 from their power sums
+    values, mults = [3, -1, 0], [2, 1, 3]
+    aug = [
+        [Fraction(v) ** k for v in values] + [Fraction(sum(m * v**k for v, m in zip(values, mults)))]
+        for k in range(3)
+    ]
+    assert solve_linear(aug) == mults
+    with pytest.raises(ArithmeticError, match="singular"):
+        solve_linear([[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]])
+
+
+def test_dual_of_a_singular_basis_is_an_lp_error():
+    cost = [Fraction(1), Fraction(1)]
+    a_eq = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
+    with pytest.raises(LPError, match="singular basis"):
+        weightopt._dual_solution(cost, a_eq, [0, 1])
 
 
 def test_simplex_infeasible():
