@@ -1,9 +1,13 @@
 """Exact integer characters of symmetric groups.
 
 ``mn_character`` removes border strips recursively (Murnaghan-Nakayama),
-implemented on first-column hook lengths; ``CharacterTable`` fills full
-tables from it.  The independent determinantal route that cross-checks it
-lives with the test oracles.
+largest cycle first.  It validates each distinct partition and cycle type
+once, then runs a memoised kernel on integers: a partition with l parts is
+its beta-set bitmask sum 2^(alpha_i + l - i), and a k-strip is a bead moved
+k places down to an empty place.  ``CharacterTable`` fills full tables from
+it.  The independent determinantal route and the Murnaghan-Nakayama
+recursion on partition tuples that cross-check it live with the test
+oracles.
 
 Everything is arbitrary-precision integer arithmetic; no floats.
 """
@@ -11,6 +15,7 @@ Everything is arbitrary-precision integer arithmetic; no floats.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
@@ -35,17 +40,48 @@ def class_size(ctype: Sequence[int]) -> int:
 # Murnaghan-Nakayama.
 
 
-def _beta_numbers(alpha: Partition) -> tuple[int, ...]:
-    """First-column hook lengths alpha_i + l - i, strictly decreasing."""
+@lru_cache(maxsize=None)
+def _partition_mask(alpha: Partition) -> tuple[int, int]:
+    """(beta-set bitmask, degree) of a partition, validated once: bit
+    alpha_i + l - i is set for each of the l parts.  The parts are taken as
+    Python ints, so numpy integers cannot overflow the mask."""
+    alpha = check_partition(alpha)
     l = len(alpha)
-    return tuple(alpha[i] + l - (i + 1) for i in range(l))
+    mask = 0
+    for i, part in enumerate(map(operator.index, alpha), start=1):
+        mask |= 1 << (part + l - i)
+    return mask, sum(alpha)
 
 
-def _partition_from_betas(betas: Sequence[int]) -> Partition:
-    bs = sorted(betas, reverse=True)
-    l = len(bs)
-    parts = tuple(b - (l - i) for i, b in enumerate(bs, start=1))
-    return tuple(p for p in parts if p > 0)
+@lru_cache(maxsize=None)
+def _cycle_type(ctype: CycleType) -> tuple[CycleType, int]:
+    """(cycle type as a tuple, degree), validated once."""
+    ctype = check_partition(ctype)
+    return ctype, sum(ctype)
+
+
+@lru_cache(maxsize=None)
+def _mn(mask: int, ctype: CycleType) -> int:
+    """chi at the remaining cycle type of the partition with beta-set
+    ``mask``.  A k-strip is a bead moved from b to an empty b - k, so the
+    ends b - k are the set bits of (mask >> k) & ~mask; its height is the
+    number of beads strictly between.  Zero parts (the beads packed at the
+    bottom) are shifted out, so each partition has one mask."""
+    if not ctype:
+        return 1
+    k = ctype[0]
+    rest = ctype[1:]
+    total = 0
+    ends = (mask >> k) & ~mask
+    while ends:
+        low = ends & -ends
+        ends ^= low
+        top = low << k
+        moved = mask ^ top ^ low
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        sub = _mn(moved, rest)
+        total += -sub if (mask & (top - (low << 1))).bit_count() & 1 else sub
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -53,25 +89,11 @@ def mn_character(alpha: Partition, ctype: CycleType) -> int:
     """Character value via recursive border-strip removal: remove a strip of
     the largest remaining cycle length in every possible way, with sign
     (-1)^height, and recurse on the remaining type."""
-    alpha = check_partition(alpha)
-    ctype = check_partition(ctype)
-    if sum(alpha) != sum(ctype):
-        raise ValueError(f"mismatched degrees: {alpha} vs {ctype}")
-    if not ctype:
-        return 1
-    k = ctype[0]
-    rest = ctype[1:]
-    betas = _beta_numbers(alpha)
-    beta_set = set(betas)
-    total = 0
-    for b in betas:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in betas if nb < c < b)
-        sub = mn_character(_partition_from_betas([c if c != b else nb for c in betas]), rest)
-        total += (-sub if height % 2 else sub)
-    return total
+    mask, degree = _partition_mask(alpha)
+    ctype, ctype_degree = _cycle_type(ctype)
+    if degree != ctype_degree:
+        raise ValueError(f"mismatched degrees: {tuple(alpha)} vs {ctype}")
+    return _mn(mask, ctype)
 
 
 # ---------------------------------------------------------------------------

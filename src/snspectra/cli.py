@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=("json", "csv", "table"),
         default="json",
-        help="output format where the command supports several",
+        help="json for every command; csv for chartable, table for table",
     )
     common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     common.add_argument(
@@ -142,10 +142,20 @@ def _cap(what: str, value: int, cap: int, by: str) -> None:
         raise ValueError(f"{what} capped at {cap} by {by} (got {value})")
 
 
+# every command writes json; each other format is written by one command
+FORMAT_COMMAND = {"csv": "chartable", "table": "table"}
+
+
 def check_caps(args: argparse.Namespace) -> None:
     """The cap policy: size the input from the arguments alone and refuse it
-    before any work.  Each limit is the constant beside the route it guards."""
+    before any work.  Each limit is the constant beside the route it guards.
+    A ``--format`` the command does not write is refused first."""
     command, n = args.command, getattr(args, "n", None)
+    if args.format != "json" and FORMAT_COMMAND[args.format] != command:
+        raise ValueError(
+            f"--format {args.format} is written only by "
+            f"{FORMAT_COMMAND[args.format]}, not by {command}"
+        )
     if command == "derangements":
         # d_n, the integer nearest n!/e, prints within the interpreter's limit
         # of L digits exactly when log10(n!/e) < L

@@ -50,20 +50,19 @@ class SearchResult:
     upper_bound: int | None = None  # spectral bound, reported when inexact
 
 
-def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...]) -> int:
+def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...], room: int) -> int:
     """Upper bound on the independent set inside ``candidates``: number of
     cliques in a greedy clique partition (an independent set meets each
-    clique at most once)."""
+    clique at most once).  The caller only asks whether the count is at most
+    ``room``, so the count stops as soon as it exceeds ``room``."""
     cliques = 0
     rest = candidates
-    while rest:
+    while rest and cliques <= room:
         v = (rest & -rest).bit_length() - 1
-        clique_mask = 1 << v
         common = rest & adj[v]
         rest ^= 1 << v
         while common:
             u = (common & -common).bit_length() - 1
-            clique_mask |= 1 << u
             rest ^= 1 << u
             common &= adj[u]
         cliques += 1
@@ -104,18 +103,19 @@ def _solve(
 
     def branch(chosen: int, chosen_size: int, pool: int) -> None:
         nonlocal best_size, best_mask, nodes, exhausted
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
+        if node_budget is not None and nodes >= node_budget:
             exhausted = False
             return
+        nodes += 1
         if chosen_size > best_size:
             best_size = chosen_size
             best_mask = chosen
         if not pool:
             return
-        if chosen_size + pool.bit_count() <= best_size:
+        room = best_size - chosen_size
+        if pool.bit_count() <= room:
             return
-        if chosen_size + _greedy_clique_cover_bound(pool, adj) <= best_size:
+        if _greedy_clique_cover_bound(pool, adj, room) <= room:
             return
         # branch on the candidate with the most candidate neighbours
         # (ties to the lowest vertex index)

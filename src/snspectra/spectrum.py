@@ -149,7 +149,8 @@ class Spectrum:
 
 
 # Largest degree of the full-spectrum commands: p(26) = 2,436 eigenvalues,
-# about 25 s on one core, and each further 2 in n costs about 2.4 times more.
+# about 5 s and 260 MB in one process on a 2-core machine, and each further
+# 2 in n costs about 2.2 times more time.
 SPECTRUM_CAP = 26
 
 

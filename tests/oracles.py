@@ -4,6 +4,10 @@ production routes against.  None of them is used by the package itself.
 * the determinantal character route (permutation characters by a
   distribution count, irreducible characters as signed sums of them), the
   oracle for the Murnaghan-Nakayama characters of ``CharacterTable``;
+* Murnaghan-Nakayama on partition tuples and beta-number tuples, validating
+  every recursive call, the oracle for the bitmask kernel of
+  ``characters.mn_character`` (largest cycle first, one memo entry per
+  partition and remaining cycle type);
 * a standard-tableau count, the oracle for hook-length dimensions;
 * the derangement recurrence, the oracle for inclusion-exclusion;
 * a fixed-point census of S_n by enumeration, the oracle for rencontres
@@ -11,7 +15,7 @@ production routes against.  None of them is used by the package itself.
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
-  the branch-and-bound;
+  the branch-and-bound, and the greedy clique count without its early exit;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
   each iteration and pivots across whole rows, the oracle for the sparse
   carried-row kernel of ``weightopt.solve_lp_min``.
@@ -137,6 +141,49 @@ def sign_twist_check(alpha: Sequence[int], ctype: Sequence[int]) -> bool:
     return irreducible_character(transpose(alpha), ctype) == sign_of_type(
         ctype
     ) * irreducible_character(alpha, ctype)
+
+
+# ---------------------------------------------------------------------------
+# Murnaghan-Nakayama on partition tuples.
+
+
+def _beta_numbers(alpha: Partition) -> tuple[int, ...]:
+    """First-column hook lengths alpha_i + l - i, strictly decreasing."""
+    l = len(alpha)
+    return tuple(alpha[i] + l - (i + 1) for i in range(l))
+
+
+def _partition_from_betas(betas: Sequence[int]) -> Partition:
+    bs = sorted(betas, reverse=True)
+    l = len(bs)
+    parts = tuple(b - (l - i) for i, b in enumerate(bs, start=1))
+    return tuple(p for p in parts if p > 0)
+
+
+@lru_cache(maxsize=None)
+def mn_character(alpha: Partition, ctype: CycleType) -> int:
+    """Character value via recursive border-strip removal: remove a strip of
+    the largest remaining cycle length in every possible way, with sign
+    (-1)^height, and recurse on the remaining type."""
+    alpha = check_partition(alpha)
+    ctype = check_partition(ctype)
+    if sum(alpha) != sum(ctype):
+        raise ValueError(f"mismatched degrees: {alpha} vs {ctype}")
+    if not ctype:
+        return 1
+    k = ctype[0]
+    rest = ctype[1:]
+    betas = _beta_numbers(alpha)
+    beta_set = set(betas)
+    total = 0
+    for b in betas:
+        nb = b - k
+        if nb < 0 or nb in beta_set:
+            continue
+        height = sum(1 for c in betas if nb < c < b)
+        sub = mn_character(_partition_from_betas([c if c != b else nb for c in betas]), rest)
+        total += (-sub if height % 2 else sub)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +319,23 @@ def maximum_sets(n: int, t: int = 2) -> list[tuple[tuple[int, ...], ...]]:
     return [
         tuple(verts[i] for i in range(size) if mask >> i & 1) for mask in sorted(found)
     ]
+
+
+def greedy_clique_count(candidates: int, adj: tuple[int, ...]) -> int:
+    """Number of cliques in the greedy clique partition of ``candidates``,
+    counted to the end, the oracle for the early-exit bound of the search."""
+    cliques = 0
+    rest = candidates
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        common = rest & adj[v]
+        rest ^= 1 << v
+        while common:
+            u = (common & -common).bit_length() - 1
+            rest ^= 1 << u
+            common &= adj[u]
+        cliques += 1
+    return cliques
 
 
 def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) -> int:

@@ -1,9 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from oracles import irreducible_character, permutation_character, sign_twist_check
+from snspectra import characters
 from snspectra.characters import (
     CharacterTable,
     character_table,
@@ -12,6 +15,7 @@ from snspectra.characters import (
 )
 from snspectra.partitions import dimension, partitions_of, transpose
 from snspectra.perms import sign_of_type
+from snspectra.spectrum import eigenvalue, fixed_point_generating_set
 
 # the full S_4 table, rows by partition, columns by class in canonical order
 S4_TABLE = {
@@ -140,6 +144,57 @@ def test_table_oracle_route_agrees():
         assert table.entries == {
             (a, c): irreducible_character(a, c) for a in table.partitions for c in table.classes
         }, n
+
+
+def test_bitmask_kernel_equals_tuple_oracle_on_full_tables():
+    for n in range(13):
+        table = CharacterTable(n)
+        assert table.entries == {
+            (a, c): oracles.mn_character(a, c) for a in table.partitions for c in table.classes
+        }, n
+
+
+def oracle_eigenvalue(alpha, gen):
+    return sum(size * oracles.mn_character(alpha, c) for c, size in gen.classes) // dimension(alpha)
+
+
+@pytest.mark.parametrize("t", [2, 3])
+def test_bitmask_kernel_equals_tuple_oracle_on_eigenvalue_rows(t):
+    gen = fixed_point_generating_set(14, t)
+    for alpha in partitions_of(14):
+        assert eigenvalue(alpha, gen) == oracle_eigenvalue(alpha, gen), alpha
+
+
+def test_kernel_memo_matches_the_oracle_memo():
+    # one kernel entry per (partition, remaining cycle type) reached with the
+    # largest cycle removed first, as in the tuple recursion; a changed memo
+    # key or removal order changes the count
+    for fn in (characters.mn_character, characters._mn, oracles.mn_character):
+        fn.cache_clear()
+    gen = fixed_point_generating_set(14, 2)
+    for alpha in partitions_of(14):
+        eigenvalue(alpha, gen)
+        oracle_eigenvalue(alpha, gen)
+    assert characters._mn.cache_info().misses == oracles.mn_character.cache_info().misses
+
+
+@pytest.mark.parametrize(
+    "alpha,ctype",
+    [((2, 3), (5,)), ((1, 0), (1,)), ((3,), (2, 3)), ((3,), (1, 0)), ((3, 1), (2, 1)), ((2,), ())],
+)
+def test_mn_character_rejects_non_partitions_and_mismatched_degrees(alpha, ctype):
+    with pytest.raises(ValueError):
+        mn_character(alpha, ctype)
+
+
+def test_mn_character_of_the_empty_partition():
+    assert mn_character((), ()) == 1
+
+
+def test_mn_character_of_numpy_parts():
+    # a bead at 70 does not fit a 64-bit mask
+    alpha = tuple(np.array([40, 30, 1]))
+    assert mn_character(alpha, (40, 30, 1)) == oracles.mn_character(alpha, (40, 30, 1))
 
 
 def test_table_cache():

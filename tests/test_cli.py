@@ -287,3 +287,28 @@ def test_derangements_refused_past_the_interpreter_digit_limit(capsys, monkeypat
     monkeypatch.setattr(reports, "derangements_report", lambda n: {"config": {}})
     code, _, err = run_cli(capsys, ["derangements", "--n", str(first_too_long - 1)])
     assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "argv,builder,message",
+    [
+        # printed JSON and exited 0 although no csv is written
+        ("derangements --n 5 --format csv", "derangements_report", "written only by chartable"),
+        ("spectrum --n 5 --format table", "spectrum_report", "written only by table"),
+    ],
+)
+def test_unwritten_format_is_refused_before_any_work(capsys, monkeypatch, argv, builder, message):
+    forbid_reports(monkeypatch, builder)
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_formats_stay_open_to_the_commands_that_write_them(capsys):
+    code, out, _ = run_cli(capsys, ["chartable", "--n", "6", "--format", "csv"])
+    assert code == 0
+    assert out == reports.chartable_report(6)[1]
+    code, out, _ = run_cli(capsys, ["table", "--n-range", "6..8", "--format", "table"])
+    assert code == 0
+    assert out == reports.table_text(reports.table_report(6, 8))

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
 from oracles import (
+    greedy_clique_count,
     max_independent_set_naive,
     maximum_sets,
     relabel_graph_independence_number,
@@ -92,6 +94,32 @@ def test_budgeted_search_reports_upper_bound():
     if not result.exact:
         assert result.upper_bound is not None
         assert result.upper_bound >= result.independence_number
+
+
+@pytest.mark.parametrize("n,budget", [(6, 100), (7, 5000)])
+def test_budgeted_search_counts_only_expanded_nodes(n, budget):
+    # pending branches used to count themselves before seeing the spent
+    # budget: 107 nodes for a budget of 100, 5,009 for 5,000
+    result = max_independent_set(n, 2, node_budget=budget)
+    assert not result.exact
+    assert result.nodes == budget
+
+
+def test_exhausted_trees_keep_their_node_counts():
+    assert max_independent_set(5, 2).nodes == 1189
+    assert max_independent_set(5, 2, node_budget=1189).exact
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_clique_cover_early_exit_keeps_every_prune_decision(n):
+    _, adj = graph_bitsets(n, 2)
+    rng = random.Random(n)
+    for _ in range(40):
+        pool = rng.getrandbits(len(adj))
+        full = greedy_clique_count(pool, adj)
+        for room in range(pool.bit_count() + 1):
+            early = search._greedy_clique_cover_bound(pool, adj, room)
+            assert (early <= room) == (full <= room)
 
 
 def test_budgeted_search_reports_certified_weighted_bound():
