@@ -10,7 +10,6 @@ from .bounds import (
     cross_hoffman_bound_squared,
     exact_distance_sq_to_span,
     hoffman_bound,
-    isotypic_projection,
     paper_tail_split,
     projection_mass,
     stability_gap_bound,

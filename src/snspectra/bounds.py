@@ -1,4 +1,4 @@
-"""Hoffman-type eigenvalue bounds and exact isotypic projections.
+"""Hoffman-type eigenvalue bounds and exact projection masses.
 
 All bound arithmetic is exact rational; square roots are avoided by
 comparing squares.  Inner products follow the group-average normalization
@@ -14,12 +14,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .characters import mn_character
-from .partitions import Partition, dimension, partitions_of
-from .perms import all_perms, compose, cycle_type, inverse
+from .partitions import (
+    Partition,
+    check_partition,
+    dimension,
+    format_partition,
+    is_partition,
+    partitions_of,
+)
 from .spectrum import Spectrum, graph_spectrum
-
-PROJECTION_CAP = 5
 
 
 def hoffman_bound(d: int, lam_min: int, nverts: int) -> Fraction:
@@ -99,108 +102,111 @@ def paper_tail_split(
 
 
 # ---------------------------------------------------------------------------
-# Exact isotypic projections.
+# Exact projection masses and distances from a count tensor.
+#
+# For s, u in a family A let F and T count the fixed points and the 2-cycles
+# of s u^-1.  On the served components the characters are polynomials in F
+# and T: chi_(n-1,1) = F - 1, chi_(n-2,2) = F(F-3)/2 + T and
+# chi_(n-2,1,1) = F(F-3)/2 - T + 1; the sign component is served too,
+# since its pair sum is (sum of sgn s)^2.  So every pair sum comes from
+# N[i,j,k,l] = #{s in A : s(i) = k, s(j) = l} (Ellis, Friedgut and Pilpel,
+# "Intersecting families of permutations", JAMS 2011):
+#   sum F = sum_{i,k} N[i,i,k,k]^2,  sum F^2 = sum N^2,
+#   sum T = sum_{i<j, k,l} N[i,j,k,l] N[i,j,l,k].
 
 
 @dataclass(frozen=True)
-class ProjectionMatrix:
-    """Orthogonal projection of the group algebra onto one isotypic
-    component, as the exact rational matrix (f/n!) * C where
-    C[s][t] = chi(s t^-1).  The integer core C is kept for fast exact
-    identity checks; entries are served as Fractions."""
+class PairSums:
+    """Sums over the ordered pairs (s, u) of a family: the pair count, and
+    the sums of F, F^2 and T at s u^-1 and of sgn(s u^-1)."""
 
-    alpha: Partition
-    n: int
-    char_matrix: np.ndarray  # int64, C[s][t]
-
-    @property
-    def scale(self) -> Fraction:
-        return Fraction(dimension(self.alpha), math.factorial(self.n))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.scale * int(self.char_matrix[i, j])
-
-    def trace(self) -> Fraction:
-        return self.scale * int(np.trace(self.char_matrix))
-
-    def is_idempotent(self) -> bool:
-        # P^2 = P  <=>  C @ C = (n!/f) C, and f divides n!.
-        ratio = math.factorial(self.n) // dimension(self.alpha)
-        product = self.char_matrix @ self.char_matrix
-        return bool(np.array_equal(product, ratio * self.char_matrix))
-
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.char_matrix, self.char_matrix.T))
+    pairs: int
+    fixed: int
+    fixed_sq: int
+    swaps: int
+    sign: int
 
 
-def isotypic_projection(alpha: Partition, n: int) -> ProjectionMatrix:
-    """Materialized projection matrix (n! x n! entries), for n <= PROJECTION_CAP."""
-    if n > PROJECTION_CAP:
-        raise ValueError(f"projection matrices are capped at n <= {PROJECTION_CAP}")
-    if sum(alpha) != n:
-        raise ValueError(f"{alpha} is not a partition of {n}")
-    perms = list(all_perms(n))
-    char_by_type = {c: mn_character(alpha, c) for c in partitions_of(n)}
-    size = len(perms)
-    mat = np.zeros((size, size), dtype=np.int64)
-    inverses = [inverse(p) for p in perms]
-    for i, s in enumerate(perms):
-        for j, tinv in enumerate(inverses):
-            mat[i, j] = char_by_type[cycle_type(compose(s, tinv))]
-    return ProjectionMatrix(alpha=tuple(alpha), n=n, char_matrix=mat)
+def served_components(n: int) -> tuple[Partition, ...]:
+    """The components whose masses the count tensor gives: those among (n),
+    (n-1,1), (n-2,2), (n-2,1,1) and 1^n that are partitions of n."""
+    shapes = ((n,), (n - 1, 1), (n - 2, 2), (n - 2, 1, 1), (1,) * n)
+    return tuple(dict.fromkeys(a for a in shapes if is_partition(a)))
 
 
-def projections_orthogonal(p: ProjectionMatrix, q: ProjectionMatrix) -> bool:
-    return bool(not (p.char_matrix @ q.char_matrix).any())
+def _served(alpha: Sequence[int], n: int) -> Partition:
+    alpha = check_partition(alpha)
+    if alpha not in served_components(n):
+        raise ValueError(
+            f"component {alpha} is not served at n={n}; "
+            f"served: {', '.join(map(format_partition, served_components(n)))}"
+        )
+    return alpha
 
 
-def projections_complete(projs: Sequence[ProjectionMatrix], n: int) -> bool:
-    """sum_alpha P_alpha = identity, checked as sum f_alpha C_alpha = n! I."""
-    size = math.factorial(n)
-    acc = np.zeros((size, size), dtype=np.int64)
-    for p in projs:
-        acc += dimension(p.alpha) * p.char_matrix
-    return bool(np.array_equal(acc, size * np.eye(size, dtype=np.int64)))
+def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
+    """The pair sums of a family of permutations of 1..n, from its count
+    tensor (one bincount of the codes of (i, j, s(i), s(j)))."""
+    if any(len(s) != n for s in members):
+        raise ValueError("member degree mismatch")
+    arr = np.array(members, dtype=np.int64).reshape(len(members), n) - 1
+    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
+        raise ValueError(f"a member is not a permutation of 1..{n}")
+    i, j = np.indices((n, n)).reshape(2, -1)
+    codes = ((i * n + j) * n + arr[:, i]) * n + arr[:, j]
+    counts = np.bincount(codes.ravel(), minlength=n**4).reshape(n, n, n, n)
+    swapped = (counts * counts.transpose(0, 1, 3, 2)).sum(axis=(2, 3))
+    odd = ((arr[:, i] > arr[:, j]) & (i < j)).sum(axis=1) % 2  # inversion parity
+    return PairSums(
+        pairs=len(members) ** 2,
+        fixed=int((np.einsum("iikk->ik", counts) ** 2).sum()),
+        fixed_sq=int((counts**2).sum()),
+        swaps=int(np.triu(swapped, 1).sum()),
+        sign=(len(members) - 2 * int(odd.sum())) ** 2,
+    )
 
 
-# ---------------------------------------------------------------------------
-# Exact projection masses and distances, without materializing matrices.
+def _mass(alpha: Partition, n: int, sums: PairSums) -> Fraction:
+    """||P_alpha chi_A||^2 = (f_alpha / n!^2) sum over pairs of
+    chi_alpha(s u^-1), for a served alpha."""
+    quad = (sums.fixed_sq - 3 * sums.fixed) // 2  # F(F-3) is always even
+    if alpha == (n,):
+        total = sums.pairs
+    elif alpha == (n - 1, 1):
+        total = sums.fixed - sums.pairs
+    elif alpha == (n - 2, 2):
+        total = quad + sums.swaps
+    elif alpha == (n - 2, 1, 1):
+        total = quad - sums.swaps + sums.pairs
+    else:  # 1^n
+        total = sums.sign
+    fact = math.factorial(n)
+    return Fraction(dimension(alpha) * total, fact * fact)
 
 
 def projection_mass(
-    members: Iterable[tuple[int, ...]], alpha: Partition, n: int
+    members: Iterable[Sequence[int]], alpha: Sequence[int], n: int
 ) -> Fraction:
-    """||P_alpha chi_A||^2 = (f_alpha / n!^2) sum over pairs (s,t) in A of
-    chi_alpha(s t^-1), exact."""
-    mem = list(members)
-    if any(len(s) != n for s in mem):
-        raise ValueError("member degree mismatch")
-    char_by_type = {c: mn_character(tuple(alpha), c) for c in partitions_of(n)}
-    inverses = [inverse(s) for s in mem]
-    acc = 0
-    for s in mem:
-        for tinv in inverses:
-            acc += char_by_type[cycle_type(compose(s, tinv))]
-    fact = math.factorial(n)
-    return Fraction(dimension(tuple(alpha)) * acc, fact * fact)
+    """||P_alpha chi_A||^2 for a served component alpha, exact."""
+    alpha = _served(alpha, n)
+    return _mass(alpha, n, _pair_sums(list(members), n))
 
 
 def exact_distance_sq_to_span(
-    members: Iterable[tuple[int, ...]],
-    span_partitions: Iterable[Partition],
+    members: Iterable[Sequence[int]],
+    span_partitions: Iterable[Sequence[int]],
     n: int,
 ) -> Fraction:
     """Squared distance from the characteristic vector of the family to the
-    direct sum of the named isotypic components, in the group-average inner
-    product.  The trivial component (n) is the span of the all-ones vector."""
+    direct sum of the named served components, in the group-average inner
+    product.  The trivial component (n) is the span of the all-ones vector.
+    Every component is checked before the count tensor is built."""
+    span = {_served(a, n) for a in span_partitions}
     mem = list(members)
-    span = {tuple(a) for a in span_partitions}
-    for a in span:
-        if sum(a) != n:
-            raise ValueError(f"{a} is not a partition of {n}")
-    norm_sq = Fraction(len(mem), math.factorial(n))
-    mass = sum((projection_mass(mem, a, n) for a in span), Fraction(0))
-    d2 = norm_sq - mass
+    sums = _pair_sums(mem, n)
+    d2 = Fraction(len(mem), math.factorial(n)) - sum(
+        (_mass(a, n, sums) for a in span), Fraction(0)
+    )
     if d2 < 0:
         raise ArithmeticError("negative squared distance; projection bug")
     return d2

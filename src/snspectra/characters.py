@@ -15,12 +15,11 @@ Everything is arbitrary-precision integer arithmetic; no floats.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import Partition, check_partition, dimension, partitions_of
+from .partitions import Partition, check_partition, dimension, integer_parts, partitions_of
 
 CycleType = tuple[int, ...]
 
@@ -43,12 +42,12 @@ def class_size(ctype: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _partition_mask(alpha: Partition) -> tuple[int, int]:
     """(beta-set bitmask, degree) of a partition, validated once: bit
-    alpha_i + l - i is set for each of the l parts.  The parts are taken as
-    Python ints, so numpy integers cannot overflow the mask."""
+    alpha_i + l - i is set for each of the l parts.  The check returns the
+    parts as Python ints, so numpy integers cannot overflow the mask."""
     alpha = check_partition(alpha)
     l = len(alpha)
     mask = 0
-    for i, part in enumerate(map(operator.index, alpha), start=1):
+    for i, part in enumerate(alpha, start=1):
         mask |= 1 << (part + l - i)
     return mask, sum(alpha)
 
@@ -84,16 +83,31 @@ def _mn(mask: int, ctype: CycleType) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def mn_character(alpha: Partition, ctype: CycleType) -> int:
+def mn_character(alpha: Sequence[int], ctype: Sequence[int]) -> int:
     """Character value via recursive border-strip removal: remove a strip of
     the largest remaining cycle length in every possible way, with sign
     (-1)^height, and recurse on the remaining type."""
+    # The memo is keyed by Python ints, so that (2.0, 1.0) raises instead of
+    # hitting the entry of (2, 1).  A part of another type (float, numpy
+    # integer, Fraction) gives its sum that type, so only then are the parts
+    # converted; the plain ints of the hot loops skip the conversion.
+    if type(sum(alpha)) is not int or type(sum(ctype)) is not int:
+        alpha, ctype = integer_parts(alpha), integer_parts(ctype)
+    return _character(alpha, ctype)
+
+
+@lru_cache(maxsize=None)
+def _character(alpha: Partition, ctype: CycleType) -> int:
     mask, degree = _partition_mask(alpha)
     ctype, ctype_degree = _cycle_type(ctype)
     if degree != ctype_degree:
         raise ValueError(f"mismatched degrees: {tuple(alpha)} vs {ctype}")
     return _mn(mask, ctype)
+
+
+# the statistics and reset of the top-level memo
+mn_character.cache_info = _character.cache_info  # type: ignore[attr-defined]
+mn_character.cache_clear = _character.cache_clear  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reverse-lexicographic: (n) first, (1,...,1) last.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from functools import lru_cache
 from typing import Sequence
@@ -16,14 +17,25 @@ from typing import Sequence
 Partition = tuple[int, ...]
 
 
+def integer_parts(parts: Sequence[int]) -> tuple[int, ...]:
+    """The parts as Python ints.  Integer types such as numpy's pass through
+    ``operator.index``; any other part, 2.0 included, is a ``ValueError``."""
+    try:
+        return tuple(map(operator.index, parts))
+    except TypeError:
+        raise ValueError(f"not a partition: {tuple(parts)!r} has a non-integer part") from None
+
+
 def is_partition(parts: Sequence[int]) -> bool:
-    return all(p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    try:
+        p = integer_parts(parts)
+    except ValueError:
+        return False
+    return all(x >= 1 for x in p) and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
 def check_partition(parts: Sequence[int], n: int | None = None) -> Partition:
-    p = tuple(parts)
+    p = integer_parts(parts)
     if not is_partition(p):
         raise ValueError(f"not a partition: {p!r}")
     if n is not None and sum(p) != n:
@@ -78,12 +90,17 @@ def hook_lengths(alpha: Sequence[int]) -> list[list[int]]:
     ]
 
 
-@lru_cache(maxsize=None)
-def dimension(alpha: Partition) -> int:
+def dimension(alpha: Sequence[int]) -> int:
     """Dimension f^alpha of the irreducible labelled by alpha, via the hook
     length product n! / prod(hooks).  Equals the number of standard Young
     tableaux of shape alpha; the character modules compute the same value as
     a character at the identity, through disjoint code."""
+    # the memo is keyed by Python ints, so (2.0, 1.0) cannot hit (2, 1)
+    return _dimension(integer_parts(alpha))
+
+
+@lru_cache(maxsize=None)
+def _dimension(alpha: Partition) -> int:
     alpha = check_partition(alpha)
     n = sum(alpha)
     denom = 1

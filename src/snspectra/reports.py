@@ -115,7 +115,7 @@ def spectrum_report(n: int, t: int, verify: bool, seed: int) -> dict:
     if gen.empty_reason:
         report["warning"] = gen.empty_reason
     if verify:
-        pairs, cert = brute_force_spectrum(n, t, seed=seed)
+        pairs, cert = brute_force_spectrum(n, t)
         match = pairs == spec.multiset()
         report["oracle"] = {
             "match": match,

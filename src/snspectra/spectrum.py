@@ -8,9 +8,12 @@ eigenvalues here are exact integers.
 
 ``brute_force_spectrum`` is the independent oracle: it diagonalizes the
 explicit adjacency matrix numerically, rounds, and then *proves* the rounded
-multiset exact by (a) verifying that prod(A - lambda I) vanishes, checked
-modulo enough primes to cover the entry bound, and (b) recovering the
-multiplicities from exact power-trace moments through a Vandermonde solve.
+multiset exact.  The graph is a Cayley graph, so A commutes with left
+translation; once that is checked, the column of the identity stands for
+the whole matrix: (a) prod(A - lambda I) vanishes on it, modulo enough
+primes to cover the entry bound, and (b) its closed-walk counts give the
+exact power traces, from which a Vandermonde solve recovers the
+multiplicities.
 """
 
 from __future__ import annotations
@@ -238,6 +241,15 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
 GRAPH_CAP = 7
 
 
+def _lex_perms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """S_n in lexicographic order as 0-based int8 rows, the base-n place
+    values, and each row's code (its base-n number): the codes increase with
+    the rank and stay below 7^7 < 2^31 under the cap."""
+    perms = np.array(list(all_perms(n)), dtype=np.int8) - 1
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    return perms, place, perms @ place
+
+
 def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
     """Neighbour ranks of the graph joining permutations that agree on
     exactly t-1 points, vertices in lexicographic order: row g lists the
@@ -248,12 +260,8 @@ def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
         raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    perms = np.array(list(all_perms(n)), dtype=np.int8) - 1
+    perms, place, codes = _lex_perms(n)
     gens = perms[(perms == np.arange(n)).sum(axis=1) == t - 1]
-    # base-n code of a one-line permutation; increasing in lex order, and
-    # below 7^7 < 2^31 under the cap
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    codes = perms @ place
     # code(g∘s) = sum_i g[s[i]] place[i] = sum_j g[j] place[s^-1[j]]
     weights = place[np.argsort(gens, axis=1)].T
     nbrs = np.empty((len(perms), len(gens)), dtype=np.int32)
@@ -267,7 +275,10 @@ def adjacency_matrix(n: int, t: int = 2) -> np.ndarray:
     """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
     the graph joining permutations that agree on exactly t-1 points, rows
     and columns in lexicographic vertex order."""
-    nbrs = agreement_neighbours(n, t)
+    return _dense(agreement_neighbours(n, t))
+
+
+def _dense(nbrs: np.ndarray) -> np.ndarray:
     adj = np.zeros((len(nbrs), len(nbrs)), dtype=np.float64)
     np.put_along_axis(adj, nbrs, 1.0, axis=1)
     return adj
@@ -316,134 +327,76 @@ class SpectrumCertificate:
     moments_checked: int
 
 
-def _annihilation_holds_matrix(adj: np.ndarray, values: Sequence[int], p: int) -> bool:
-    """Check prod(A - lam I) == 0 mod p with exact float64 modular matmuls.
-    Requires N * (p-1)^2 < 2^53."""
-    nverts = adj.shape[0]
-    eye = np.eye(nverts)
-    acc = eye
-    for lam in values:
-        factor = np.remainder(adj - lam * eye, p)
-        acc = np.remainder(acc @ factor, p)
-        if not acc.any():
-            return True
-    return not acc.any()
-
-
-def _annihilation_holds_vectors(
-    adj: np.ndarray, values: Sequence[int], p: int, trials: int, seed: int
-) -> bool:
-    """Monte-Carlo version for big graphs: checks prod(A - lam I) v == 0
-    mod p on random vectors (miss probability <= 1/p per trial)."""
-    rng = np.random.default_rng(seed)
-    nverts = adj.shape[0]
-    for _ in range(trials):
-        v = rng.integers(0, p, size=nverts).astype(np.float64)
-        for lam in values:
-            v = np.remainder(adj @ v - lam * v, p)
-        if v.any():
+def _left_translation_invariant(nbrs: np.ndarray, n: int) -> bool:
+    """Whether the adjacency listed by ``nbrs`` commutes with the left
+    translation h -> g∘h for g = (1 2) and g = (1 2 ... n).  Those two
+    generate S_n, so then it commutes with every left translation: row
+    g∘h lists g∘(the neighbours of h), as sets."""
+    perms, place, codes = _lex_perms(n)
+    generators = (np.roll(np.arange(n), -1), np.r_[1, 0, 2:n]) if n > 1 else ()
+    for g in generators:
+        shift = np.searchsorted(codes, g[perms] @ place)  # rank of g∘h
+        if not np.array_equal(np.sort(nbrs[shift], axis=1), np.sort(shift[nbrs], axis=1)):
             return False
     return True
 
 
-def _exact_traces_matrix(adj: np.ndarray, count: int, degree: int) -> list[int]:
-    """Tr(A^k) for k = 0..count-1, exactly, via modular matrix powers and CRT."""
-    nverts = adj.shape[0]
-    bound = nverts * max(1, degree) ** max(1, count - 1)
-    cap = math.isqrt(2**53 // nverts)
-    primes = _primes_below(cap, 2 * bound)
-    residues = [[] for _ in range(count)]
-    for p in primes:
-        power = np.eye(nverts)
-        adj_p = np.remainder(adj, p)
-        for k in range(count):
-            residues[k].append(int(np.trace(power)) % p)
-            if k + 1 < count:
-                power = np.remainder(power @ adj_p, p)
-    out = []
-    for k in range(count):
-        value, modulus = _crt(residues[k], primes)
-        if value > modulus // 2:  # traces are nonnegative; no wrap expected
-            raise ArithmeticError("trace reconstruction exceeded bound")
-        out.append(value)
-    return out
-
-
-def _exact_traces_walks(
-    adj: np.ndarray, count: int, degree: int, spot_checks: int, seed: int
-) -> list[int]:
-    """Tr(A^k) for a vertex-transitive graph: n! times the closed-walk count
-    at one vertex, computed exactly via modular matvecs and CRT.  Transitivity
-    is spot-checked at ``spot_checks`` random vertices."""
-    nverts = adj.shape[0]
-    bound = max(1, degree) ** max(1, count - 1)
-    cap = math.isqrt(2**53 // nverts)
-    primes = _primes_below(cap, 2 * bound)
-    rng = np.random.default_rng(seed)
-    starts = [0] + sorted(rng.integers(1, nverts, size=spot_checks).tolist())
-    walks: list[list[int]] = []
-    for start in starts:
-        residues = [[] for _ in range(count)]
-        for p in primes:
-            v = np.zeros(nverts)
-            v[start] = 1.0
-            for k in range(count):
-                residues[k].append(int(v[start]) % p)
-                if k + 1 < count:
-                    v = np.remainder(adj @ v, p)
-        walks.append([_crt(residues[k], primes)[0] for k in range(count)])
-    if any(w != walks[0] for w in walks[1:]):
-        raise ArithmeticError("closed-walk counts differ across vertices")
-    return [nverts * w for w in walks[0]]
-
-
 def brute_force_spectrum(
-    n: int, t: int = 2, *, seed: int = 0
+    n: int, t: int = 2
 ) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
-    """Eigenvalue multiset of the explicit adjacency matrix, with an exact
+    """Eigenvalue multiset of the explicit adjacency matrix A, with an exact
     certificate.
 
     Returns ``(((eigenvalue, multiplicity), ...), certificate)`` sorted by
-    eigenvalue.  For n! <= 1000 the annihilating-polynomial check covers the
-    whole matrix (a proof); for larger graphs it is verified on random
-    vectors modulo every prime, which misses a nonzero matrix with
-    probability at most (1/p)^trials per prime.
+    eigenvalue.  A is first checked to commute with every left translation
+    L_g, so P(A) e_g = L_g P(A) e_id for every polynomial P: the column of
+    the identity decides whether P(A) vanishes, and every diagonal entry of
+    A^k equals the one at the identity.  The rounded eigenvalues are then
+    proved by prod(A - lam I) e_id = 0 modulo primes whose product exceeds
+    twice the entry bound, and their multiplicities by the exact traces
+    Tr(A^k) = n! (A^k)[id, id] through a Vandermonde solve, with one extra
+    moment as a check.  A failed check raises ``ArithmeticError``.
     """
-    adj = adjacency_matrix(n, t)
+    nbrs = agreement_neighbours(n, t)
+    if not _left_translation_invariant(nbrs, n):
+        raise ArithmeticError("adjacency does not commute with left translation")
+    adj = _dense(nbrs)
     nverts = adj.shape[0]
     degree = int(adj[0].sum())
     numeric = np.linalg.eigvalsh(adj)
     rounded = np.rint(numeric).astype(np.int64)
-    max_residual = float(np.max(np.abs(numeric - rounded))) if nverts else 0.0
+    max_residual = float(np.max(np.abs(numeric - rounded)))
     if max_residual > 0.25:
         raise ArithmeticError(
             f"numeric eigenvalues too far from integers (dev {max_residual})"
         )
     distinct = sorted({int(x) for x in rounded})
+    r = len(distinct)
 
-    # (a) support: prod over distinct values of (A - lam I) must vanish.
+    # Every entry of prod(A - lam I) and every closed-walk count (A^k)[id, id]
+    # with k <= r lies below ``bound``; float64 matvecs stay exact under
+    # nverts * p^2 < 2^53.
     bound = 1
     for lam in distinct:
         bound *= degree + abs(lam) + 1
-    cap = math.isqrt(2**53 // max(nverts, 1))
-    primes = _primes_below(cap, 2 * bound)
-    full_proof = nverts <= 1000
+    primes = _primes_below(math.isqrt(2**53 // nverts), 2 * bound)
+    identity = np.zeros(nverts)
+    identity[0] = 1.0  # the identity permutation has rank 0
+    walks: list[list[int]] = [[] for _ in range(r + 1)]
     for p in primes:
-        if full_proof:
-            ok = _annihilation_holds_matrix(adj, distinct, p)
-        else:
-            ok = _annihilation_holds_vectors(adj, distinct, p, trials=20, seed=seed)
-        if not ok:
+        v = identity
+        for lam in distinct:
+            v = np.remainder(adj @ v - lam * v, p)
+        if v.any():
             raise ArithmeticError(
                 f"rounded spectrum rejected: annihilator nonzero mod {p}"
             )
+        v = identity
+        for k in range(r + 1):
+            walks[k].append(int(v[0]))
+            v = np.remainder(adj @ v, p)
+    traces = [nverts * _crt(residues, primes)[0] for residues in walks]
 
-    # (b) multiplicities from exact moments; one extra moment as a check.
-    r = len(distinct)
-    if full_proof:
-        traces = _exact_traces_matrix(adj, r + 1, degree)
-    else:
-        traces = _exact_traces_walks(adj, r + 1, degree, spot_checks=8, seed=seed)
     from .weightopt import solve_linear
 
     # Vandermonde system sum_i m_i distinct_i^k = traces_k, k = 0..r-1
@@ -460,7 +413,7 @@ def brute_force_spectrum(
 
     pairs = tuple((lam, c) for lam, c in zip(distinct, counts) if c > 0)
     cert = SpectrumCertificate(
-        method="matrix-annihilation" if full_proof else "vector-annihilation",
+        method="matrix-annihilation",
         primes=tuple(primes),
         max_residual=max_residual,
         moments_checked=r + 1,

@@ -18,7 +18,13 @@ production routes against.  None of them is used by the package itself.
   the branch-and-bound, and the greedy clique count without its early exit;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
   each iteration and pivots across whole rows, the oracle for the sparse
-  carried-row kernel of ``weightopt.solve_lp_min``.
+  carried-row kernel of ``weightopt.solve_lp_min``;
+* the spectrum certificate on the whole adjacency matrix (modular matrix
+  products for the annihilator and the power traces), the oracle for the
+  one-column certificate of ``spectrum.brute_force_spectrum``;
+* isotypic projection matrices (n <= 5) and the projection mass as a sum of
+  chi(s u^-1) over every ordered pair of a family, the oracles for the
+  count-tensor masses of ``bounds.projection_mass``.
 
 It also holds ``RATIO_BANDS``, the regression bands the tests put on two
 asymptotic ratios.
@@ -29,16 +35,27 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from snspectra.partitions import Partition, check_partition, transpose
-from snspectra.perms import DEFAULT_ENUMERATION_CAP, all_perms, num_fixed_points, sign_of_type
+from snspectra.characters import mn_character as production_character
+from snspectra.partitions import Partition, check_partition, dimension, partitions_of, transpose
+from snspectra.perms import (
+    DEFAULT_ENUMERATION_CAP,
+    all_perms,
+    compose,
+    cycle_type,
+    inverse,
+    num_fixed_points,
+    sign_of_type,
+)
 from snspectra.search import _solve, graph_bitsets, max_independent_set
-from snspectra.weightopt import LPError
+from snspectra.spectrum import SpectrumCertificate, _crt, _primes_below, adjacency_matrix
+from snspectra.weightopt import LPError, solve_linear
 
 CycleType = tuple[int, ...]
 
@@ -441,6 +458,183 @@ def solve_lp_min(
         if b < ncols:
             x[b] = tableau[r][-1]
     return x, objective, basis
+
+
+# ---------------------------------------------------------------------------
+# The spectrum certificate on the whole adjacency matrix.
+
+
+def annihilation_holds_matrix(adj: np.ndarray, values: Sequence[int], p: int) -> bool:
+    """Check prod(A - lam I) == 0 mod p with exact float64 modular matmuls.
+    Requires N * (p-1)^2 < 2^53."""
+    nverts = adj.shape[0]
+    eye = np.eye(nverts)
+    acc = eye
+    for lam in values:
+        factor = np.remainder(adj - lam * eye, p)
+        acc = np.remainder(acc @ factor, p)
+        if not acc.any():
+            return True
+    return not acc.any()
+
+
+def exact_traces_matrix(adj: np.ndarray, count: int, degree: int) -> list[int]:
+    """Tr(A^k) for k = 0..count-1, exactly, via modular matrix powers and CRT."""
+    nverts = adj.shape[0]
+    bound = nverts * max(1, degree) ** max(1, count - 1)
+    cap = math.isqrt(2**53 // nverts)
+    primes = _primes_below(cap, 2 * bound)
+    residues = [[] for _ in range(count)]
+    for p in primes:
+        power = np.eye(nverts)
+        adj_p = np.remainder(adj, p)
+        for k in range(count):
+            residues[k].append(int(np.trace(power)) % p)
+            if k + 1 < count:
+                power = np.remainder(power @ adj_p, p)
+    out = []
+    for k in range(count):
+        value, modulus = _crt(residues[k], primes)
+        if value > modulus // 2:  # traces are nonnegative; no wrap expected
+            raise ArithmeticError("trace reconstruction exceeded bound")
+        out.append(value)
+    return out
+
+
+def dense_brute_force_spectrum(
+    n: int, t: int
+) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
+    """The brute-force spectrum with its certificate checked on the whole
+    matrix: prod(A - lam I) = 0 mod each prime by matrix products, and the
+    multiplicities from the traces of the matrix powers.  Same primes, same
+    rounding and the same Vandermonde system as the production oracle."""
+    adj = adjacency_matrix(n, t)
+    nverts = adj.shape[0]
+    degree = int(adj[0].sum())
+    numeric = np.linalg.eigvalsh(adj)
+    rounded = np.rint(numeric).astype(np.int64)
+    max_residual = float(np.max(np.abs(numeric - rounded)))
+    distinct = sorted({int(x) for x in rounded})
+    bound = math.prod(degree + abs(lam) + 1 for lam in distinct)
+    primes = _primes_below(math.isqrt(2**53 // nverts), 2 * bound)
+    for p in primes:
+        if not annihilation_holds_matrix(adj, distinct, p):
+            raise ArithmeticError(f"annihilator nonzero mod {p}")
+    r = len(distinct)
+    traces = exact_traces_matrix(adj, r + 1, degree)
+    mults = solve_linear(
+        [[Fraction(lam) ** k for lam in distinct] + [Fraction(traces[k])] for k in range(r)]
+    )
+    if sum(m * lam**r for m, lam in zip(mults, distinct)) != traces[r]:
+        raise ArithmeticError("extra moment check failed")
+    pairs = tuple((lam, int(m)) for lam, m in zip(distinct, mults) if m > 0)
+    return pairs, SpectrumCertificate("matrix-annihilation", tuple(primes), max_residual, r + 1)
+
+
+# ---------------------------------------------------------------------------
+# Isotypic projection matrices and pairwise projection masses.
+
+PROJECTION_CAP = 5
+
+
+@dataclass(frozen=True)
+class ProjectionMatrix:
+    """Orthogonal projection of the group algebra onto one isotypic
+    component, as the exact rational matrix (f/n!) * C where
+    C[s][t] = chi(s t^-1).  The integer core C is kept for fast exact
+    identity checks; entries are served as Fractions."""
+
+    alpha: Partition
+    n: int
+    char_matrix: np.ndarray  # int64, C[s][t]
+
+    @property
+    def scale(self) -> Fraction:
+        return Fraction(dimension(self.alpha), math.factorial(self.n))
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.scale * int(self.char_matrix[i, j])
+
+    def trace(self) -> Fraction:
+        return self.scale * int(np.trace(self.char_matrix))
+
+    def is_idempotent(self) -> bool:
+        # P^2 = P  <=>  C @ C = (n!/f) C, and f divides n!.
+        ratio = math.factorial(self.n) // dimension(self.alpha)
+        product = self.char_matrix @ self.char_matrix
+        return bool(np.array_equal(product, ratio * self.char_matrix))
+
+    def is_symmetric(self) -> bool:
+        return bool(np.array_equal(self.char_matrix, self.char_matrix.T))
+
+
+def isotypic_projection(alpha: Partition, n: int) -> ProjectionMatrix:
+    """Materialized projection matrix (n! x n! entries), for n <= PROJECTION_CAP."""
+    if n > PROJECTION_CAP:
+        raise ValueError(f"projection matrices are capped at n <= {PROJECTION_CAP}")
+    if sum(alpha) != n:
+        raise ValueError(f"{alpha} is not a partition of {n}")
+    perms = list(all_perms(n))
+    char_by_type = {c: production_character(alpha, c) for c in partitions_of(n)}
+    size = len(perms)
+    mat = np.zeros((size, size), dtype=np.int64)
+    inverses = [inverse(p) for p in perms]
+    for i, s in enumerate(perms):
+        for j, tinv in enumerate(inverses):
+            mat[i, j] = char_by_type[cycle_type(compose(s, tinv))]
+    return ProjectionMatrix(alpha=tuple(alpha), n=n, char_matrix=mat)
+
+
+def projections_orthogonal(p: ProjectionMatrix, q: ProjectionMatrix) -> bool:
+    return bool(not (p.char_matrix @ q.char_matrix).any())
+
+
+def projections_complete(projs: Sequence[ProjectionMatrix], n: int) -> bool:
+    """sum_alpha P_alpha = identity, checked as sum f_alpha C_alpha = n! I."""
+    size = math.factorial(n)
+    acc = np.zeros((size, size), dtype=np.int64)
+    for p in projs:
+        acc += dimension(p.alpha) * p.char_matrix
+    return bool(np.array_equal(acc, size * np.eye(size, dtype=np.int64)))
+
+
+def pair_class_counts(members: Sequence[Sequence[int]], n: int) -> Counter:
+    """How many ordered pairs (s, u) of the family give s u^-1 each cycle
+    type, by following the cycles of every s u^-1 (numpy, in blocks)."""
+    arr = np.array(members, dtype=np.int64).reshape(len(members), n) - 1
+    inv = np.argsort(arr, axis=1)
+    points = np.arange(n)
+    counts: Counter = Counter()
+    for start in range(0, len(arr), 128):
+        block = arr[start : start + 128]
+        g = block[np.arange(len(block))[:, None, None], inv[None, :, :]].reshape(-1, n)
+        length = np.zeros_like(g)  # the length of the cycle through each point
+        image = g
+        for k in range(1, n + 1):
+            length[(image == points) & (length == 0)] = k
+            image = np.take_along_axis(g, image, axis=1)
+        # key: the number of points on cycles of each length, in base n + 1
+        key = sum((length == k).sum(axis=1) * (n + 1) ** (k - 1) for k in range(1, n + 1))
+        for code, times in zip(*np.unique(key, return_counts=True)):
+            ctype = []
+            for k in range(1, n + 1):
+                ctype += [k] * (int(code) // (n + 1) ** (k - 1) % (n + 1) // k)
+            counts[tuple(sorted(ctype, reverse=True))] += int(times)
+    return counts
+
+
+def pair_masses(members: Sequence[Sequence[int]], n: int) -> dict[Partition, Fraction]:
+    """||P_alpha chi_A||^2 = (f_alpha / n!^2) sum over the ordered pairs
+    (s, u) of chi_alpha(s u^-1), for every partition alpha of n."""
+    classes = pair_class_counts(members, n)
+    fact = math.factorial(n)
+    return {
+        alpha: Fraction(
+            dimension(alpha) * sum(times * production_character(alpha, c) for c, times in classes.items()),
+            fact * fact,
+        )
+        for alpha in partitions_of(n)
+    }
 
 
 # ---------------------------------------------------------------------------

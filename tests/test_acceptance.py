@@ -10,17 +10,17 @@ from oracles import (
     RATIO_BANDS,
     derangement_count_recurrence,
     irreducible_character,
+    isotypic_projection,
     max_independent_set_naive,
+    projections_complete,
+    projections_orthogonal,
 )
 from snspectra.bounds import (
     bound_report,
     cross_hoffman_bound_squared,
     exact_distance_sq_to_span,
     hoffman_bound,
-    isotypic_projection,
     paper_tail_split,
-    projections_complete,
-    projections_orthogonal,
     stability_gap_bound,
 )
 from snspectra.characters import CharacterTable, mn_character

@@ -1,22 +1,29 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    isotypic_projection,
+    pair_masses,
+    projections_complete,
+    projections_orthogonal,
+)
+from snspectra import bounds
 from snspectra.bounds import (
     bound_report,
     cross_hoffman_bound,
     cross_hoffman_bound_squared,
     exact_distance_sq_to_span,
     hoffman_bound,
-    isotypic_projection,
     paper_tail_split,
     projection_mass,
-    projections_complete,
-    projections_orthogonal,
+    served_components,
     stability_gap_bound,
 )
+from snspectra.families import FAMILIES
 from snspectra.partitions import dimension, partitions_of
 from snspectra.perms import agree_count, all_perms, perms_fixing
 from snspectra.spectrum import graph_spectrum
@@ -108,11 +115,13 @@ def test_projection_cap():
 
 
 def test_projection_mass_matches_matrix_route():
+    # the pairwise oracle on every component, the count tensor on the served ones
     n = 4
     members = list(perms_fixing([(1, 1), (2, 2)], n))
     perms = list(all_perms(n))
     index = {p: i for i, p in enumerate(perms)}
     fact = math.factorial(n)
+    pairwise = pair_masses(members, n)
     for alpha in partitions_of(n):
         proj = isotypic_projection(alpha, n)
         direct = sum(
@@ -123,16 +132,85 @@ def test_projection_mass_matches_matrix_route():
             ),
             Fraction(0),
         ) / fact
-        assert projection_mass(members, alpha, n) == direct
+        assert pairwise[alpha] == direct
+        if alpha in served_components(n):
+            assert projection_mass(members, alpha, n) == direct
 
 
 def test_masses_resolve_norm():
+    # Plancherel: the masses over all components add up to the squared norm
     n = 5
     members = list(perms_fixing([(1, 2)], n))
-    total = sum(
-        (projection_mass(members, a, n) for a in partitions_of(n)), Fraction(0)
-    )
+    total = sum(pair_masses(members, n).values(), Fraction(0))
     assert total == Fraction(len(members), math.factorial(n))
+
+
+def _assert_tensor_matches_pairs(members, n):
+    pairwise = pair_masses(members, n)
+    served = served_components(n)
+    norm_sq = Fraction(len(members), math.factorial(n))
+    for alpha in served:
+        assert projection_mass(members, alpha, n) == pairwise[alpha], alpha
+    for size in range(1, len(served) + 1):
+        for span in itertools.combinations(served, size):
+            expected = norm_sq - sum((pairwise[a] for a in span), Fraction(0))
+            assert exact_distance_sq_to_span(members, span, n) == expected, span
+
+
+def test_served_components():
+    assert served_components(2) == ((2,), (1, 1))
+    assert served_components(3) == ((3,), (2, 1), (1, 1, 1))
+    assert served_components(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+    assert served_components(8) == ((8,), (7, 1), (6, 2), (6, 1, 1), (1,) * 8)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [7, 8])
+def test_count_tensor_equals_pairwise_masses_on_named_families(name, n):
+    members = sorted(FAMILIES[name].build(n, 2).members)
+    _assert_tensor_matches_pairs(members, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_count_tensor_equals_pairwise_masses_on_random_families(n):
+    rng = random.Random(20261018 + n)
+    perms = list(all_perms(n))
+    for _ in range(4):
+        members = rng.sample(perms, rng.randint(0, min(len(perms), 150)))
+        _assert_tensor_matches_pairs(members, n)
+
+
+def test_unserved_component_refused_before_the_tensor(monkeypatch):
+    def stub(members, n):
+        raise AssertionError("count tensor built for an unserved component")
+
+    monkeypatch.setattr(bounds, "_pair_sums", stub)
+    members = list(perms_fixing([(1, 1), (2, 2)], 5))
+    for span in [(2, 2, 1)], [(5,), (2, 2, 1)], [(4, 2)], [(3.0, 2.0)]:
+        with pytest.raises(ValueError):
+            exact_distance_sq_to_span(members, span, 5)
+        with pytest.raises(ValueError):
+            projection_mass(members, span[-1], 5)
+
+
+def test_members_must_be_permutations_of_the_degree():
+    with pytest.raises(ValueError, match="degree"):
+        projection_mass([(1, 2, 3)], (4,), 4)
+    with pytest.raises(ValueError, match="not a permutation"):
+        projection_mass([(1, 1, 3, 4)], (4,), 4)
+
+
+def test_B9_distance_to_the_paper_span():
+    members = FAMILIES["B"].build(9, 2).members
+    span = [(9,), (7, 2), (7, 1, 1)]
+    assert exact_distance_sq_to_span(members, span, 9) == Fraction(36004537, 8230118400)
+
+
+@pytest.mark.slow
+def test_B10_distance_to_the_paper_span():
+    members = FAMILIES["B"].build(10, 2).members
+    span = [(10,), (8, 2), (8, 1, 1)]
+    assert exact_distance_sq_to_span(members, span, 10) == Fraction(469126087, 137168640000)
 
 
 # ---------------------------------------------------------------------------

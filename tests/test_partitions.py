@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import count_standard_tableaux
+from snspectra.characters import mn_character
 from snspectra.partitions import (
+    check_partition,
     classify,
     dimension,
     format_partition,
     hook_lengths,
+    is_partition,
     medium_partitions,
     parse_partition,
     partitions_of,
@@ -141,3 +145,34 @@ def test_parse_partition():
 @given(partition())
 def test_partition_text_roundtrip(alpha):
     assert parse_partition(format_partition(alpha)) == alpha
+
+
+@pytest.mark.parametrize("parts", [(2.5, 1.5), (2.0, 1.0), (3, 1.0), ("2", "1")])
+def test_non_integer_parts_are_not_partitions(parts):
+    assert not is_partition(parts)
+    with pytest.raises(ValueError, match="non-integer"):
+        check_partition(parts)
+
+
+def test_non_integer_parts_rejected_with_a_named_error():
+    # (2, 1) is memoised first, so an equal float key must not hit its entry
+    assert mn_character((2, 1), (2, 1)) == 0 and dimension((2, 1)) == 2
+    for call in (
+        lambda: mn_character((2.0, 1.0), (2, 1)),
+        lambda: mn_character((2, 1), (2.0, 1.0)),
+        lambda: mn_character((2.5, 1.5), (2, 2)),
+        lambda: dimension((2.0, 1.0)),
+        lambda: transpose((2.0, 1.0)),
+        lambda: hook_lengths((2.0, 1.0)),
+    ):
+        with pytest.raises(ValueError, match="non-integer"):
+            call()
+
+
+def test_numpy_integer_parts_pass_as_python_ints():
+    parts = tuple(np.array([3, 1], dtype=np.int64))
+    assert is_partition(parts)
+    checked = check_partition(parts)
+    assert checked == (3, 1) and all(type(p) is int for p in checked)
+    assert dimension(parts) == 3 and transpose(parts) == (2, 1, 1)
+    assert mn_character(parts, tuple(np.array([2, 2]))) == -1

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import agreement_bitsets, agreement_matrix
+from oracles import (
+    agreement_bitsets,
+    agreement_matrix,
+    annihilation_holds_matrix,
+    dense_brute_force_spectrum,
+    exact_traces_matrix,
+)
+from snspectra import spectrum
 from snspectra.partitions import classify, dimension, partitions_of
 from snspectra.perms import all_perms, derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
@@ -193,7 +200,54 @@ def test_oracle_n6():
 def test_oracle_n7():
     pairs, cert = brute_force_spectrum(7, 2)
     assert pairs == graph_spectrum(7, 2).multiset()
-    assert cert.method == "vector-annihilation"
+    assert cert.method == "matrix-annihilation"
+
+
+# the dense certificate takes about 2 s per t at n = 6
+@pytest.mark.parametrize(
+    "n", [*range(1, 6), pytest.param(6, marks=pytest.mark.slow)]
+)
+def test_one_column_certificate_equals_the_dense_oracle(n):
+    for t in range(1, n + 1):
+        assert brute_force_spectrum(n, t) == dense_brute_force_spectrum(n, t), t
+
+
+@pytest.mark.slow
+def test_one_column_certificate_at_n6_holds_on_the_whole_matrix():
+    # the dense annihilator mod each reported prime, and the traces of the
+    # matrix powers against the certified multiplicities
+    for t in (2, 3):
+        pairs, cert = brute_force_spectrum(6, t)
+        adj = adjacency_matrix(6, t)
+        values = [lam for lam, _ in pairs]
+        assert all(annihilation_holds_matrix(adj, values, p) for p in cert.primes)
+        traces = exact_traces_matrix(adj, cert.moments_checked, int(adj[0].sum()))
+        assert traces == [sum(m * lam**k for lam, m in pairs) for k in range(len(traces))]
+
+
+def _swap_one_edge_pair(nbrs):
+    """The edges {a, b} and {c, d} replaced by {a, d} and {c, b}: the graph
+    stays symmetric and regular, but is no longer a Cayley graph."""
+    rows = [set(r) for r in nbrs.tolist()]
+    a, b = 0, int(nbrs[0, 0])
+    for c in range(len(rows)):
+        for d in rows[c]:
+            if len({a, b, c, d}) == 4 and d not in rows[a] and b not in rows[c]:
+                out = nbrs.copy()
+                for x, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
+                    out[x][out[x] == old] = new
+                return out
+    raise AssertionError("no edge pair to swap")
+
+
+@pytest.mark.parametrize("n,t", [(4, 2), (5, 2), (5, 3)])
+def test_oracle_refuses_a_graph_that_is_not_cayley(n, t, monkeypatch):
+    moved = _swap_one_edge_pair(spectrum.agreement_neighbours(n, t))
+    dense = spectrum._dense(moved)
+    assert np.array_equal(dense, dense.T) and (dense.sum(axis=1) == moved.shape[1]).all()
+    monkeypatch.setattr(spectrum, "agreement_neighbours", lambda n, t: moved)
+    with pytest.raises(ArithmeticError, match="left translation"):
+        brute_force_spectrum(n, t)
 
 
 def test_spectrum_properties_at_n6():
