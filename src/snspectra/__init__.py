@@ -7,7 +7,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     cross_hoffman_bound,
-    cross_hoffman_bound_squared,
     exact_distance_sq_to_span,
     hoffman_bound,
     paper_tail_split,
@@ -16,7 +15,6 @@ from .bounds import (
 )
 from .characters import (
     CharacterTable,
-    character_table,
     class_size,
     mn_character,
 )
@@ -57,20 +55,19 @@ from .perms import (
 )
 from .search import max_independent_set, verify_certificate
 from .spectrum import (
-    GeneratingSet,
     Spectrum,
     brute_force_spectrum,
+    class_eigenvalues,
     closed_form_eigenvalue,
     eigenvalue,
-    fixed_point_generating_set,
     full_spectrum,
+    generating_classes,
     graph_spectrum,
     table_row_partition,
 )
 from .weightopt import (
     ClassWeighting,
     optimize_bound,
-    uniform_weighting,
     weighted_eigenvalue,
 )
 

@@ -45,12 +45,6 @@ def cross_hoffman_bound(d: int, nu: int, nverts: int) -> Fraction:
     return Fraction(nu, d + nu) * nverts
 
 
-def cross_hoffman_bound_squared(d: int, nu: int, nverts: int) -> Fraction:
-    """Squared form of the cross bound, for exact comparisons against
-    |X| * |Y| without square roots."""
-    return cross_hoffman_bound(d, nu, nverts) ** 2
-
-
 def stability_gap_bound(
     d: int, lam_m: int, lam_n: int, density: Fraction
 ) -> Fraction:

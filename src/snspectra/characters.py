@@ -192,8 +192,3 @@ class CharacterTable:
                 + [str(self.entries[(a, c)]) for c in self.classes]
             )
         return buf.getvalue()
-
-
-@lru_cache(maxsize=None)
-def character_table(n: int) -> CharacterTable:
-    return CharacterTable(n)

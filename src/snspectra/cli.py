@@ -14,7 +14,8 @@ from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
 from .perms import DEFAULT_ENUMERATION_CAP
 from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP
-from .spectrum import GRAPH_CAP, SPECTRUM_CAP
+from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP
+from .weightopt import WOPT_CAP
 
 
 class VerificationFailure(Exception):
@@ -172,6 +173,10 @@ def check_caps(args: argparse.Namespace) -> None:
         _cap("full spectra: n is", top, SPECTRUM_CAP, "SPECTRUM_CAP")
         if command == "spectrum" and args.verify:
             _cap("spectrum --verify: n is", n, GRAPH_CAP, "GRAPH_CAP")
+    elif command == "table":
+        _cap("table: the top of --n-range is", _parse_range(args.n_range)[1], TABLE_CAP, "TABLE_CAP")
+    elif command == "wopt":
+        _cap("wopt: n is", n, WOPT_CAP, "WOPT_CAP")
     elif command == "search":
         _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
         if _node_budget(args) is None:

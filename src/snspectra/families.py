@@ -343,7 +343,6 @@ def verify(family: Family, predicate: str, t: int | None = None) -> Verification
     on failure.
 
     Predicates:
-      no-singleton-intersection  no two members agree exactly once
       t-intersecting             every two members agree on >= t points
       independent                no two members agree on exactly t-1 points
       first-point-rule           members sharing the first value never agree
@@ -358,9 +357,7 @@ def verify(family: Family, predicate: str, t: int | None = None) -> Verification
     if not members:
         return VerificationResult(True, predicate, 0, None)
 
-    if predicate == "no-singleton-intersection":
-        bad = lambda counts, rows, arr, start: counts == 1
-    elif predicate == "t-intersecting":
+    if predicate == "t-intersecting":
         if t is None:
             raise ValueError("t-intersecting needs t")
         bad = lambda counts, rows, arr, start: counts < t
@@ -390,17 +387,3 @@ def verify(family: Family, predicate: str, t: int | None = None) -> Verification
 
     return _scan_pairs(members, bad, predicate)
 
-
-# ---------------------------------------------------------------------------
-# Exact counts used by the exclusion arguments.
-
-
-def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
-    """Number of permutations fixing 1 and 2 that agree with tau at exactly
-    one point, by enumeration over the stabilizer coset."""
-    if len(tau) != n:
-        raise ValueError("degree mismatch")
-    tau = tuple(tau)
-    return sum(
-        1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
-    )

@@ -136,10 +136,6 @@ def classify(alpha: Sequence[int], k: int) -> str:
     return MEDIUM
 
 
-def medium_partitions(n: int, k: int) -> tuple[Partition, ...]:
-    return tuple(a for a in partitions_of(n) if classify(a, k) == MEDIUM)
-
-
 # ---------------------------------------------------------------------------
 # Text format: comma-separated parts, exponent shorthand accepted on input
 # ("2^2,1" means "2,2,1"), canonical long form on output.

@@ -65,10 +65,6 @@ def fixed_points(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(s, start=1) if v == i)
 
 
-def num_fixed_points(s: Sequence[int]) -> int:
-    return sum(v == i for i, v in enumerate(s, start=1))
-
-
 def cycle_type(s: Sequence[int]) -> tuple[int, ...]:
     """Multiset of cycle lengths, non-increasing.
 

@@ -24,8 +24,8 @@ from .spectrum import (
     brute_force_spectrum,
     closed_form_eigenvalue,
     eigenvalue,
-    fixed_point_generating_set,
     full_spectrum,
+    generating_classes,
     graph_spectrum,
     table_row_partition,
 )
@@ -87,8 +87,7 @@ def chartable_report(n: int) -> tuple[dict, str]:
 
 
 def spectrum_report(n: int, t: int, verify: bool, seed: int) -> dict:
-    gen = fixed_point_generating_set(n, t)
-    spec = full_spectrum(gen)
+    spec = full_spectrum(n, t)
     rows = [
         {
             "partition": format_partition(r.partition),
@@ -112,8 +111,8 @@ def spectrum_report(n: int, t: int, verify: bool, seed: int) -> dict:
             "trace_check": "pass" if spec.trace_identity_holds() else "fail",
         }
     )
-    if gen.empty_reason:
-        report["warning"] = gen.empty_reason
+    if spec.degree == 0:
+        report["warning"] = f"no permutation of degree {n} has exactly {t - 1} fixed points"
     if verify:
         pairs, cert = brute_force_spectrum(n, t)
         match = pairs == spec.multiset()
@@ -136,12 +135,12 @@ def table_report(n_start: int, n_stop: int) -> dict:
         if n < 6:
             columns.append({"n": n, "status": "collision regime; closed forms need n >= 6"})
             continue
-        gen = fixed_point_generating_set(n, 2)
+        classes = generating_classes(n, 2)
         rows = []
         for label in TABLE_ROWS:
             alpha = table_row_partition(label, n)
             closed = closed_form_eigenvalue(label, n)
-            char_route = eigenvalue(alpha, gen)
+            char_route = eigenvalue(alpha, classes)
             match = closed == char_route
             all_match = all_match and match
             rows.append(

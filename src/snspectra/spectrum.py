@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,76 +32,44 @@ from .perms import all_perms, derangement_count
 
 
 # ---------------------------------------------------------------------------
-# Generating sets described classwise (never enumerates S_n).
+# The class-eigenvalue map.  The generating set is a union of conjugacy
+# classes, given as ((cycle type, class size), ...) and never enumerated; it
+# is inverse-closed and conjugation-invariant, so each class c acts on the
+# isotypic component of alpha as the scalar |c| chi_alpha(c) / f^alpha.
+
+Classes = tuple[tuple[CycleType, int], ...]
 
 
-@dataclass(frozen=True)
-class GeneratingSet:
-    """Union of conjugacy classes of S_n with exact class sizes.
+def generating_classes(n: int, t: int) -> Classes:
+    """Classes of S_n with exactly t-1 fixed points, with their sizes.
 
-    Such a set is automatically inverse-closed (a permutation and its
-    inverse share a cycle type) and conjugation-invariant.
-    """
-
-    n: int
-    t: int | None
-    classes: tuple[tuple[CycleType, int], ...]
-    empty_reason: str | None = None
-
-    @property
-    def total(self) -> int:
-        return sum(size for _, size in self.classes)
-
-    def cycle_types(self) -> tuple[CycleType, ...]:
-        return tuple(c for c, _ in self.classes)
-
-
-def fixed_point_generating_set(n: int, t: int) -> GeneratingSet:
-    """Classes of S_n with exactly t-1 fixed points.
-
-    ``t - 1 = n - 1`` admits no permutations; the set is empty and carries a
-    warning reason instead of raising.
-    """
+    ``t - 1 = n - 1`` admits no permutations; the tuple is then empty."""
     if n < 2:
         raise ValueError("need n >= 2")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}")
-    classes = tuple(
-        (c, class_size(c)) for c in partitions_of(n) if c.count(1) == t - 1
-    )
-    reason = None
-    if not classes:
-        reason = f"no permutation of degree {n} has exactly {t - 1} fixed points"
-    return GeneratingSet(n=n, t=t, classes=classes, empty_reason=reason)
+    return tuple((c, class_size(c)) for c in partitions_of(n) if c.count(1) == t - 1)
 
 
-def generating_set_from_types(n: int, types: Iterable[Sequence[int]]) -> GeneratingSet:
-    uniq = sorted({tuple(c) for c in types}, reverse=True)
-    for c in uniq:
-        if sum(c) != n:
-            raise ValueError(f"cycle type {c} does not sum to {n}")
-    return GeneratingSet(
-        n=n, t=None, classes=tuple((c, class_size(c)) for c in uniq)
-    )
+def class_eigenvalues(alpha: Partition, classes: Classes) -> tuple[int, ...]:
+    """The scalar |c| chi_alpha(c) / f^alpha of each class c on the isotypic
+    component of alpha.  Each is a central character value, hence an
+    integer; a remainder would mean a character bug and raises."""
+    f = dimension(alpha)
+    values = []
+    for c, size in classes:
+        total = size * mn_character(alpha, c)
+        value, rest = divmod(total, f)
+        if rest:
+            raise ArithmeticError(f"class {c} on {alpha} is not integral: {total}/{f}")
+        values.append(value)
+    return tuple(values)
 
 
-# ---------------------------------------------------------------------------
-# Character-theoretic eigenvalues.
-
-
-def eigenvalue(alpha: Partition, gen: GeneratingSet) -> int:
-    """Exact eigenvalue on the isotypic component of alpha:
-    sum_c |c| chi_alpha(c) / f^alpha.  A non-integer result would mean a
-    character-table bug and raises."""
-    if sum(alpha) != gen.n:
-        raise ValueError(f"{alpha} is not a partition of {gen.n}")
-    acc = sum(size * mn_character(alpha, c) for c, size in gen.classes)
-    value = Fraction(acc, dimension(alpha))
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"eigenvalue for {alpha} is not an integer: {value}"
-        )
-    return int(value)
+def eigenvalue(alpha: Partition, classes: Classes) -> int:
+    """Exact eigenvalue on the isotypic component of alpha: the sum of the
+    class eigenvalues."""
+    return sum(class_eigenvalues(alpha, classes))
 
 
 @dataclass(frozen=True)
@@ -157,21 +125,30 @@ class Spectrum:
 SPECTRUM_CAP = 26
 
 
-def full_spectrum(gen: GeneratingSet) -> Spectrum:
+def full_spectrum(n: int, t: int) -> Spectrum:
+    """Every eigenvalue of the graph joining permutations that agree on
+    exactly t-1 points, one row per partition of n."""
+    classes = generating_classes(n, t)
     rows = tuple(
         SpectrumRow(
             partition=a,
-            eigenvalue=eigenvalue(a, gen),
+            eigenvalue=eigenvalue(a, classes),
             multiplicity=dimension(a) ** 2,
         )
-        for a in partitions_of(gen.n)
+        for a in partitions_of(n)
     )
-    return Spectrum(n=gen.n, degree=gen.total, rows=rows)
+    return Spectrum(n=n, degree=sum(size for _, size in classes), rows=rows)
 
 
 # ---------------------------------------------------------------------------
 # Closed forms for the eight fat/tall rows (valid once the eight partitions
 # are distinct, i.e. n >= 6).
+
+# Largest degree of the closed-form table: ``table --n-range 6..40`` takes
+# about 4 s in a fresh process on a 2-core machine, about what a full
+# spectrum at SPECTRUM_CAP costs, while the single column n = 60 takes 23 s
+# (most of it enumerating the partitions of 60).
+TABLE_CAP = 40
 
 TABLE_ROWS: tuple[str, ...] = (
     "n",
@@ -423,4 +400,4 @@ def brute_force_spectrum(
 
 @lru_cache(maxsize=None)
 def graph_spectrum(n: int, t: int = 2) -> Spectrum:
-    return full_spectrum(fixed_point_generating_set(n, t))
+    return full_spectrum(n, t)

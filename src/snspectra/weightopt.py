@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .characters import CycleType, mn_character
-from .partitions import Partition, dimension, partitions_of
-from .spectrum import GeneratingSet, fixed_point_generating_set
+from .characters import CycleType, class_size
+from .partitions import Partition, partitions_of
+from .spectrum import class_eigenvalues, generating_classes, graph_spectrum
 
 
 @dataclass(frozen=True)
@@ -35,36 +35,18 @@ class ClassWeighting:
     weights: tuple[tuple[CycleType, Fraction], ...]
 
     def weighted_degree(self) -> Fraction:
-        from .characters import class_size
-
         return sum(
             (w * class_size(c) for c, w in self.weights), Fraction(0)
         )
 
 
-def uniform_weighting(n: int, t: int = 2) -> ClassWeighting:
-    gen = fixed_point_generating_set(n, t)
-    if not gen.classes:
-        raise NoGeneratingClassesError(n, t)
-    total = gen.total
-    return ClassWeighting(
-        n=n, t=t, weights=tuple((c, Fraction(1, total)) for c, _ in gen.classes)
-    )
-
-
 def weighted_eigenvalue(alpha: Partition, weighting: ClassWeighting) -> Fraction:
-    """Linear extension of the classwise eigenvalue formula:
-    sum_c w_c |c| chi_alpha(c) / f^alpha.  Uniform weights recover the
+    """Linear extension of the class-eigenvalue map:
+    sum_c w_c |c| chi_alpha(c) / f^alpha.  Weights 1/degree recover the
     unweighted eigenvalue divided by the degree."""
-    from .characters import class_size
-
-    if sum(alpha) != weighting.n:
-        raise ValueError(f"{alpha} is not a partition of {weighting.n}")
-    acc = sum(
-        (w * class_size(c) * mn_character(alpha, c) for c, w in weighting.weights),
-        Fraction(0),
-    )
-    return acc / dimension(alpha)
+    classes = tuple((c, class_size(c)) for c, _ in weighting.weights)
+    values = class_eigenvalues(alpha, classes)
+    return sum((w * e for (_, w), e in zip(weighting.weights, values)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +229,17 @@ def _hoffman_from_normalized(m: Fraction, n: int) -> Fraction:
     return Fraction(-m, 1 - m) * math.factorial(n)
 
 
+# Largest degree of the weighted-bound LP: n = 12 at t = 2 takes about 10 s
+# in a fresh process on a 2-core machine, and n = 13 about 41 s.
+WOPT_CAP = 12
+
+
 def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     """Maximize the least nontrivial weighted eigenvalue over nonnegative
     normalized class weightings; return the weighting and the induced
     independence bound, exactly, with the optimum certified by an exact
     primal/dual pair."""
-    gen: GeneratingSet = fixed_point_generating_set(n, t)
-    classes = gen.classes
+    classes = generating_classes(n, t)
     if not classes:
         raise NoGeneratingClassesError(n, t)
     k = len(classes)
@@ -264,10 +250,7 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     a_eq: list[list[Fraction]] = []
     b_eq: list[Fraction] = []
     for i, alpha in enumerate(alphas):
-        f = dimension(alpha)
-        row = [
-            Fraction(size * mn_character(alpha, c), f) for c, size in classes
-        ]
+        row = [Fraction(e) for e in class_eigenvalues(alpha, classes)]
         row += [Fraction(-1), Fraction(1)]  # -m
         row += [Fraction(-1) if j == i else Fraction(0) for j in range(len(alphas))]
         a_eq.append(row)
@@ -286,16 +269,14 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
 
     certified = _certify(cost, a_eq, b_eq, x, objective, basis, weighting, m, alphas)
 
-    bound = _hoffman_from_normalized(m, n)
-    uniform = uniform_weighting(n, t)
-    uniform_m = min(weighted_eigenvalue(a, uniform) for a in alphas)
+    spec = graph_spectrum(n, t)
     return WeightedBoundResult(
         n=n,
         t=t,
         weighting=weighting,
         least_eigenvalue=m,
-        bound=bound,
-        uniform_bound=_hoffman_from_normalized(uniform_m, n),
+        bound=_hoffman_from_normalized(m, n),
+        uniform_bound=_hoffman_from_normalized(Fraction(spec.lambda_min, spec.degree), n),
         certified=certified,
     )
 

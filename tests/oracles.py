@@ -12,6 +12,8 @@ production routes against.  None of them is used by the package itself.
 * the derangement recurrence, the oracle for inclusion-exclusion;
 * a fixed-point census of S_n by enumeration, the oracle for rencontres
   numbers, and the generating set of each agreement graph by enumeration;
+* the k-medium partitions, and the count of 2-point stabilizer members
+  agreeing exactly once with a permutation, by enumeration;
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
@@ -43,14 +45,23 @@ from typing import Sequence
 import numpy as np
 
 from snspectra.characters import mn_character as production_character
-from snspectra.partitions import Partition, check_partition, dimension, partitions_of, transpose
+from snspectra.partitions import (
+    MEDIUM,
+    Partition,
+    check_partition,
+    classify,
+    dimension,
+    partitions_of,
+    transpose,
+)
 from snspectra.perms import (
     DEFAULT_ENUMERATION_CAP,
+    agree_count,
     all_perms,
     compose,
     cycle_type,
     inverse,
-    num_fixed_points,
+    perms_fixing,
     sign_of_type,
 )
 from snspectra.search import _solve, graph_bitsets, max_independent_set
@@ -242,6 +253,10 @@ def derangement_count_recurrence(n: int) -> int:
     return b
 
 
+def num_fixed_points(s: Sequence[int]) -> int:
+    return sum(v == i for i, v in enumerate(s, start=1))
+
+
 def fixed_point_census(n: int) -> dict[int, int]:
     """Histogram of fixed-point counts over all of S_n, by enumeration."""
     census: dict[int, int] = {}
@@ -268,6 +283,21 @@ def many_fixed_points_count(n: int) -> int:
     by enumeration); at most n!/floor(n/2)!."""
     half = n // 2
     return sum(v for k, v in fixed_point_census(n).items() if k >= half)
+
+
+def medium_partitions(n: int, k: int) -> tuple[Partition, ...]:
+    return tuple(a for a in partitions_of(n) if classify(a, k) == MEDIUM)
+
+
+def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
+    """Number of permutations fixing 1 and 2 that agree with tau at exactly
+    one point, by enumeration over the stabilizer coset."""
+    if len(tau) != n:
+        raise ValueError("degree mismatch")
+    tau = tuple(tau)
+    return sum(
+        1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,18 @@ from fractions import Fraction
 
 from oracles import (
     RATIO_BANDS,
+    count_agreeing_exactly_once,
     derangement_count_recurrence,
     irreducible_character,
     isotypic_projection,
     max_independent_set_naive,
+    num_fixed_points,
     projections_complete,
     projections_orthogonal,
 )
 from snspectra.bounds import (
     bound_report,
-    cross_hoffman_bound_squared,
+    cross_hoffman_bound,
     exact_distance_sq_to_span,
     hoffman_bound,
     paper_tail_split,
@@ -25,7 +27,6 @@ from snspectra.bounds import (
 )
 from snspectra.characters import CharacterTable, mn_character
 from snspectra.families import (
-    count_agreeing_exactly_once,
     family_B,
     family_B_size_formula,
     family_F,
@@ -39,7 +40,6 @@ from snspectra.perms import (
     all_perms,
     derangement_count,
     derangement_counts,
-    num_fixed_points,
     parse_cycles,
     perms_fixing,
     sign,
@@ -50,7 +50,7 @@ from snspectra.spectrum import (
     brute_force_spectrum,
     closed_form_eigenvalue,
     eigenvalue,
-    fixed_point_generating_set,
+    generating_classes,
     graph_spectrum,
     table_row_partition,
 )
@@ -85,10 +85,10 @@ def test_criterion_02_spectrum_oracle_equivalence():
 
 def test_criterion_03_closed_form_table():
     for n in range(6, 13):
-        gen = fixed_point_generating_set(n, 2)
+        classes = generating_classes(n, 2)
         for row in TABLE_ROWS:
             alpha = table_row_partition(row, n)
-            assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, gen), (n, row)
+            assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, classes), (n, row)
     _report(3, "all 8 closed-form rows match the character route, n = 6..12")
 
 
@@ -180,7 +180,7 @@ def test_criterion_09_family_size_formulas():
 
 
 def test_criterion_10_independence_verification():
-    assert verify(family_B(9), "no-singleton-intersection").ok
+    assert verify(family_B(9), "independent", t=2).ok
     # all 2-cosets exhaustively for n <= 6
     checked = 0
     for n in (4, 5, 6):
@@ -192,18 +192,18 @@ def test_criterion_10_independence_verification():
                         if j == l:
                             continue
                         coset = t_coset([(i, j), (k, l)], n)
-                        assert verify(coset, "no-singleton-intersection").ok
+                        assert verify(coset, "independent", t=2).ok
                         checked += 1
     # canonical plus seeded random cosets for n = 7..9 (any 2-coset is a
     # double translate of the canonical one, and agreement counts are
     # translation invariant, so these samples are representative)
     rng = random.Random(20260810)
     for n in (7, 8, 9):
-        assert verify(t_coset([(1, 1), (2, 2)], n), "no-singleton-intersection").ok
+        assert verify(t_coset([(1, 1), (2, 2)], n), "independent", t=2).ok
         for _ in range(6):
             i, k = rng.sample(range(1, n + 1), 2)
             j, l = rng.sample(range(1, n + 1), 2)
-            assert verify(t_coset([(i, j), (k, l)], n), "no-singleton-intersection").ok
+            assert verify(t_coset([(i, j), (k, l)], n), "independent", t=2).ok
         checked += 7
     _report(10, f"family B(9) and {checked} 2-cosets have no singleton agreement")
 
@@ -245,7 +245,7 @@ def test_criterion_12_stability_bound():
 def test_criterion_13_cross_bound():
     for n in (4, 5, 6):
         report = bound_report(n, 2)
-        squared = cross_hoffman_bound_squared(report.degree, report.nu, report.nverts)
+        squared = cross_hoffman_bound(report.degree, report.nu, report.nverts) ** 2
         assert squared == report.cross_value_squared
         coset = sorted(t_coset([(1, 1), (2, 2)], n).members)
         pairs = [

@@ -15,7 +15,6 @@ from snspectra import bounds
 from snspectra.bounds import (
     bound_report,
     cross_hoffman_bound,
-    cross_hoffman_bound_squared,
     exact_distance_sq_to_span,
     hoffman_bound,
     paper_tail_split,
@@ -41,7 +40,7 @@ def test_hoffman_formula():
 def test_cross_hoffman_formula():
     assert cross_hoffman_bound(4, 2, 12) == 4
     assert cross_hoffman_bound(4, 0, 12) == 0
-    assert cross_hoffman_bound_squared(4, 2, 12) == 16
+    assert cross_hoffman_bound(4, 2, 12) ** 2 == 16
 
 
 def test_stability_formula():

@@ -9,13 +9,12 @@ from oracles import irreducible_character, permutation_character, sign_twist_che
 from snspectra import characters
 from snspectra.characters import (
     CharacterTable,
-    character_table,
     class_size,
     mn_character,
 )
 from snspectra.partitions import dimension, partitions_of, transpose
 from snspectra.perms import sign_of_type
-from snspectra.spectrum import eigenvalue, fixed_point_generating_set
+from snspectra.spectrum import eigenvalue, generating_classes
 
 # the full S_4 table, rows by partition, columns by class in canonical order
 S4_TABLE = {
@@ -154,15 +153,15 @@ def test_bitmask_kernel_equals_tuple_oracle_on_full_tables():
         }, n
 
 
-def oracle_eigenvalue(alpha, gen):
-    return sum(size * oracles.mn_character(alpha, c) for c, size in gen.classes) // dimension(alpha)
+def oracle_eigenvalue(alpha, classes):
+    return sum(size * oracles.mn_character(alpha, c) for c, size in classes) // dimension(alpha)
 
 
 @pytest.mark.parametrize("t", [2, 3])
 def test_bitmask_kernel_equals_tuple_oracle_on_eigenvalue_rows(t):
-    gen = fixed_point_generating_set(14, t)
+    classes = generating_classes(14, t)
     for alpha in partitions_of(14):
-        assert eigenvalue(alpha, gen) == oracle_eigenvalue(alpha, gen), alpha
+        assert eigenvalue(alpha, classes) == oracle_eigenvalue(alpha, classes), alpha
 
 
 def test_kernel_memo_matches_the_oracle_memo():
@@ -171,10 +170,10 @@ def test_kernel_memo_matches_the_oracle_memo():
     # key or removal order changes the count
     for fn in (characters.mn_character, characters._mn, oracles.mn_character):
         fn.cache_clear()
-    gen = fixed_point_generating_set(14, 2)
+    classes = generating_classes(14, 2)
     for alpha in partitions_of(14):
-        eigenvalue(alpha, gen)
-        oracle_eigenvalue(alpha, gen)
+        eigenvalue(alpha, classes)
+        oracle_eigenvalue(alpha, classes)
     assert characters._mn.cache_info().misses == oracles.mn_character.cache_info().misses
 
 
@@ -195,10 +194,6 @@ def test_mn_character_of_numpy_parts():
     # a bead at 70 does not fit a 64-bit mask
     alpha = tuple(np.array([40, 30, 1]))
     assert mn_character(alpha, (40, 30, 1)) == oracles.mn_character(alpha, (40, 30, 1))
-
-
-def test_table_cache():
-    assert character_table(4) is character_table(4)
 
 
 def test_csv_export():

@@ -47,7 +47,7 @@ def test_spectrum_verify(capsys):
 def test_spectrum_empty_warning(capsys):
     code, out, _ = run_cli(capsys, ["spectrum", "--n", "4", "--t", "4"])
     assert code == 0
-    assert "warning" in json.loads(out)
+    assert json.loads(out)["warning"] == "no permutation of degree 4 has exactly 3 fixed points"
 
 
 def test_table_text_format(capsys):
@@ -241,6 +241,12 @@ def forbid_reports(monkeypatch, *names):
         ("reproduce --n-range 6..27", "capped at 26 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first
         ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),
+        # about 41 s of exact simplex
+        ("wopt --n 13", "capped at 12 by WOPT_CAP"),
+        ("wopt --n 13 --t 3", "capped at 12 by WOPT_CAP"),
+        # a single column at n = 60 took 23 s
+        ("table --n-range 6..41", "capped at 40 by TABLE_CAP"),
+        ("table --n-range 60", "capped at 40 by TABLE_CAP"),
     ],
 )
 def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, message):
@@ -252,11 +258,40 @@ def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, m
         "spectrum_report",
         "hoffman_report",
         "reproduce_report",
+        "wopt_report",
+        "table_report",
     )
     code, out, err = run_cli(capsys, argv.split())
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,builder,args",
+    [
+        ("table --n-range 6..40", "table_report", (6, 40)),
+        ("wopt --n 12", "wopt_report", (12, 2)),
+        ("wopt --n 12 --t 3", "wopt_report", (12, 3)),
+    ],
+)
+def test_inputs_at_a_cap_are_let_through(capsys, monkeypatch, argv, builder, args):
+    seen = []
+    stub = {"config": {}, "all_match": True, "certified": True}
+    monkeypatch.setattr(reports, builder, lambda *a: seen.append(a) or stub)
+    code, _, err = run_cli(capsys, argv.split())
+    assert code == 0, err
+    assert seen == [args]
+
+
+# about 4 s in a fresh process
+@pytest.mark.slow
+def test_table_runs_up_to_its_cap(capsys):
+    code, out, _ = run_cli(capsys, ["table", "--n-range", "6..40"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["all_match"] is True
+    assert [c["n"] for c in data["columns"]] == [str(n) for n in range(6, 41)]
 
 
 def test_families_cap_counts_the_points_the_family_pins(capsys, monkeypatch):

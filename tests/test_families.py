@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import RATIO_BANDS, fixed_point_census, many_fixed_points_count
+from oracles import (
+    RATIO_BANDS,
+    count_agreeing_exactly_once,
+    fixed_point_census,
+    many_fixed_points_count,
+)
 from snspectra import families, reports
 from snspectra.cli import build_parser
 from snspectra.families import (
     FAMILIES,
     Family,
-    count_agreeing_exactly_once,
     family_B,
     family_B_size_formula,
     family_F,
@@ -42,7 +46,6 @@ def test_t_coset_sizes_and_errors():
 def test_two_cosets_are_independent():
     for n in (4, 5, 6, 7):
         coset = t_coset([(1, 2), (3, 1)], n)
-        assert verify(coset, "no-singleton-intersection").ok
         assert verify(coset, "t-intersecting", t=2).ok
         assert verify(coset, "independent", t=2).ok
 
@@ -81,7 +84,7 @@ def test_family_B_not_in_any_two_coset():
 
 
 def test_family_B_independent_at_n8():
-    assert verify(family_B(8), "no-singleton-intersection").ok
+    assert verify(family_B(8), "independent", t=2).ok
 
 
 def test_family_B_coset_part_is_G4():
@@ -174,14 +177,14 @@ def test_fixed_points_ge5_of_identity():
 
 def test_no_singleton_witness_is_lex_least():
     fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2 3)", 4)}))
-    res = verify(fam, "no-singleton-intersection")
+    res = verify(fam, "independent", t=2)
     assert not res.ok
     assert res.witness == (identity(4), parse_cycles("(1 2 3)", 4))
 
 
 def test_agreeing_twice_is_fine():
     fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2)", 4)}))
-    assert verify(fam, "no-singleton-intersection").ok
+    assert verify(fam, "independent", t=2).ok
 
 
 def test_first_point_rule():

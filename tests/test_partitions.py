@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_standard_tableaux
+from oracles import count_standard_tableaux, medium_partitions
 from snspectra.characters import mn_character
 from snspectra.partitions import (
     check_partition,
@@ -13,7 +13,6 @@ from snspectra.partitions import (
     format_partition,
     hook_lengths,
     is_partition,
-    medium_partitions,
     parse_partition,
     partitions_of,
     transpose,

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import derangement_count_recurrence, generating_set
+from oracles import derangement_count_recurrence, generating_set, num_fixed_points
 from snspectra.perms import (
     DegreeMismatchError,
     agree_count,
@@ -18,7 +18,6 @@ from snspectra.perms import (
     identity,
     inverse,
     is_permutation,
-    num_fixed_points,
     parse_cycles,
     perms_fixing,
     rencontres_count,

@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,46 +12,67 @@ from oracles import (
     annihilation_holds_matrix,
     dense_brute_force_spectrum,
     exact_traces_matrix,
+    generating_set,
+    mn_character as tuple_mn_character,
 )
 from snspectra import spectrum
 from snspectra.partitions import classify, dimension, partitions_of
-from snspectra.perms import all_perms, derangement_count, derangement_counts
+from snspectra.perms import all_perms, cycle_type, derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
     TABLE_ROWS,
     adjacency_matrix,
     brute_force_spectrum,
+    class_eigenvalues,
     closed_form_eigenvalue,
     eigenvalue,
-    fixed_point_generating_set,
     full_spectrum,
-    generating_set_from_types,
+    generating_classes,
     graph_spectrum,
     table_row_partition,
 )
 
 
 def test_generating_set_classwise():
-    gen = fixed_point_generating_set(6, 2)
-    assert gen.total == 6 * derangement_count(5)
-    assert all(c.count(1) == 1 for c in gen.cycle_types())
-    empty = fixed_point_generating_set(5, 5)
-    assert empty.total == 0 and empty.empty_reason is not None
-    with pytest.raises(ValueError):
-        fixed_point_generating_set(5, 6)
-
-
-def test_generating_set_from_types():
-    gen = generating_set_from_types(4, [(2, 1, 1)])
-    assert gen.total == 6
-    with pytest.raises(ValueError):
-        generating_set_from_types(4, [(2, 1)])
+    classes = generating_classes(6, 2)
+    assert sum(size for _, size in classes) == 6 * derangement_count(5)
+    assert all(c.count(1) == 1 for c, _ in classes)
+    assert generating_classes(5, 5) == ()
+    for n, t in [(5, 6), (5, 0), (1, 1)]:
+        with pytest.raises(ValueError):
+            generating_classes(n, t)
+    # the classes and their sizes are the cycle types of the generators
+    for n in range(2, 7):
+        for t in range(1, n + 1):
+            census = Counter(cycle_type(s) for s in generating_set(n, t))
+            assert dict(generating_classes(n, t)) == census, (n, t)
 
 
 def test_degree_eigenvalue_is_trivial_row():
     for n in range(3, 10):
-        gen = fixed_point_generating_set(n, 2)
-        assert eigenvalue((n,), gen) == gen.total == n * derangement_count(n - 1)
+        classes = generating_classes(n, 2)
+        degree = sum(size for _, size in classes)
+        assert eigenvalue((n,), classes) == degree == n * derangement_count(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_class_eigenvalues_equal_the_tuple_oracle_class_by_class(n):
+    for t in range(1, n + 1):
+        classes = generating_classes(n, t)
+        for alpha in partitions_of(n):
+            expected = [
+                Fraction(size * tuple_mn_character(alpha, c), dimension(alpha))
+                for c, size in classes
+            ]
+            assert list(class_eigenvalues(alpha, classes)) == expected, (t, alpha)
+
+
+def test_a_non_central_character_value_is_refused(monkeypatch):
+    # chi + 1 breaks the integrality of |c| chi(c) / f for some class
+    character = spectrum.mn_character
+    monkeypatch.setattr(spectrum, "mn_character", lambda alpha, c: character(alpha, c) + 1)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        full_spectrum(7, 2)
 
 
 def test_k33_spectrum():
@@ -61,9 +84,9 @@ def test_k33_spectrum():
 
 def test_zero_rows():
     for n in range(4, 11):
-        gen = fixed_point_generating_set(n, 2)
-        assert eigenvalue((n - 1, 1), gen) == 0
-        assert eigenvalue((2,) + (1,) * (n - 2), gen) == 0
+        classes = generating_classes(n, 2)
+        assert eigenvalue((n - 1, 1), classes) == 0
+        assert eigenvalue((2,) + (1,) * (n - 2), classes) == 0
 
 
 def test_closed_form_examples():
@@ -81,17 +104,17 @@ def test_closed_form_examples():
 def test_sign_eigenvalue_is_parity_difference():
     # the alternating-component eigenvalue equals n (e_{n-1} - o_{n-1})
     for n in range(4, 11):
-        gen = fixed_point_generating_set(n, 2)
+        classes = generating_classes(n, 2)
         counts = derangement_counts(n - 1)
-        assert eigenvalue((1,) * n, gen) == n * (counts.e - counts.o)
+        assert eigenvalue((1,) * n, classes) == n * (counts.e - counts.o)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
 def test_closed_forms_match_character_route(n):
-    gen = fixed_point_generating_set(n, 2)
+    classes = generating_classes(n, 2)
     for row in TABLE_ROWS:
         alpha = table_row_partition(row, n)
-        assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, gen)
+        assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, classes)
 
 
 def test_collision_regime_consistency_at_n5():
@@ -101,8 +124,8 @@ def test_collision_regime_consistency_at_n5():
     via_fat = -5 * (d4 - (-1) ** 5 * 3) // (4 * 3)
     via_tall = (-1) ** 5 * 5 * 1
     assert via_fat == via_tall == -5
-    gen = fixed_point_generating_set(5, 2)
-    assert eigenvalue((3, 1, 1), gen) == -5
+    classes = generating_classes(5, 2)
+    assert eigenvalue((3, 1, 1), classes) == -5
 
 
 @pytest.mark.parametrize("n", range(4, 13))
@@ -151,7 +174,7 @@ def test_eigenvalues_sum_to_zero_weighted_by_dimension():
 
 
 def test_empty_generating_set_spectrum():
-    spec = full_spectrum(fixed_point_generating_set(4, 4))
+    spec = full_spectrum(4, 4)
     assert spec.degree == 0
     assert all(r.eigenvalue == 0 for r in spec.rows)
 
@@ -263,6 +286,6 @@ def test_spectrum_properties_at_n6():
 def test_generalized_t_spectra_are_integral(n, t):
     if t > n:
         return
-    spec = full_spectrum(fixed_point_generating_set(n, t))
+    spec = full_spectrum(n, t)
     assert spec.total_multiplicity() == math.factorial(n)
     assert spec.trace_identity_holds()

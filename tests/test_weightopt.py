@@ -8,16 +8,22 @@ import oracles
 from snspectra import weightopt
 from snspectra.characters import class_size
 from snspectra.partitions import partitions_of
-from snspectra.spectrum import fixed_point_generating_set, graph_spectrum
+from snspectra.spectrum import generating_classes, graph_spectrum
 from snspectra.weightopt import (
     ClassWeighting,
     LPError,
     optimize_bound,
     solve_linear,
     solve_lp_min,
-    uniform_weighting,
     weighted_eigenvalue,
 )
+
+
+def uniform_weighting(n, t):
+    """Weight 1/degree on every generating class."""
+    classes = generating_classes(n, t)
+    degree = sum(size for _, size in classes)
+    return ClassWeighting(n=n, t=t, weights=tuple((c, Fraction(1, degree)) for c, _ in classes))
 
 
 def test_uniform_weighting_recovers_spectrum():
@@ -40,8 +46,7 @@ def test_trivial_component_sees_the_normalization():
 
 def test_single_class_weighting():
     n, t = 6, 2
-    gen = fixed_point_generating_set(n, t)
-    ctype, size = gen.classes[0]
+    ctype, size = generating_classes(n, t)[0]
     w = ClassWeighting(n=n, t=t, weights=((ctype, Fraction(1, size)),))
     assert w.weighted_degree() == 1
     from snspectra.characters import mn_character
@@ -193,8 +198,7 @@ def test_uniform_bound_matches_unweighted_hoffman():
 def test_random_feasible_weightings_stay_sound():
     rng = random.Random(7)
     for n, t in [(6, 2), (7, 2), (7, 3), (8, 3)]:
-        gen = fixed_point_generating_set(n, t)
-        classes = gen.classes
+        classes = generating_classes(n, t)
         for _ in range(10):
             raw = [Fraction(rng.randint(0, 20)) for _ in classes]
             if not any(raw):
@@ -224,7 +228,7 @@ def test_optimize_requires_generating_classes():
 
 def test_weight_support_stays_on_generating_classes():
     result = optimize_bound(7, 2)
-    gen_types = set(fixed_point_generating_set(7, 2).cycle_types())
+    gen_types = {c for c, _ in generating_classes(7, 2)}
     for ctype, weight in result.weighting.weights:
         assert ctype in gen_types
         assert weight >= 0
