@@ -1,5 +1,5 @@
 """Named extremal families of permutations: constructors, exact size
-formulas, and pairwise verification predicates.
+formulas, and the pairwise independence check.
 
 Throughout, "fixed points >= k" means fixed points that are *elements* at
 least k (so (1 2)(5 6) has the fixed points 3 and 4 below 5 and none above).
@@ -305,85 +305,37 @@ def family_M_lower_bound(rho: Sequence[int], n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise verification.  All predicates scan every unordered pair; the scan
-# is vectorized and the reported witness is the lexicographically smallest
-# violating pair, so failures are reproducible.
+# Pairwise independence.
 
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """``checked_pairs`` is C(|A|, 2), the pairs a passing check covers."""
+
     ok: bool
-    predicate: str
     checked_pairs: int
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def _scan_pairs(members: list[tuple[int, ...]], bad, predicate: str) -> VerificationResult:
-    """bad(counts, rows, arr, start) -> boolean matrix of violations over a
-    (block x all) agreement-count matrix; entries at or below the diagonal
-    are ignored."""
-    total = len(members) * (len(members) - 1) // 2
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    arr = np.array(members, dtype=np.int16)
-    for start in range(0, len(members), 512):
-        counts = (arr[start : start + 512, None, :] == arr[None, :, :]).sum(axis=2)
-        rows = counts.shape[0]
-        mask = bad(counts, rows, arr, start)
-        cols = np.arange(counts.shape[1])
-        mask &= cols[None, :] > (np.arange(start, start + rows))[:, None]
-        for i, j in np.argwhere(mask):
-            pair = (members[start + int(i)], members[int(j)])
-            if best is None or pair < best:
-                best = pair
-    return VerificationResult(best is None, predicate, total, best)
+def verify(family: Family, t: int) -> VerificationResult:
+    """Check that no two members agree on exactly t-1 points; on failure the
+    witness is the lexicographically smallest violating pair.
 
-
-def verify(family: Family, predicate: str, t: int | None = None) -> VerificationResult:
-    """Check a pairwise predicate over the family, returning a witness pair
-    on failure.
-
-    Predicates:
-      t-intersecting             every two members agree on >= t points
-      independent                no two members agree on exactly t-1 points
-      first-point-rule           members sharing the first value never agree
-                                 exactly twice; others never exactly once
-      two-point-rule             exactly one of the first two values shared:
-                                 never exactly 2 agreements; both shared:
-                                 never exactly 3; neither: never exactly 1
-    """
+    The sorted members are scanned in 512-row blocks, each against itself
+    and the later rows only, so the first violation in row-major order is
+    that smallest pair."""
+    if not 1 <= t <= family.n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={family.n}")
+    if len(family) > PAIRWISE_CAP:
+        raise ValueError(f"family too large for pairwise scan: {len(family)}")
     members = family.sorted_members()
-    if len(members) > PAIRWISE_CAP:
-        raise ValueError(f"family too large for pairwise scan: {len(members)}")
-    if not members:
-        return VerificationResult(True, predicate, 0, None)
-
-    if predicate == "t-intersecting":
-        if t is None:
-            raise ValueError("t-intersecting needs t")
-        bad = lambda counts, rows, arr, start: counts < t
-    elif predicate == "independent":
-        if t is None:
-            raise ValueError("independent needs the graph parameter t")
-        bad = lambda counts, rows, arr, start: counts == t - 1
-
-    elif predicate == "first-point-rule":
-
-        def bad(counts, rows, arr, start):
-            same1 = arr[start : start + rows, 0][:, None] == arr[:, 0][None, :]
-            return (same1 & (counts == 2)) | (~same1 & (counts == 1))
-
-    elif predicate == "two-point-rule":
-
-        def bad(counts, rows, arr, start):
-            same1 = arr[start : start + rows, 0][:, None] == arr[:, 0][None, :]
-            same2 = arr[start : start + rows, 1][:, None] == arr[:, 1][None, :]
-            one = same1 ^ same2
-            both = same1 & same2
-            neither = ~(same1 | same2)
-            return (one & (counts == 2)) | (both & (counts == 3)) | (neither & (counts == 1))
-
-    else:
-        raise ValueError(f"unknown predicate {predicate!r}")
-
-    return _scan_pairs(members, bad, predicate)
-
+    total = len(members) * (len(members) - 1) // 2
+    arr = np.array(members, dtype=np.int16).reshape(len(members), family.n)
+    for start in range(0, len(members), 512):
+        block = arr[start : start + 512]
+        hits = (block[:, None, :] == arr[None, start:, :]).sum(axis=2) == t - 1
+        hits &= np.arange(hits.shape[1]) > np.arange(len(block))[:, None]
+        if hits.any():
+            i, j = np.argwhere(hits)[0]
+            return VerificationResult(False, total, (members[start + i], members[start + j]))
+    return VerificationResult(True, total)

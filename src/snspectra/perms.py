@@ -194,13 +194,6 @@ def derangement_counts(n: int) -> DerangementCounts:
     return DerangementCounts(n=n, d=d, e=e, o=d - e)
 
 
-def rencontres_count(n: int, k: int) -> int:
-    """Number of permutations in S_n with exactly k fixed points."""
-    if not 0 <= k <= n:
-        return 0
-    return math.comb(n, k) * derangement_count(n - k)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration.
 

@@ -217,7 +217,7 @@ def family_report(name: str, n: int, t: int, verify_independence: bool) -> dict:
     )
     predicates: dict[str, Any] = {}
     if verify_independence:
-        res = fam_mod.verify(family, "independent", t=t)
+        res = fam_mod.verify(family, t)
         predicates["independent"] = {
             "ok": res.ok,
             "checked_pairs": res.checked_pairs,

@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bounds import bound_report
-from .perms import agree_count, all_perms
+from .families import Family, verify
+from .perms import all_perms
 from .spectrum import agreement_neighbours
 from .weightopt import NoGeneratingClassesError, optimize_bound
 
@@ -167,8 +168,11 @@ def max_independent_set(
     """Exact independence number with a verified witness.
 
     With a node budget, the search may stop early and report the best set
-    found plus a spectral upper bound, flagged ``exact=False``.
+    found plus a spectral upper bound, flagged ``exact=False``.  A budget
+    below one node is refused.
     """
+    if node_budget is not None and node_budget < 1:
+        raise ValueError(f"search: the node budget must be at least 1 (got {node_budget})")
     verts, adj = graph_bitsets(n, t)
     return _solve(
         verts, adj, t, force_identity=force_identity, node_budget=node_budget
@@ -176,24 +180,21 @@ def max_independent_set(
 
 
 def verify_certificate(result: SearchResult) -> bool:
-    """Re-check the witness: pairwise independent, and, when the search was
-    exhausted, no single vertex extends it.  A search cut short by its node
-    budget claims no maximality, so its witness is checked for independence
-    only.  Maximality-by-extension does not by itself prove the independence
-    number; that comes from the exhausted search tree."""
+    """Re-check the witness: distinct members, pairwise independent, and,
+    when the search was exhausted, no single vertex extends it.  A search
+    cut short by its node budget claims no maximality, so its witness is
+    checked for independence only.  Maximality-by-extension does not by
+    itself prove the independence number; that comes from the exhausted
+    search tree."""
     members = result.witness
-    if len(members) != result.independence_number:
+    if len(members) != result.independence_number or len(set(members)) != len(members):
         return False
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if agree_count(members[i], members[j]) == result.t - 1:
-                return False
+    if not verify(Family(result.n, "witness", frozenset(members)), result.t).ok:
+        return False
     if not result.exact:
         return True
-    chosen = set(members)
-    for v in all_perms(result.n):
-        if v in chosen:
-            continue
-        if all(agree_count(v, m) != result.t - 1 for m in members):
-            return False  # extension found; witness not even maximal
-    return True
+    # every vertex is a member (n agreements) or a neighbour of one
+    verts = np.array(list(all_perms(result.n)), dtype=np.int16)
+    wit = np.array(members, dtype=np.int16).reshape(len(members), result.n)
+    counts = (verts[:, None, :] == wit[None, :, :]).sum(axis=2)
+    return bool(((counts == result.n) | (counts == result.t - 1)).any(axis=1).all())

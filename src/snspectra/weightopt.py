@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .bounds import hoffman_bound
 from .characters import CycleType, class_size
 from .partitions import Partition, partitions_of
 from .spectrum import class_eigenvalues, generating_classes, graph_spectrum
@@ -223,12 +224,6 @@ class WeightedBoundResult:
     certified: bool
 
 
-def _hoffman_from_normalized(m: Fraction, n: int) -> Fraction:
-    if m >= 0:
-        raise ArithmeticError(f"least weighted eigenvalue not negative: {m}")
-    return Fraction(-m, 1 - m) * math.factorial(n)
-
-
 # Largest degree of the weighted-bound LP: n = 12 at t = 2 takes about 10 s
 # in a fresh process on a 2-core machine, and n = 13 about 41 s.
 WOPT_CAP = 12
@@ -275,8 +270,8 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
         t=t,
         weighting=weighting,
         least_eigenvalue=m,
-        bound=_hoffman_from_normalized(m, n),
-        uniform_bound=_hoffman_from_normalized(Fraction(spec.lambda_min, spec.degree), n),
+        bound=hoffman_bound(1, m, math.factorial(n)),
+        uniform_bound=hoffman_bound(spec.degree, spec.lambda_min, math.factorial(n)),
         certified=certified,
     )
 

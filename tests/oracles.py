@@ -10,14 +10,20 @@ production routes against.  None of them is used by the package itself.
   partition and remaining cycle type);
 * a standard-tableau count, the oracle for hook-length dimensions;
 * the derangement recurrence, the oracle for inclusion-exclusion;
-* a fixed-point census of S_n by enumeration, the oracle for rencontres
-  numbers, and the generating set of each agreement graph by enumeration;
+* a fixed-point census of S_n by enumeration, checked against the
+  rencontres numbers C(n, k) d_{n-k}, and the generating set of each
+  agreement graph by enumeration;
 * the k-medium partitions, and the count of 2-point stabilizer members
   agreeing exactly once with a permutation, by enumeration;
+* pairwise agreement scans in pure Python: the t-intersecting check, and the
+  lexicographically least pair agreeing on exactly t-1 points, the oracle
+  for ``families.verify``;
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
-  the branch-and-bound, and the greedy clique count without its early exit;
+  the branch-and-bound, the greedy clique count without its early exit, and
+  the search certificate by pairwise ``agree_count`` loops, the oracle for
+  ``search.verify_certificate``;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
   each iteration and pivots across whole rows, the oracle for the sparse
   carried-row kernel of ``weightopt.solve_lp_min``;
@@ -40,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,11 +66,12 @@ from snspectra.perms import (
     all_perms,
     compose,
     cycle_type,
+    derangement_count,
     inverse,
     perms_fixing,
     sign_of_type,
 )
-from snspectra.search import _solve, graph_bitsets, max_independent_set
+from snspectra.search import SearchResult, _solve, graph_bitsets, max_independent_set
 from snspectra.spectrum import SpectrumCertificate, _crt, _primes_below, adjacency_matrix
 from snspectra.weightopt import LPError, solve_linear
 
@@ -278,6 +285,13 @@ def generating_set(n: int, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> frozen
     return frozenset(p for p in all_perms(n, cap=cap) if num_fixed_points(p) == t - 1)
 
 
+def rencontres_count(n: int, k: int) -> int:
+    """Number of permutations in S_n with exactly k fixed points."""
+    if not 0 <= k <= n:
+        return 0
+    return math.comb(n, k) * derangement_count(n - k)
+
+
 def many_fixed_points_count(n: int) -> int:
     """Number of permutations with at least floor(n/2) fixed points (exact,
     by enumeration); at most n!/floor(n/2)!."""
@@ -298,6 +312,28 @@ def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
     return sum(
         1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
     )
+
+
+# ---------------------------------------------------------------------------
+# Pairwise agreement scans.
+
+
+def is_t_intersecting(members: Iterable[Sequence[int]], t: int) -> bool:
+    """Every two distinct members agree on at least t points."""
+    return all(agree_count(a, b) >= t for a, b in itertools.combinations(members, 2))
+
+
+def least_agreeing_pair(
+    members: Iterable[Sequence[int]], t: int
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The lexicographically least pair (a, b), a < b, of members agreeing on
+    exactly t-1 points, or None when there is none."""
+    ms = sorted(tuple(m) for m in members)
+    for i, a in enumerate(ms):
+        for b in ms[i + 1 :]:
+            if agree_count(a, b) == t - 1:
+                return a, b
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +433,30 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
     adj = agreement_bitsets(conj, t)
     result = _solve(tuple(verts), adj, t, force_identity=False, node_budget=None)
     return result.independence_number
+
+
+def verify_certificate_by_pairs(result: SearchResult) -> bool:
+    """Re-check the witness: pairwise independent, and, when the search was
+    exhausted, no single vertex extends it.  A search cut short by its node
+    budget claims no maximality, so its witness is checked for independence
+    only.  Maximality-by-extension does not by itself prove the independence
+    number; that comes from the exhausted search tree."""
+    members = result.witness
+    if len(members) != result.independence_number:
+        return False
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            if agree_count(members[i], members[j]) == result.t - 1:
+                return False
+    if not result.exact:
+        return True
+    chosen = set(members)
+    for v in all_perms(result.n):
+        if v in chosen:
+            continue
+        if all(agree_count(v, m) != result.t - 1 for m in members):
+            return False  # extension found; witness not even maximal
+    return True
 
 
 # ---------------------------------------------------------------------------

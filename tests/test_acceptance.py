@@ -180,7 +180,7 @@ def test_criterion_09_family_size_formulas():
 
 
 def test_criterion_10_independence_verification():
-    assert verify(family_B(9), "independent", t=2).ok
+    assert verify(family_B(9), 2).ok
     # all 2-cosets exhaustively for n <= 6
     checked = 0
     for n in (4, 5, 6):
@@ -192,18 +192,18 @@ def test_criterion_10_independence_verification():
                         if j == l:
                             continue
                         coset = t_coset([(i, j), (k, l)], n)
-                        assert verify(coset, "independent", t=2).ok
+                        assert verify(coset, 2).ok
                         checked += 1
     # canonical plus seeded random cosets for n = 7..9 (any 2-coset is a
     # double translate of the canonical one, and agreement counts are
     # translation invariant, so these samples are representative)
     rng = random.Random(20260810)
     for n in (7, 8, 9):
-        assert verify(t_coset([(1, 1), (2, 2)], n), "independent", t=2).ok
+        assert verify(t_coset([(1, 1), (2, 2)], n), 2).ok
         for _ in range(6):
             i, k = rng.sample(range(1, n + 1), 2)
             j, l = rng.sample(range(1, n + 1), 2)
-            assert verify(t_coset([(i, j), (k, l)], n), "independent", t=2).ok
+            assert verify(t_coset([(i, j), (k, l)], n), 2).ok
         checked += 7
     _report(10, f"family B(9) and {checked} 2-cosets have no singleton agreement")
 

@@ -130,6 +130,16 @@ def test_search_node_budget_from_flags(capsys, monkeypatch, flags, budget):
     assert seen == [budget]
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_search_refuses_a_node_budget_below_one(capsys, budget):
+    # used to exit 0 with independence_number 0, an empty witness and
+    # witness_verified true
+    code, out, err = run_cli(capsys, ["search", "--n", "4", "--node-budget", budget])
+    assert code == 2
+    assert out == ""
+    assert f"node budget must be at least 1 (got {budget})" in err
+
+
 def test_search_exact_with_node_budget_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["search", "--n", "4", "--exact", "--node-budget", "10"])

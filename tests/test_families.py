@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,13 +9,18 @@ from oracles import (
     RATIO_BANDS,
     count_agreeing_exactly_once,
     fixed_point_census,
+    is_t_intersecting,
+    least_agreeing_pair,
     many_fixed_points_count,
+    rencontres_count,
 )
 from snspectra import families, reports
 from snspectra.cli import build_parser
 from snspectra.families import (
     FAMILIES,
+    PAIRWISE_CAP,
     Family,
+    VerificationResult,
     family_B,
     family_B_size_formula,
     family_F,
@@ -31,7 +38,7 @@ from snspectra.families import (
     t_coset,
     verify,
 )
-from snspectra.perms import agree_count, identity, parse_cycles, rencontres_count
+from snspectra.perms import agree_count, all_perms, identity, parse_cycles, sign
 
 
 def test_t_coset_sizes_and_errors():
@@ -46,8 +53,8 @@ def test_t_coset_sizes_and_errors():
 def test_two_cosets_are_independent():
     for n in (4, 5, 6, 7):
         coset = t_coset([(1, 2), (3, 1)], n)
-        assert verify(coset, "t-intersecting", t=2).ok
-        assert verify(coset, "independent", t=2).ok
+        assert is_t_intersecting(coset.members, 2)
+        assert verify(coset, 2).ok
 
 
 def test_hilton_milner_tail_from_predicate():
@@ -84,7 +91,7 @@ def test_family_B_not_in_any_two_coset():
 
 
 def test_family_B_independent_at_n8():
-    assert verify(family_B(8), "independent", t=2).ok
+    assert verify(family_B(8), 2).ok
 
 
 def test_family_B_coset_part_is_G4():
@@ -137,9 +144,9 @@ def test_F_members_hit_by_the_excluded_element():
 def test_hm_family_size_and_intersection():
     fam = hm_family(5, 1)
     assert len(fam) == 14
-    assert verify(fam, "t-intersecting", t=1).ok
+    assert is_t_intersecting(fam.members, 1)
     fam2 = hm_family(6, 2)
-    assert verify(fam2, "t-intersecting", t=2).ok
+    assert is_t_intersecting(fam2.members, 2)
     # constructor totality at the smallest degree
     assert len(hm_family(4, 2)) > 0
 
@@ -172,43 +179,70 @@ def test_fixed_points_ge5_of_identity():
 
 
 # ---------------------------------------------------------------------------
-# Verification predicates.
+# The pairwise independence check.
 
 
 def test_no_singleton_witness_is_lex_least():
     fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2 3)", 4)}))
-    res = verify(fam, "independent", t=2)
+    res = verify(fam, 2)
     assert not res.ok
     assert res.witness == (identity(4), parse_cycles("(1 2 3)", 4))
+    assert res.checked_pairs == 1
 
 
 def test_agreeing_twice_is_fine():
     fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2)", 4)}))
-    assert verify(fam, "independent", t=2).ok
+    assert verify(fam, 2).ok
+    assert verify(Family(4, "empty", frozenset()), 2) == VerificationResult(True, 0)
 
 
-def test_first_point_rule():
-    three_coset = t_coset([(1, 1), (2, 2), (3, 3)], 6)
-    assert verify(three_coset, "first-point-rule").ok
-    bad = Family(4, "demo", frozenset({identity(4), parse_cycles("(2 3)", 4)}))
-    res = verify(bad, "first-point-rule")
-    assert not res.ok  # same first value, agreement exactly 2
+@pytest.mark.parametrize("t", [-1, 0, 5, 6])
+def test_verify_refuses_t_outside_1_to_n(t):
+    # these used to pass vacuously: no two permutations of degree 4 agree
+    # on exactly t-1 points when t-1 is negative or above 3
+    with pytest.raises(ValueError, match="1 <= t <= n"):
+        verify(t_coset([(1, 1)], 4), t)
 
 
-def test_two_point_rule():
-    four_coset = t_coset([(i, i) for i in range(1, 5)], 6)
-    assert verify(four_coset, "two-point-rule").ok
-    bad = Family(5, "demo", frozenset({identity(5), parse_cycles("(3 4)", 5)}))
-    res = verify(bad, "two-point-rule")
-    assert not res.ok  # both shared, agreement exactly 3
+def test_verify_refuses_a_family_above_the_pairwise_cap(monkeypatch):
+    # refused from its size alone: the members are never sorted
+    members = frozenset(itertools.islice(all_perms(8), PAIRWISE_CAP + 1))
+    fam = Family(8, "big", members)
+    monkeypatch.setattr(Family, "sorted_members", lambda self: pytest.fail("sorted"))
+    with pytest.raises(ValueError, match="too large for pairwise scan: 12001"):
+        verify(fam, 2)
 
 
-def test_verify_rejects_unknown_predicate_and_caps():
-    fam = t_coset([(1, 1)], 4)
-    with pytest.raises(ValueError):
-        verify(fam, "nonsense")
-    with pytest.raises(ValueError):
-        verify(fam, "t-intersecting")  # t missing
+def test_verify_finds_a_violation_past_the_first_block():
+    # 600 even permutations of S_7, none a transposition away from the odd
+    # last permutation x, then x and the even y just before it: (y, x) is
+    # the only pair agreeing on 5 points, in rows 600 and 601
+    y, x = list(all_perms(7))[-2:]
+    clean = (s for s in all_perms(7) if s < y and sign(s) == 1 and agree_count(s, x) != 5)
+    fam = Family(7, "dip", frozenset([*itertools.islice(clean, 600), x, y]))
+    res = verify(fam, 6)
+    assert res.witness == least_agreeing_pair(fam.members, 6) == (y, x)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_verify_witness_is_the_least_violating_pair(seed):
+    rng = random.Random(seed)
+    # S_6 at every t: dense violations, small and large families
+    t, size = seed % 6 + 1, rng.randint(2, 700)
+    fam = Family(6, "random", frozenset(rng.sample(list(all_perms(6)), size)))
+    assert verify(fam, t).witness == least_agreeing_pair(fam.members, t), (t, size)
+    # even permutations of S_8 are never one transposition apart; up to two
+    # planted odd ones make sparse violations at t = 7, in rows on either
+    # side of the first 512-row block, or none
+    evens, odds = [], []
+    for s in all_perms(8):
+        (evens if sign(s) == 1 else odds).append(s)
+    members = rng.sample(evens, rng.randint(500, 1100)) + rng.sample(odds, seed % 3)
+    fam = Family(8, "planted", frozenset(members))
+    res = verify(fam, 7)
+    assert res.witness == least_agreeing_pair(fam.members, 7), (seed, len(members))
+    assert res.ok == (res.witness is None)
+    assert res.checked_pairs == math.comb(len(members), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import derangement_count_recurrence, generating_set, num_fixed_points
+from oracles import (
+    derangement_count_recurrence,
+    generating_set,
+    num_fixed_points,
+    rencontres_count,
+)
 from snspectra.perms import (
     DegreeMismatchError,
     agree_count,
@@ -20,7 +25,6 @@ from snspectra.perms import (
     is_permutation,
     parse_cycles,
     perms_fixing,
-    rencontres_count,
     sign,
 )
 

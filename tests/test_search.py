@@ -9,9 +9,11 @@ from oracles import (
     max_independent_set_naive,
     maximum_sets,
     relabel_graph_independence_number,
+    verify_certificate_by_pairs,
 )
 from snspectra import search
 from snspectra.bounds import bound_report
+from snspectra.perms import all_perms
 from snspectra.search import (
     SearchResult,
     graph_bitsets,
@@ -155,6 +157,54 @@ def test_tampered_witness_fails():
         forced_identity=True,
     )
     assert not verify_certificate(bad)
+
+
+def test_repeated_witness_member_fails():
+    # a repeat agrees with itself on n points, never on t-1, so it used to
+    # pass as a third member
+    result = max_independent_set(4, 2)
+    repeated = dataclasses.replace(
+        result, independence_number=3, witness=((1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 4, 3))
+    )
+    assert not verify_certificate(repeated)
+    assert not verify_certificate(dataclasses.replace(repeated, exact=False))
+
+
+def _certificate_cases():
+    """Search results for n = 2..5 at every t and both symmetry settings,
+    with the exact flag as found and flipped, and with the witness replaced
+    by prefixes of it and by seeded random sets of distinct vertices."""
+    rng = random.Random(2026)
+    for n in range(2, 6):
+        verts = list(all_perms(n))
+        for t in range(1, n + 1):
+            for force in (True, False):
+                result = max_independent_set(n, t, force_identity=force)
+                full = len(result.witness)
+                witnesses = [result.witness[:k] for k in sorted({0, 1, full // 2, full - 1, full})]
+                witnesses += [
+                    tuple(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(6)
+                ]
+                for witness in witnesses:
+                    for size in {len(witness), len(result.witness)}:
+                        for exact in (True, False):
+                            yield dataclasses.replace(
+                                result, witness=witness, independence_number=size, exact=exact
+                            )
+
+
+def test_certificate_matches_the_pairwise_oracle():
+    cases = list(_certificate_cases())
+    verdicts = [verify_certificate(case) for case in cases]
+    assert verdicts == [verify_certificate_by_pairs(case) for case in cases]
+    assert len(cases) > 1000 and any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("budget", [-5, 0])
+def test_node_budget_below_one_is_refused_before_any_work(monkeypatch, budget):
+    monkeypatch.setattr(search, "graph_bitsets", lambda n, t: pytest.fail("built the graph"))
+    with pytest.raises(ValueError, match=f"node budget must be at least 1 \\(got {budget}\\)"):
+        max_independent_set(4, 2, node_budget=budget)
 
 
 def test_budgeted_witness_needs_independence_only():
