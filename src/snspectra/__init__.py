@@ -25,8 +25,6 @@ from .families import (
     family_F,
     family_F_size_formula,
     family_G,
-    family_H,
-    family_M,
     hilton_milner_tail,
     hm_family,
     t_coset,
@@ -35,23 +33,18 @@ from .families import (
 from .partitions import (
     classify,
     dimension,
-    parse_partition,
     format_partition,
     partitions_of,
     transpose,
 )
 from .perms import (
     DerangementCounts,
-    agree_count,
     compose,
-    cycle_type,
     derangement_count,
     derangement_counts,
     format_cycles,
     identity,
     inverse,
-    parse_cycles,
-    sign,
 )
 from .search import max_independent_set, verify_certificate
 from .spectrum import (

@@ -87,17 +87,12 @@ def mn_character(alpha: Sequence[int], ctype: Sequence[int]) -> int:
     """Character value via recursive border-strip removal: remove a strip of
     the largest remaining cycle length in every possible way, with sign
     (-1)^height, and recurse on the remaining type."""
-    # The memo is keyed by Python ints, so that (2.0, 1.0) raises instead of
+    # The memos are keyed by Python ints, so that (2.0, 1.0) raises instead of
     # hitting the entry of (2, 1).  A part of another type (float, numpy
     # integer, Fraction) gives its sum that type, so only then are the parts
     # converted; the plain ints of the hot loops skip the conversion.
     if type(sum(alpha)) is not int or type(sum(ctype)) is not int:
         alpha, ctype = integer_parts(alpha), integer_parts(ctype)
-    return _character(alpha, ctype)
-
-
-@lru_cache(maxsize=None)
-def _character(alpha: Partition, ctype: CycleType) -> int:
     mask, degree = _partition_mask(alpha)
     ctype, ctype_degree = _cycle_type(ctype)
     if degree != ctype_degree:
@@ -105,9 +100,9 @@ def _character(alpha: Partition, ctype: CycleType) -> int:
     return _mn(mask, ctype)
 
 
-# the statistics and reset of the top-level memo
-mn_character.cache_info = _character.cache_info  # type: ignore[attr-defined]
-mn_character.cache_clear = _character.cache_clear  # type: ignore[attr-defined]
+# the statistics and reset of the kernel memo
+mn_character.cache_info = _mn.cache_info  # type: ignore[attr-defined]
+mn_character.cache_clear = _mn.cache_clear  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

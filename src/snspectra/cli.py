@@ -106,13 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget = p.add_mutually_exclusive_group()
     budget.add_argument(
         "--exact",
-        action="store_true",
-        help=f"no node budget (the default below n = {EXHAUSTIVE_CAP})",
-    )
-    p.add_argument(
         "--slow",
         action="store_true",
-        help=f"allow the large n = {EXHAUSTIVE_CAP} search without a budget",
+        help=f"no node budget (the default below n = {EXHAUSTIVE_CAP})",
     )
     budget.add_argument("--node-budget", type=int, default=None)
 
@@ -133,7 +129,7 @@ def _finish(report: dict, args: argparse.Namespace) -> str:
 
 
 def _node_budget(args: argparse.Namespace) -> int | None:
-    if args.node_budget is None and args.n >= EXHAUSTIVE_CAP and not (args.slow or args.exact):
+    if args.node_budget is None and args.n >= EXHAUSTIVE_CAP and not args.exact:
         return DEFAULT_NODE_BUDGET
     return args.node_budget
 
@@ -169,6 +165,10 @@ def check_caps(args: argparse.Namespace) -> None:
     elif command == "chartable":
         _cap("chartable: n is", n, args.cap, "--cap")
     elif command in ("spectrum", "hoffman", "reproduce"):
+        if command == "spectrum" and n < 3:
+            raise ValueError(
+                f"spectrum: need n >= 3 to class each row 2-fat, 2-tall or 2-medium (got n={n})"
+            )
         top = _parse_range(args.n_range)[1] if command == "reproduce" else n
         _cap("full spectra: n is", top, SPECTRUM_CAP, "SPECTRUM_CAP")
         if command == "spectrum" and args.verify:

@@ -14,17 +14,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .perms import (
-    agree_count,
-    derangement_count,
-    fixed_points,
-    identity,
-    perms_fixing,
-)
+from .perms import derangement_count, fixed_points, identity, perms_fixing
 
 PAIRWISE_CAP = 12000
 
@@ -95,30 +89,20 @@ def hilton_milner_tail(n: int) -> frozenset[tuple[int, ...]]:
 
 
 def family_B_size_formula(n: int) -> int:
-    """(n-2)! - (n-4)(d_{n-3} + 2 d_{n-4} + d_{n-5}) + 4."""
+    """(n-2)! - |F_4| + 4: B is G_4 together with the four tail elements."""
     if n < 7:
         raise ValueError("size formula needs n >= 7")
-    return (
-        math.factorial(n - 2)
-        - (n - 4)
-        * (derangement_count(n - 3) + 2 * derangement_count(n - 4) + derangement_count(n - 5))
-        + 4
-    )
+    return math.factorial(n - 2) - family_F_size_formula(4, n) + 4
 
 
 def family_B(n: int) -> Family:
     """Largest family with no singleton agreement that is not contained in a
     2-coset: permutations fixing 1 and 2 whose number of fixed points >= 5
-    differs from one, together with the four block-swap elements."""
+    differs from one (that is, G_4), together with the four block-swap
+    elements."""
     if n < 7:
         raise ValueError("need n >= 7")
-    members = [
-        s
-        for s in perms_fixing([(1, 1), (2, 2)], n)
-        if len(fixed_points_ge(s, 5)) != 1
-    ]
-    members.extend(hilton_milner_tail(n))
-    return _family(n, "B", members)
+    return _family(n, "B", itertools.chain(_stabilizer_part(4, n, False), hilton_milner_tail(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -126,16 +110,21 @@ def family_B(n: int) -> Family:
 # stabilizer of 1 and 2.
 
 
-def _f_predicate(j: int):
-    if j == 1:
-        return lambda s: len(fixed_points_ge(s, 3)) == 1
-    if j == 2:
-        return lambda s: len(fixed_points_ge(s, 4)) == 0
-    if j == 3:
-        return lambda s: len(fixed_points_ge(s, 4)) == 1
-    if j == 4:
-        return lambda s: len(fixed_points_ge(s, 5)) == 1
-    raise ValueError(f"j must be 1..4, got {j}")
+# F_j is the set of permutations fixing 1 and 2 with exactly ``count`` fixed
+# points >= ``low``, as (low, count).
+F_RULES = {1: (3, 1), 2: (4, 0), 3: (4, 1), 4: (5, 1)}
+
+
+def _stabilizer_part(j: int, n: int, in_f: bool) -> Iterator[tuple[int, ...]]:
+    """The permutations fixing 1 and 2 that lie in F_j (``in_f``) or not."""
+    if j not in F_RULES:
+        raise ValueError(f"j must be 1..4, got {j}")
+    low, count = F_RULES[j]
+    return (
+        s
+        for s in perms_fixing([(1, 1), (2, 2)], n)
+        if (len(fixed_points_ge(s, low)) == count) == in_f
+    )
 
 
 def family_F(j: int, n: int) -> Family:
@@ -144,10 +133,7 @@ def family_F(j: int, n: int) -> Family:
     (j=1); none >= 4 (j=2); exactly one >= 4 (j=3); exactly one >= 5 (j=4)."""
     if n < 7:
         raise ValueError("need n >= 7")
-    pred = _f_predicate(j)
-    return _family(
-        n, f"F{j}", (s for s in perms_fixing([(1, 1), (2, 2)], n) if pred(s))
-    )
+    return _family(n, f"F{j}", _stabilizer_part(j, n, True))
 
 
 def family_F_size_formula(j: int, n: int) -> int:
@@ -165,10 +151,7 @@ def family_F_size_formula(j: int, n: int) -> int:
 
 def family_G(j: int, n: int) -> Family:
     """The complement of F_j inside the stabilizer of 1 and 2."""
-    pred = _f_predicate(j)
-    return _family(
-        n, f"G{j}", (s for s in perms_fixing([(1, 1), (2, 2)], n) if not pred(s))
-    )
+    return _family(n, f"G{j}", _stabilizer_part(j, n, False))
 
 
 # ---------------------------------------------------------------------------
@@ -234,74 +217,6 @@ FAMILIES: dict[str, FamilySpec] = {
     ),
     "HM": FamilySpec(lambda n, t: hm_family(n, t), None, 2, pins_t=True),
 }
-
-
-# ---------------------------------------------------------------------------
-# The two auxiliary families used against a fixed outside permutation.
-
-
-def moved_points_ge5(pi: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i in range(5, len(pi) + 1) if pi[i - 1] != i)
-
-
-def fixed_points_ge5(rho: Sequence[int]) -> tuple[int, ...]:
-    return fixed_points_ge(rho, 5)
-
-
-def family_H(pi: Sequence[int], n: int) -> Family:
-    """Permutations fixing 1, 2 and at least two points moved by pi above 4,
-    agreeing with pi exactly once."""
-    if n < 7:
-        raise ValueError("need n >= 7")
-    moved = set(moved_points_ge5(pi))
-    members = (
-        s
-        for s in perms_fixing([(1, 1), (2, 2)], n)
-        if sum(1 for i in moved if s[i - 1] == i) >= 2 and agree_count(s, tuple(pi)) == 1
-    )
-    return _family(n, "H", members)
-
-
-def family_H_lower_bound(pi: Sequence[int], n: int) -> int:
-    """C(|moved points >= 5|, 2) * d_{n-4}; valid when pi fixes exactly one
-    of the points 1 and 2 (the single agreement is then forced at that
-    point, and members disagree with pi everywhere above 2)."""
-    return math.comb(len(moved_points_ge5(pi)), 2) * derangement_count(n - 4)
-
-
-def family_H_lower_bound_outside(pi: Sequence[int], n: int) -> int:
-    """C(|moved points >= 5|, 2) * (n-6) * d_{n-5}; valid when pi fixes
-    neither 1 nor 2, so the single agreement sits at some point >= 3."""
-    return (
-        math.comb(len(moved_points_ge5(pi)), 2)
-        * (n - 6)
-        * derangement_count(n - 5)
-    )
-
-
-def family_M(rho: Sequence[int], n: int) -> Family:
-    """Permutations fixing 1, 2, 5 and some fixed point i of rho above 4,
-    disagreeing with rho at every other point >= 3."""
-    if n < 7:
-        raise ValueError("need n >= 7")
-    fixed = fixed_points_ge5(rho)
-    rho = tuple(rho)
-
-    def ok(s: tuple[int, ...]) -> bool:
-        for i in fixed:
-            if s[i - 1] != i:
-                continue
-            if all(s[j - 1] != rho[j - 1] for j in range(3, n + 1) if j != i):
-                return True
-        return False
-
-    members = (s for s in perms_fixing([(1, 1), (2, 2), (5, 5)], n) if ok(s))
-    return _family(n, "M", members)
-
-
-def family_M_lower_bound(rho: Sequence[int], n: int) -> int:
-    """|fixed points of rho >= 5| * d_{n-4}."""
-    return len(fixed_points_ge5(rho)) * derangement_count(n - 4)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 from functools import lru_cache
 from typing import Sequence
 
@@ -137,29 +136,7 @@ def classify(alpha: Sequence[int], k: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Text format: comma-separated parts, exponent shorthand accepted on input
-# ("2^2,1" means "2,2,1"), canonical long form on output.
-
-_PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
-
-
-def parse_partition(text: str, n: int | None = None) -> Partition:
-    """Parse "4,2,1" or "2^2,1" into a partition tuple.
-
-    >>> parse_partition("2^2,1")
-    (2, 2, 1)
-    """
-    parts: list[int] = []
-    for tok in text.replace(" ", "").split(","):
-        if not tok:
-            continue
-        m = _PART_TOKEN.match(tok)
-        if not m:
-            raise ValueError(f"bad partition token: {tok!r}")
-        value = int(m.group(1))
-        count = int(m.group(2)) if m.group(2) else 1
-        parts.extend([value] * count)
-    return check_partition(tuple(sorted(parts, reverse=True)), n)
+# Text format: comma-separated parts, as the reports print them.
 
 
 def format_partition(alpha: Sequence[int]) -> str:

@@ -1,4 +1,4 @@
-"""Permutations of {1..n} in one-line notation, agreement counts, and
+"""Permutations of {1..n} in one-line notation, their cycle notation, and
 derangement combinatorics.
 
 A permutation is a tuple ``(s(1), ..., s(n))`` of the integers 1..n.  All
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -21,16 +20,6 @@ DEFAULT_ENUMERATION_CAP = 10
 
 class DegreeMismatchError(ValueError):
     """Two permutations of different degree were combined."""
-
-
-def is_permutation(images: Sequence[int]) -> bool:
-    """Check that ``images`` is a bijection of {1..n}.
-
-    >>> is_permutation((2, 1, 3)), is_permutation((2, 2, 3))
-    (True, False)
-    """
-    n = len(images)
-    return sorted(images) == list(range(1, n + 1))
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -51,87 +40,8 @@ def inverse(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def agree_count(s: Sequence[int], t: Sequence[int]) -> int:
-    """Number of points where s and t take the same value.
-
-    Equals the number of fixed points of ``inverse(t) ∘ s``.
-    """
-    if len(s) != len(t):
-        raise DegreeMismatchError(f"degrees differ: {len(s)} vs {len(t)}")
-    return sum(a == b for a, b in zip(s, t))
-
-
 def fixed_points(s: Sequence[int]) -> tuple[int, ...]:
     return tuple(i for i, v in enumerate(s, start=1) if v == i)
-
-
-def cycle_type(s: Sequence[int]) -> tuple[int, ...]:
-    """Multiset of cycle lengths, non-increasing.
-
-    >>> cycle_type((1, 2, 3, 4))
-    (1, 1, 1, 1)
-    >>> cycle_type((2, 1, 4, 3))
-    (2, 2)
-    """
-    n = len(s)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = s[j] - 1
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
-
-def sign(s: Sequence[int]) -> int:
-    """Sign of a permutation: (-1)^(n - number of cycles)."""
-    return sign_of_type(cycle_type(s))
-
-
-def sign_of_type(ctype: Sequence[int]) -> int:
-    return -1 if (sum(ctype) - len(ctype)) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# Cycle-notation text format: "(1 3)(2 4)", fixed points omitted, "id" for
-# the identity.  The degree is supplied separately.
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    """Parse cycle notation into one-line notation of degree n.
-
-    >>> parse_cycles("(1 3)(2 4)", 5)
-    (3, 4, 1, 2, 5)
-    >>> parse_cycles("id", 3)
-    (1, 2, 3)
-    """
-    text = text.strip()
-    images = list(range(1, n + 1))
-    if text in ("id", "()", ""):
-        return tuple(images)
-    if _CYCLE_RE.sub("", text).strip():
-        raise ValueError(f"unparsable cycle text: {text!r}")
-    for group in _CYCLE_RE.findall(text):
-        points = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
-        if len(points) < 2:
-            raise ValueError(f"cycle needs at least two points: ({group})")
-        if len(set(points)) != len(points):
-            raise ValueError(f"repeated point inside cycle: ({group})")
-        if any(not 1 <= p <= n for p in points):
-            raise ValueError(f"point outside 1..{n}: ({group})")
-        for a, b in zip(points, points[1:] + points[:1]):
-            if images[a - 1] != a:
-                raise ValueError(f"point {a} appears in two cycles")
-            images[a - 1] = b
-    return tuple(images)
 
 
 def format_cycles(s: Sequence[int]) -> str:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -115,9 +115,6 @@ class Spectrum:
         lhs = sum(r.multiplicity * r.eigenvalue**2 for r in self.rows)
         return lhs == math.factorial(self.n) * self.degree
 
-    def total_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.rows)
-
 
 # Largest degree of the full-spectrum commands: p(26) = 2,436 eigenvalues,
 # about 5 s and 260 MB in one process on a 2-core machine, and each further
@@ -150,36 +147,34 @@ def full_spectrum(n: int, t: int) -> Spectrum:
 # (most of it enumerating the partitions of 60).
 TABLE_CAP = 40
 
-TABLE_ROWS: tuple[str, ...] = (
-    "n",
-    "1^n",
-    "n-1,1",
-    "2,1^(n-2)",
-    "n-2,2",
-    "2,2,1^(n-4)",
-    "n-2,1,1",
-    "3,1^(n-3)",
-)
+# label -> (shape, closed form), in report order; each closed form is a
+# function of n, d_{n-1} and (-1)^n.
+TABLE_ROWS: dict[str, tuple[Callable, Callable]] = {
+    "n": (lambda n: (n,), lambda n, d1, s: n * d1),
+    "1^n": (lambda n: (1,) * n, lambda n, d1, s: s * n * (n - 2)),
+    "n-1,1": (lambda n: (n - 1, 1), lambda n, d1, s: 0),
+    "2,1^(n-2)": (lambda n: (2,) + (1,) * (n - 2), lambda n, d1, s: 0),
+    "n-2,2": (
+        lambda n: (n - 2, 2),
+        lambda n, d1, s: Fraction(-n * (d1 + s * (n - 2)), (n - 1) * (n - 2) - 2),
+    ),
+    "2,2,1^(n-4)": (lambda n: (2, 2) + (1,) * (n - 4), lambda n, d1, s: -s * (n - 2) ** 2),
+    "n-2,1,1": (
+        lambda n: (n - 2, 1, 1),
+        lambda n, d1, s: Fraction(-n * (d1 - s * (n - 2)), (n - 1) * (n - 2)),
+    ),
+    "3,1^(n-3)": (lambda n: (3,) + (1,) * (n - 3), lambda n, d1, s: s * n * (n - 4)),
+}
+
+
+def _table_row(row: str):
+    if row not in TABLE_ROWS:
+        raise ValueError(f"unknown table row {row!r}")
+    return TABLE_ROWS[row]
 
 
 def table_row_partition(row: str, n: int) -> Partition:
-    if row == "n":
-        return (n,)
-    if row == "1^n":
-        return (1,) * n
-    if row == "n-1,1":
-        return (n - 1, 1)
-    if row == "2,1^(n-2)":
-        return (2,) + (1,) * (n - 2)
-    if row == "n-2,2":
-        return (n - 2, 2)
-    if row == "2,2,1^(n-4)":
-        return (2, 2) + (1,) * (n - 4)
-    if row == "n-2,1,1":
-        return (n - 2, 1, 1)
-    if row == "3,1^(n-3)":
-        return (3,) + (1,) * (n - 3)
-    raise ValueError(f"unknown table row {row!r}")
+    return _table_row(row)[0](n)
 
 
 def closed_form_eigenvalue(row: str, n: int) -> int:
@@ -187,26 +182,10 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
     eight rows with small fat/tall defect.  Requires n >= 6 so that the
     eight partitions are pairwise distinct; below that the colliding shapes
     are served by the character route only."""
-    if row not in TABLE_ROWS:
-        raise ValueError(f"unknown table row {row!r}")
+    closed_form = _table_row(row)[1]
     if n < 6:
         raise ValueError(f"closed forms need n >= 6 (got {n})")
-    d1 = derangement_count(n - 1)
-    s = (-1) ** n
-    if row == "n":
-        return n * d1
-    if row == "1^n":
-        return s * n * (n - 2)
-    if row in ("n-1,1", "2,1^(n-2)"):
-        return 0
-    if row == "n-2,2":
-        value = Fraction(-n * (d1 + s * (n - 2)), (n - 1) * (n - 2) - 2)
-    elif row == "2,2,1^(n-4)":
-        return -s * (n - 2) ** 2
-    elif row == "n-2,1,1":
-        value = Fraction(-n * (d1 - s * (n - 2)), (n - 1) * (n - 2))
-    else:  # 3,1^(n-3)
-        return s * n * (n - 4)
+    value = Fraction(closed_form(n, derangement_count(n - 1), (-1) ** n))
     if value.denominator != 1:
         raise ArithmeticError(f"closed form for {row} at n={n} is not integral")
     return int(value)
@@ -248,14 +227,9 @@ def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
     return nbrs
 
 
-def adjacency_matrix(n: int, t: int = 2) -> np.ndarray:
-    """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
-    the graph joining permutations that agree on exactly t-1 points, rows
-    and columns in lexicographic vertex order."""
-    return _dense(agreement_neighbours(n, t))
-
-
 def _dense(nbrs: np.ndarray) -> np.ndarray:
+    """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
+    the neighbour lists ``nbrs``."""
     adj = np.zeros((len(nbrs), len(nbrs)), dtype=np.float64)
     np.put_along_axis(adj, nbrs, 1.0, axis=1)
     return adj

@@ -34,14 +34,19 @@ production routes against.  None of them is used by the package itself.
   chi(s u^-1) over every ordered pair of a family, the oracles for the
   count-tensor masses of ``bounds.projection_mass``.
 
-It also holds ``RATIO_BANDS``, the regression bands the tests put on two
-asymptotic ratios.
+It also holds helpers that only the tests read: agreement counts, cycle
+types, signs and a cycle-notation parser for writing test cases; the dense
+adjacency matrix; and the paper's exclusion step, the families H and M
+against a fixed outside permutation with their lower bounds.  And it holds
+``RATIO_BANDS``, the regression bands the tests put on two asymptotic
+ratios.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +56,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from snspectra.characters import mn_character as production_character
+from snspectra.families import Family, _family, fixed_points_ge
 from snspectra.partitions import (
     MEDIUM,
     Partition,
@@ -62,20 +68,106 @@ from snspectra.partitions import (
 )
 from snspectra.perms import (
     DEFAULT_ENUMERATION_CAP,
-    agree_count,
+    DegreeMismatchError,
     all_perms,
     compose,
-    cycle_type,
     derangement_count,
     inverse,
     perms_fixing,
-    sign_of_type,
 )
 from snspectra.search import SearchResult, _solve, graph_bitsets, max_independent_set
-from snspectra.spectrum import SpectrumCertificate, _crt, _primes_below, adjacency_matrix
+from snspectra.spectrum import (
+    SpectrumCertificate,
+    _crt,
+    _dense,
+    _primes_below,
+    agreement_neighbours,
+)
 from snspectra.weightopt import LPError, solve_linear
 
 CycleType = tuple[int, ...]
+
+# ---------------------------------------------------------------------------
+# Permutation statistics and cycle-notation input, for writing test cases.
+
+
+def agree_count(s: Sequence[int], t: Sequence[int]) -> int:
+    """Number of points where s and t take the same value.
+
+    Equals the number of fixed points of ``inverse(t) ∘ s``.
+    """
+    if len(s) != len(t):
+        raise DegreeMismatchError(f"degrees differ: {len(s)} vs {len(t)}")
+    return sum(a == b for a, b in zip(s, t))
+
+
+def cycle_type(s: Sequence[int]) -> tuple[int, ...]:
+    """Multiset of cycle lengths, non-increasing.
+
+    >>> cycle_type((1, 2, 3, 4))
+    (1, 1, 1, 1)
+    >>> cycle_type((2, 1, 4, 3))
+    (2, 2)
+    """
+    n = len(s)
+    seen = [False] * n
+    lengths = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = s[j] - 1
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def sign(s: Sequence[int]) -> int:
+    """Sign of a permutation: (-1)^(n - number of cycles)."""
+    return sign_of_type(cycle_type(s))
+
+
+def sign_of_type(ctype: Sequence[int]) -> int:
+    return -1 if (sum(ctype) - len(ctype)) % 2 else 1
+
+
+# Cycle-notation text format: "(1 3)(2 4)", fixed points omitted, "id" for
+# the identity.  The degree is supplied separately.
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str, n: int) -> tuple[int, ...]:
+    """Parse cycle notation into one-line notation of degree n.
+
+    >>> parse_cycles("(1 3)(2 4)", 5)
+    (3, 4, 1, 2, 5)
+    >>> parse_cycles("id", 3)
+    (1, 2, 3)
+    """
+    text = text.strip()
+    images = list(range(1, n + 1))
+    if text in ("id", "()", ""):
+        return tuple(images)
+    if _CYCLE_RE.sub("", text).strip():
+        raise ValueError(f"unparsable cycle text: {text!r}")
+    for group in _CYCLE_RE.findall(text):
+        points = [int(tok) for tok in re.split(r"[,\s]+", group.strip()) if tok]
+        if len(points) < 2:
+            raise ValueError(f"cycle needs at least two points: ({group})")
+        if len(set(points)) != len(points):
+            raise ValueError(f"repeated point inside cycle: ({group})")
+        if any(not 1 <= p <= n for p in points):
+            raise ValueError(f"point outside 1..{n}: ({group})")
+        for a, b in zip(points, points[1:] + points[:1]):
+            if images[a - 1] != a:
+                raise ValueError(f"point {a} appears in two cycles")
+            images[a - 1] = b
+    return tuple(images)
+
 
 # ---------------------------------------------------------------------------
 # Determinantal character route.
@@ -312,6 +404,75 @@ def count_agreeing_exactly_once(tau: Sequence[int], n: int) -> int:
     return sum(
         1 for s in perms_fixing([(1, 1), (2, 2)], n) if agree_count(s, tau) == 1
     )
+
+
+# ---------------------------------------------------------------------------
+# The paper's exclusion step: the two auxiliary families used against a
+# fixed outside permutation, and their lower bounds.
+
+
+def moved_points_ge5(pi: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i for i in range(5, len(pi) + 1) if pi[i - 1] != i)
+
+
+def fixed_points_ge5(rho: Sequence[int]) -> tuple[int, ...]:
+    return fixed_points_ge(rho, 5)
+
+
+def family_H(pi: Sequence[int], n: int) -> Family:
+    """Permutations fixing 1, 2 and at least two points moved by pi above 4,
+    agreeing with pi exactly once."""
+    if n < 7:
+        raise ValueError("need n >= 7")
+    moved = set(moved_points_ge5(pi))
+    members = (
+        s
+        for s in perms_fixing([(1, 1), (2, 2)], n)
+        if sum(1 for i in moved if s[i - 1] == i) >= 2 and agree_count(s, tuple(pi)) == 1
+    )
+    return _family(n, "H", members)
+
+
+def family_H_lower_bound(pi: Sequence[int], n: int) -> int:
+    """C(|moved points >= 5|, 2) * d_{n-4}; valid when pi fixes exactly one
+    of the points 1 and 2 (the single agreement is then forced at that
+    point, and members disagree with pi everywhere above 2)."""
+    return math.comb(len(moved_points_ge5(pi)), 2) * derangement_count(n - 4)
+
+
+def family_H_lower_bound_outside(pi: Sequence[int], n: int) -> int:
+    """C(|moved points >= 5|, 2) * (n-6) * d_{n-5}; valid when pi fixes
+    neither 1 nor 2, so the single agreement sits at some point >= 3."""
+    return (
+        math.comb(len(moved_points_ge5(pi)), 2)
+        * (n - 6)
+        * derangement_count(n - 5)
+    )
+
+
+def family_M(rho: Sequence[int], n: int) -> Family:
+    """Permutations fixing 1, 2, 5 and some fixed point i of rho above 4,
+    disagreeing with rho at every other point >= 3."""
+    if n < 7:
+        raise ValueError("need n >= 7")
+    fixed = fixed_points_ge5(rho)
+    rho = tuple(rho)
+
+    def ok(s: tuple[int, ...]) -> bool:
+        for i in fixed:
+            if s[i - 1] != i:
+                continue
+            if all(s[j - 1] != rho[j - 1] for j in range(3, n + 1) if j != i):
+                return True
+        return False
+
+    members = (s for s in perms_fixing([(1, 1), (2, 2), (5, 5)], n) if ok(s))
+    return _family(n, "M", members)
+
+
+def family_M_lower_bound(rho: Sequence[int], n: int) -> int:
+    """|fixed points of rho >= 5| * d_{n-4}."""
+    return len(fixed_points_ge5(rho)) * derangement_count(n - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +750,13 @@ def exact_traces_matrix(adj: np.ndarray, count: int, degree: int) -> list[int]:
             raise ArithmeticError("trace reconstruction exceeded bound")
         out.append(value)
     return out
+
+
+def adjacency_matrix(n: int, t: int = 2) -> np.ndarray:
+    """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
+    the graph joining permutations that agree on exactly t-1 points, rows
+    and columns in lexicographic vertex order."""
+    return _dense(agreement_neighbours(n, t))
 
 
 def dense_brute_force_spectrum(

@@ -8,14 +8,17 @@ from fractions import Fraction
 
 from oracles import (
     RATIO_BANDS,
+    agree_count,
     count_agreeing_exactly_once,
     derangement_count_recurrence,
     irreducible_character,
     isotypic_projection,
     max_independent_set_naive,
     num_fixed_points,
+    parse_cycles,
     projections_complete,
     projections_orthogonal,
+    sign,
 )
 from snspectra.bounds import (
     bound_report,
@@ -36,13 +39,10 @@ from snspectra.families import (
 )
 from snspectra.partitions import dimension, partitions_of
 from snspectra.perms import (
-    agree_count,
     all_perms,
     derangement_count,
     derangement_counts,
-    parse_cycles,
     perms_fixing,
-    sign,
 )
 from snspectra.search import max_independent_set, verify_certificate
 from snspectra.spectrum import (

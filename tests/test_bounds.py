@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    agree_count,
     isotypic_projection,
     pair_masses,
     projections_complete,
@@ -24,7 +25,7 @@ from snspectra.bounds import (
 )
 from snspectra.families import FAMILIES
 from snspectra.partitions import dimension, partitions_of
-from snspectra.perms import agree_count, all_perms, perms_fixing
+from snspectra.perms import all_perms, perms_fixing
 from snspectra.spectrum import graph_spectrum
 
 

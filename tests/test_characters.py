@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import irreducible_character, permutation_character, sign_twist_check
+from oracles import irreducible_character, permutation_character, sign_of_type, sign_twist_check
 from snspectra import characters
 from snspectra.characters import (
     CharacterTable,
@@ -13,7 +13,6 @@ from snspectra.characters import (
     mn_character,
 )
 from snspectra.partitions import dimension, partitions_of, transpose
-from snspectra.perms import sign_of_type
 from snspectra.spectrum import eigenvalue, generating_classes
 
 # the full S_4 table, rows by partition, columns by class in canonical order

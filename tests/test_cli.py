@@ -147,6 +147,14 @@ def test_search_exact_with_node_budget_is_usage_error(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_search_slow_with_node_budget_is_usage_error(capsys):
+    # --slow is a second spelling of --exact; it used to run a 7-node search
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--n", "6", "--slow", "--node-budget", "7"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t", ["0", "5"])
 def test_search_t_out_of_range_is_usage_error(capsys, t):
     code, out, err = run_cli(capsys, ["search", "--n", "4", "--t", t])
@@ -247,6 +255,9 @@ def forbid_reports(monkeypatch, *names):
         ("search --n 7 --t 2 --slow", "capped at 6 by EXHAUSTIVE_CAP"),
         ("search --n 8 --node-budget 10", "capped at 7 by GRAPH_CAP"),
         ("spectrum --n 40", "capped at 26 by SPECTRUM_CAP"),
+        # used to compute the spectrum, then fail classing its rows 2-fat
+        ("spectrum --n 2", "spectrum: need n >= 3"),
+        ("spectrum --n 1", "spectrum: need n >= 3"),
         ("hoffman --n 27", "capped at 26 by SPECTRUM_CAP"),
         ("reproduce --n-range 6..27", "capped at 26 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first

