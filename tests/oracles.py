@@ -35,7 +35,8 @@ production routes against.  None of them is used by the package itself.
   count-tensor masses of ``bounds.projection_mass``.
 
 It also holds helpers that only the tests read: agreement counts, cycle
-types, signs and a cycle-notation parser for writing test cases; the dense
+types, signs, a permutation check and parsers for cycle notation and for
+partition text, for writing test cases; the dense
 adjacency matrix; and the paper's exclusion step, the families H and M
 against a fixed outside permutation with their lower bounds.  And it holds
 ``RATIO_BANDS``, the regression bands the tests put on two asymptotic
@@ -88,7 +89,8 @@ from snspectra.weightopt import LPError, solve_linear
 CycleType = tuple[int, ...]
 
 # ---------------------------------------------------------------------------
-# Permutation statistics and cycle-notation input, for writing test cases.
+# Permutation statistics, cycle-notation and partition input, for writing
+# test cases.
 
 
 def agree_count(s: Sequence[int], t: Sequence[int]) -> int:
@@ -134,6 +136,16 @@ def sign_of_type(ctype: Sequence[int]) -> int:
     return -1 if (sum(ctype) - len(ctype)) % 2 else 1
 
 
+def is_permutation(images: Sequence[int]) -> bool:
+    """Check that ``images`` is a bijection of {1..n}.
+
+    >>> is_permutation((2, 1, 3)), is_permutation((2, 2, 3))
+    (True, False)
+    """
+    n = len(images)
+    return sorted(images) == list(range(1, n + 1))
+
+
 # Cycle-notation text format: "(1 3)(2 4)", fixed points omitted, "id" for
 # the identity.  The degree is supplied separately.
 
@@ -167,6 +179,32 @@ def parse_cycles(text: str, n: int) -> tuple[int, ...]:
                 raise ValueError(f"point {a} appears in two cycles")
             images[a - 1] = b
     return tuple(images)
+
+
+# Partition text format: comma-separated parts, exponent shorthand accepted
+# ("2^2,1" means "2,2,1"); ``partitions.format_partition`` prints the long
+# form.
+
+_PART_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+
+def parse_partition(text: str, n: int | None = None) -> Partition:
+    """Parse "4,2,1" or "2^2,1" into a partition tuple.
+
+    >>> parse_partition("2^2,1")
+    (2, 2, 1)
+    """
+    parts: list[int] = []
+    for tok in text.replace(" ", "").split(","):
+        if not tok:
+            continue
+        m = _PART_TOKEN.match(tok)
+        if not m:
+            raise ValueError(f"bad partition token: {tok!r}")
+        value = int(m.group(1))
+        count = int(m.group(2)) if m.group(2) else 1
+        parts.extend([value] * count)
+    return check_partition(tuple(sorted(parts, reverse=True)), n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_standard_tableaux, medium_partitions
+from oracles import count_standard_tableaux, medium_partitions, parse_partition
 from snspectra.characters import mn_character
 from snspectra.partitions import (
     check_partition,
@@ -129,9 +129,20 @@ def test_medium_dimension_growth_reported():
     assert all(44 * lows[n] >= n**3 for n in range(6, 13))
 
 
+def test_parse_partition():
+    assert parse_partition("2^2,1") == (2, 2, 1)
+    assert parse_partition("4,2,1") == (4, 2, 1)
+    assert parse_partition("3, 1") == (3, 1)
+    assert parse_partition("1,2") == (2, 1)  # parts may arrive in any order
+    with pytest.raises(ValueError):
+        parse_partition("x")
+    with pytest.raises(ValueError):
+        parse_partition("2,1", n=4)
+
+
 @given(partition())
 def test_partition_text_roundtrip(alpha):
-    assert tuple(map(int, format_partition(alpha).split(","))) == alpha
+    assert parse_partition(format_partition(alpha)) == alpha
 
 
 @pytest.mark.parametrize("parts", [(2.5, 1.5), (2.0, 1.0), (3, 1.0), ("2", "1")])

@@ -9,6 +9,7 @@ from oracles import (
     cycle_type,
     derangement_count_recurrence,
     generating_set,
+    is_permutation,
     num_fixed_points,
     parse_cycles,
     rencontres_count,
@@ -121,6 +122,12 @@ def test_cycle_type_examples():
 def test_sign_is_multiplicative(pair):
     s, t = pair
     assert sign(compose(s, t)) == sign(s) * sign(t)
+
+
+def test_is_permutation():
+    assert is_permutation((2, 1, 3))
+    assert not is_permutation((2, 2, 3))
+    assert not is_permutation((0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
