@@ -126,9 +126,6 @@ class CharacterTable:
             (a, c): mn_character(a, c) for a in self.partitions for c in self.classes
         }
 
-    def value(self, alpha: Partition, ctype: CycleType) -> int:
-        return self.entries[(alpha, ctype)]
-
     def verify_row_orthogonality(self) -> bool:
         fact = math.factorial(self.n)
         for i, a in enumerate(self.partitions):

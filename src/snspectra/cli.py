@@ -1,4 +1,7 @@
-"""Command-line surface.
+"""Command-line surface, one function per command.  Each sizes its input
+from the arguments alone and refuses it before any work when it is over a
+limit (the constant beside the route it guards), calls its report builder
+and names any failed verification.
 
 Exit codes: 0 on success, 1 when a verification fails (the failing invariant
 is named on stderr), 2 on usage errors.
@@ -14,7 +17,7 @@ from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
 from .perms import DEFAULT_ENUMERATION_CAP
 from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP
-from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP
+from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP, TABLE_START
 from .weightopt import WOPT_CAP
 
 
@@ -22,22 +25,136 @@ class VerificationFailure(Exception):
     pass
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _cap(what: str, value: int, cap: int, by: str) -> None:
+    if value > cap:
+        raise ValueError(f"{what} capped at {cap} by {by} (got {value})")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _check(ok: bool, invariant: str) -> None:
+    if not ok:
+        raise VerificationFailure(invariant)
+
+
+def _parse_range(text: str, start: int) -> tuple[int, int]:
+    """(lo, hi) of an ``--n-range``; a range whose top is below ``start``,
+    the first n its command checks, is refused: it would pass vacuously."""
     if ".." in text:
         lo, hi = (int(end) for end in text.split("..", 1))
     else:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
+    if hi < start:
+        raise ValueError(f"range {text!r} checks nothing: the first n checked is {start}")
     return lo, hi
+
+
+def derangements(args: argparse.Namespace) -> dict:
+    # d_n, the integer nearest n!/e, prints within the interpreter's limit
+    # of L digits exactly when log10(n!/e) < L
+    n, limit = args.n, sys.get_int_max_str_digits()
+    if limit and n > 1 and (math.lgamma(n + 1) - 1) / math.log(10) >= limit:
+        raise ValueError(
+            f"derangements: d_{n} has more than {limit} digits, the "
+            "sys.get_int_max_str_digits() limit for printing integers"
+        )
+    return reports.derangements_report(n)
+
+
+def chartable(args: argparse.Namespace) -> dict | str:
+    _cap("chartable: n is", args.n, args.cap, "--cap")
+    report, csv_text = reports.chartable_report(args.n)
+    failing = [k for k, v in report["checks"].items() if not v]
+    _check(not failing, f"character table checks failed: {failing}")
+    return csv_text if args.format == "csv" else {**report, "csv": csv_text}
+
+
+def spectrum(args: argparse.Namespace) -> dict:
+    if args.n < 3:
+        raise ValueError(
+            f"spectrum: need n >= 3 to class each row 2-fat, 2-tall or 2-medium (got n={args.n})"
+        )
+    _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
+    if args.verify:
+        _cap("spectrum --verify: n is", args.n, GRAPH_CAP, "GRAPH_CAP")
+    report = reports.spectrum_report(args.n, args.t, args.verify)
+    _check(report["trace_check"] == "pass", "spectrum trace identity failed")
+    if args.verify and not report["oracle"]["match"]:
+        raise VerificationFailure("spectrum does not match the brute-force oracle")
+    return report
+
+
+def table(args: argparse.Namespace) -> dict | str:
+    lo, hi = _parse_range(args.n_range, TABLE_START)
+    _cap("table: the top of --n-range is", hi, TABLE_CAP, "TABLE_CAP")
+    report = reports.table_report(lo, hi)
+    _check(report["all_match"], "closed forms disagree with the character route")
+    return reports.table_text(report) if args.format == "table" else report
+
+
+def hoffman(args: argparse.Namespace) -> dict:
+    _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
+    if args.t == args.n:
+        raise ValueError(
+            f"hoffman: the generating set is empty (no permutation of degree {args.n} has "
+            f"exactly {args.n - 1} fixed points), so no eigenvalue bound applies"
+        )
+    return reports.hoffman_report(args.n, args.t)
+
+
+def families(args: argparse.Namespace) -> dict | str:
+    name, spec, n, t = args.family, FAMILIES[args.family], args.n, args.t
+    free = n - spec.pinned(t)
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    if free < spec.min_free:
+        raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
+    _cap(f"family {name}: unpinned points are", free, args.cap, "--cap")
+    if args.members:
+        return reports.family_members_text(name, n, t)
+    if args.verify_independence:
+        size = spec.size_formula(n) if spec.size_formula else math.factorial(free)
+        _cap(f"pairwise check: family {name} size is", size, PAIRWISE_CAP, "PAIRWISE_CAP")
+    report = reports.family_report(name, n, t, args.verify_independence)
+    _check(report["formula_match"] is not False, f"family {name} size does not match its formula")
+    independent = report["predicates_checked"].get("independent", {"ok": True, "witness": None})
+    _check(independent["ok"], f"family {name} is not independent; witness {independent['witness']}")
+    return report
+
+
+def search(args: argparse.Namespace) -> dict:
+    n, budget = args.n, args.node_budget
+    if budget is None and n >= EXHAUSTIVE_CAP and not args.exact:
+        budget = DEFAULT_NODE_BUDGET
+    _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
+    if budget is None:
+        _cap("search without a node budget: n is", n, EXHAUSTIVE_CAP, "EXHAUSTIVE_CAP")
+    report = reports.search_report(n, args.t, budget)
+    _check(report["witness_verified"], "search witness failed re-verification")
+    return report
+
+
+def wopt(args: argparse.Namespace) -> dict:
+    _cap("wopt: n is", args.n, WOPT_CAP, "WOPT_CAP")
+    report = reports.wopt_report(args.n, args.t)
+    _check(report["certified"], "weighted bound optimum failed certification")
+    return report
+
+
+def reproduce(args: argparse.Namespace) -> dict:
+    lo, hi = _parse_range(args.n_range, reports.REPRODUCE_START)
+    _cap("full spectra: n is", hi, SPECTRUM_CAP, "SPECTRUM_CAP")
+    report = reports.reproduce_report(lo, hi)
+    _check(report["all_checks_pass"], "reproduction bundle has failing checks")
+    return report
+
+
+def _n_t(p: argparse.ArgumentParser, t: bool = True) -> argparse.ArgumentParser:
+    """Add the shared --n and, unless ``t`` is false, --t."""
+    p.add_argument("--n", type=int, required=True)
+    if t:
+        p.add_argument("--t", type=int, default=2)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -67,43 +184,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derangements", parents=[common], help="derangement counts d, even, odd")
-    p.add_argument("--n", type=int, required=True)
+    def command(run, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(run.__name__, parents=[common], help=help)
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("chartable", parents=[common], help="character table as CSV plus checks")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("spectrum", parents=[common], help="full spectrum of the agreement graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="cross-check against the brute-force adjacency oracle",
+    _n_t(command(derangements, "derangement counts d, even, odd"), t=False)
+    _n_t(command(chartable, "character table as CSV plus checks"), t=False)
+    _n_t(command(spectrum, "full spectrum of the agreement graph")).add_argument(
+        "--verify", action="store_true", help="cross-check against the brute-force adjacency oracle"
     )
+    command(table, "closed-form eigenvalue table over an n range").add_argument(
+        "--n-range", required=True, help="e.g. 6..12 or a single n"
+    )
+    _n_t(command(hoffman, "Hoffman and cross bounds for the graph"))
 
-    p = sub.add_parser("table", parents=[common], help="closed-form eigenvalue table over an n range")
-    p.add_argument("--n-range", required=True, help="e.g. 6..12 or a single n")
-
-    p = sub.add_parser("hoffman", parents=[common], help="Hoffman and cross bounds for the graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-
-    p = sub.add_parser("families", parents=[common], help="construct and check a named family")
+    p = command(families, "construct and check a named family")
     p.add_argument("--family", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-    p.add_argument("--verify-independence", action="store_true")
+    _n_t(p).add_argument("--verify-independence", action="store_true")
     p.add_argument(
         "--members",
         action="store_true",
         help="print the member list (cycle notation, one per line) instead of the manifest",
     )
 
-    p = sub.add_parser("search", parents=[common], help="exact maximum independent set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-    budget = p.add_mutually_exclusive_group()
+    budget = _n_t(command(search, "exact maximum independent set")).add_mutually_exclusive_group()
     budget.add_argument(
         "--exact",
         "--slow",
@@ -112,166 +217,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     budget.add_argument("--node-budget", type=int, default=None)
 
-    p = sub.add_parser("wopt", parents=[common], help="optimal conjugation-invariant weighted bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, default=2)
-
-    p = sub.add_parser("reproduce", parents=[common], help="bundle of table, bounds and family checks")
-    p.add_argument("--n-range", required=True, help="e.g. 6..12")
-
+    _n_t(command(wopt, "optimal conjugation-invariant weighted bound"))
+    command(reproduce, "bundle of table, bounds and family checks").add_argument(
+        "--n-range", required=True, help="e.g. 6..12"
+    )
     return parser
-
-
-def _finish(report: dict, args: argparse.Namespace) -> str:
-    report["config"]["seed"] = args.seed
-    report["config"]["cap"] = args.cap
-    return reports.to_json(report)
-
-
-def _node_budget(args: argparse.Namespace) -> int | None:
-    if args.node_budget is None and args.n >= EXHAUSTIVE_CAP and not args.exact:
-        return DEFAULT_NODE_BUDGET
-    return args.node_budget
-
-
-def _cap(what: str, value: int, cap: int, by: str) -> None:
-    if value > cap:
-        raise ValueError(f"{what} capped at {cap} by {by} (got {value})")
 
 
 # every command writes json; each other format is written by one command
 FORMAT_COMMAND = {"csv": "chartable", "table": "table"}
 
 
-def check_caps(args: argparse.Namespace) -> None:
-    """The cap policy: size the input from the arguments alone and refuse it
-    before any work.  Each limit is the constant beside the route it guards.
-    A ``--format`` the command does not write is refused first."""
-    command, n = args.command, getattr(args, "n", None)
-    if args.format != "json" and FORMAT_COMMAND[args.format] != command:
-        raise ValueError(
-            f"--format {args.format} is written only by "
-            f"{FORMAT_COMMAND[args.format]}, not by {command}"
-        )
-    if command == "derangements":
-        # d_n, the integer nearest n!/e, prints within the interpreter's limit
-        # of L digits exactly when log10(n!/e) < L
-        limit = sys.get_int_max_str_digits()
-        if limit and n > 1 and (math.lgamma(n + 1) - 1) / math.log(10) >= limit:
-            raise ValueError(
-                f"derangements: d_{n} has more than {limit} digits, the "
-                "sys.get_int_max_str_digits() limit for printing integers"
-            )
-    elif command == "chartable":
-        _cap("chartable: n is", n, args.cap, "--cap")
-    elif command in ("spectrum", "hoffman", "reproduce"):
-        if command == "spectrum" and n < 3:
-            raise ValueError(
-                f"spectrum: need n >= 3 to class each row 2-fat, 2-tall or 2-medium (got n={n})"
-            )
-        top = _parse_range(args.n_range)[1] if command == "reproduce" else n
-        _cap("full spectra: n is", top, SPECTRUM_CAP, "SPECTRUM_CAP")
-        if command == "spectrum" and args.verify:
-            _cap("spectrum --verify: n is", n, GRAPH_CAP, "GRAPH_CAP")
-    elif command == "table":
-        _cap("table: the top of --n-range is", _parse_range(args.n_range)[1], TABLE_CAP, "TABLE_CAP")
-    elif command == "wopt":
-        _cap("wopt: n is", n, WOPT_CAP, "WOPT_CAP")
-    elif command == "search":
-        _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
-        if _node_budget(args) is None:
-            _cap("search without a node budget: n is", n, EXHAUSTIVE_CAP, "EXHAUSTIVE_CAP")
-    elif command == "families":
-        name, spec, t = args.family, FAMILIES[args.family], args.t
-        free = n - spec.pinned(t)
-        if not 1 <= t <= n:
-            raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-        if free < spec.min_free:
-            raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
-        _cap(f"family {name}: unpinned points are", free, args.cap, "--cap")
-        if args.verify_independence and not args.members:
-            size = spec.size_formula(n) if spec.size_formula else math.factorial(free)
-            _cap(f"pairwise check: family {name} size is", size, PAIRWISE_CAP, "PAIRWISE_CAP")
-
-
 def run(args: argparse.Namespace) -> str:
-    check_caps(args)
-    if args.command == "derangements":
-        return _finish(reports.derangements_report(args.n), args)
-
-    if args.command == "chartable":
-        report, csv_text = reports.chartable_report(args.n)
-        if not all(report["checks"].values()):
-            failing = [k for k, v in report["checks"].items() if not v]
-            raise VerificationFailure(f"character table checks failed: {failing}")
-        if args.format == "csv":
-            return csv_text
-        report["csv"] = csv_text
-        return _finish(report, args)
-
-    if args.command == "spectrum":
-        report = reports.spectrum_report(args.n, args.t, args.verify, args.seed)
-        if report["trace_check"] != "pass":
-            raise VerificationFailure("spectrum trace identity failed")
-        if args.verify and not report["oracle"]["match"]:
-            raise VerificationFailure("spectrum does not match the brute-force oracle")
-        return _finish(report, args)
-
-    if args.command == "table":
-        lo, hi = _parse_range(args.n_range)
-        report = reports.table_report(lo, hi)
-        if not report["all_match"]:
-            raise VerificationFailure("closed forms disagree with the character route")
-        if args.format == "table":
-            return reports.table_text(report)
-        return _finish(report, args)
-
-    if args.command == "hoffman":
-        return _finish(reports.hoffman_report(args.n, args.t), args)
-
-    if args.command == "families":
-        if args.members:
-            return reports.family_members_text(args.family, args.n, args.t)
-        report = reports.family_report(
-            args.family, args.n, args.t, args.verify_independence
-        )
-        if report["formula_match"] is False:
-            raise VerificationFailure(
-                f"family {args.family} size does not match its formula"
-            )
-        checked = report["predicates_checked"]
-        if "independent" in checked and not checked["independent"]["ok"]:
-            raise VerificationFailure(
-                f"family {args.family} is not independent; witness "
-                f"{checked['independent']['witness']}"
-            )
-        return _finish(report, args)
-
-    if args.command == "search":
-        report = reports.search_report(args.n, args.t, _node_budget(args))
-        if not report["witness_verified"]:
-            raise VerificationFailure("search witness failed re-verification")
-        return _finish(report, args)
-
-    if args.command == "wopt":
-        report = reports.wopt_report(args.n, args.t)
-        if not report["certified"]:
-            raise VerificationFailure("weighted bound optimum failed certification")
-        return _finish(report, args)
-
-    if args.command == "reproduce":
-        lo, hi = _parse_range(args.n_range)
-        report = reports.reproduce_report(lo, hi)
-        if not report["all_checks_pass"]:
-            raise VerificationFailure("reproduction bundle has failing checks")
-        return _finish(report, args)
-
-    raise AssertionError(f"unhandled command {args.command}")
+    """Refuse a ``--format`` the command does not write, run the command and
+    echo ``--seed`` and ``--cap`` into its json report, if it returns one."""
+    fmt, command = args.format, args.command
+    writer = FORMAT_COMMAND.get(fmt, command)
+    if writer != command:
+        raise ValueError(f"--format {fmt} is written only by {writer}, not by {command}")
+    report = args.run(args)
+    if isinstance(report, str):
+        return report
+    report["config"].update(seed=args.seed, cap=args.cap)
+    return reports.to_json(report)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         text = run(args)
     except VerificationFailure as exc:
@@ -280,7 +252,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write(text, args.out)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -21,6 +21,7 @@ from .perms import derangement_counts, format_cycles
 from .search import max_independent_set, verify_certificate
 from .spectrum import (
     TABLE_ROWS,
+    TABLE_START,
     brute_force_spectrum,
     closed_form_eigenvalue,
     eigenvalue,
@@ -86,7 +87,7 @@ def chartable_report(n: int) -> tuple[dict, str]:
     return report, table.to_csv()
 
 
-def spectrum_report(n: int, t: int, verify: bool, seed: int) -> dict:
+def spectrum_report(n: int, t: int, verify: bool) -> dict:
     spec = full_spectrum(n, t)
     rows = [
         {
@@ -97,7 +98,7 @@ def spectrum_report(n: int, t: int, verify: bool, seed: int) -> dict:
         }
         for r in spec.rows
     ]
-    report = _base("spectrum", {"n": n, "t": t, "verify": verify, "seed": seed})
+    report = _base("spectrum", {"n": n, "t": t, "verify": verify})
     report.update(
         {
             "n": n,
@@ -132,8 +133,9 @@ def table_report(n_start: int, n_stop: int) -> dict:
     columns = []
     all_match = True
     for n in range(n_start, n_stop + 1):
-        if n < 6:
-            columns.append({"n": n, "status": "collision regime; closed forms need n >= 6"})
+        if n < TABLE_START:
+            status = f"collision regime; closed forms need n >= {TABLE_START}"
+            columns.append({"n": n, "status": status})
             continue
         classes = generating_classes(n, 2)
         rows = []
@@ -279,6 +281,9 @@ def wopt_report(n: int, t: int) -> dict:
 
 # ---------------------------------------------------------------------------
 
+# the first degree the reproduction bundle checks: its spectral extremes
+REPRODUCE_START = 4
+
 
 def reproduce_report(n_start: int, n_stop: int) -> dict:
     """One bundle collecting the closed-form eigenvalue table, extremes of
@@ -291,7 +296,7 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
     statuses.append(sections["eigenvalue_table"]["all_match"])
 
     extremes = []
-    for n in range(max(n_start, 4), n_stop + 1):
+    for n in range(max(n_start, REPRODUCE_START), n_stop + 1):
         spec = graph_spectrum(n, 2)
         hoff = bound_report(n, 2)
         ok = spec.trace_identity_holds()

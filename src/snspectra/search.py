@@ -19,7 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bounds import bound_report
 from .families import Family, verify
 from .perms import all_perms
 from .spectrum import agreement_neighbours
@@ -82,7 +81,7 @@ def _spectral_upper_bound(n: int, t: int) -> int:
         return math.factorial(n)
     if weighted.certified:
         return math.floor(weighted.bound)
-    return math.floor(bound_report(n, t).hoffman_value)
+    return math.floor(weighted.uniform_bound)
 
 
 def _solve(

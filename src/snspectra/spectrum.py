@@ -138,8 +138,10 @@ def full_spectrum(n: int, t: int) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the eight fat/tall rows (valid once the eight partitions
-# are distinct, i.e. n >= 6).
+# Closed forms for the eight fat/tall rows, valid from TABLE_START on, where
+# the eight partitions are distinct.
+
+TABLE_START = 6
 
 # Largest degree of the closed-form table: ``table --n-range 6..40`` takes
 # about 4 s in a fresh process on a 2-core machine, about what a full
@@ -183,8 +185,8 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
     eight partitions are pairwise distinct; below that the colliding shapes
     are served by the character route only."""
     closed_form = _table_row(row)[1]
-    if n < 6:
-        raise ValueError(f"closed forms need n >= 6 (got {n})")
+    if n < TABLE_START:
+        raise ValueError(f"closed forms need n >= {TABLE_START} (got {n})")
     value = Fraction(closed_form(n, derangement_count(n - 1), (-1) ** n))
     if value.denominator != 1:
         raise ArithmeticError(f"closed form for {row} at n={n} is not integral")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -208,7 +209,7 @@ def test_value_error_maps_to_exit_2(capsys):
 
 
 def test_verification_failure_maps_to_exit_1(capsys, monkeypatch):
-    def broken(n, t, verify, seed):
+    def broken(n, t, verify):
         return {"trace_check": "fail"}
 
     monkeypatch.setattr(reports, "spectrum_report", broken)
@@ -259,6 +260,10 @@ def forbid_reports(monkeypatch, *names):
         ("spectrum --n 2", "spectrum: need n >= 3"),
         ("spectrum --n 1", "spectrum: need n >= 3"),
         ("hoffman --n 27", "capped at 26 by SPECTRUM_CAP"),
+        # t = n: used to compute the spectrum, then fail on its least eigenvalue 0
+        ("hoffman --n 2", "the generating set is empty"),
+        ("hoffman --n 3 --t 3", "the generating set is empty"),
+        ("hoffman --n 4 --t 4", "no permutation of degree 4 has exactly 3 fixed points"),
         ("reproduce --n-range 6..27", "capped at 26 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first
         ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),
@@ -268,6 +273,11 @@ def forbid_reports(monkeypatch, *names):
         # a single column at n = 60 took 23 s
         ("table --n-range 6..41", "capped at 40 by TABLE_CAP"),
         ("table --n-range 60", "capped at 40 by TABLE_CAP"),
+        # vacuous passes: exited 0 with all_match / all_checks_pass true after
+        # comparing nothing
+        ("table --n-range 5", "range '5' checks nothing: the first n checked is 6"),
+        ("table --n-range 2..5", "range '2..5' checks nothing: the first n checked is 6"),
+        ("reproduce --n-range 2..3", "range '2..3' checks nothing: the first n checked is 4"),
     ],
 )
 def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, message):
@@ -294,6 +304,7 @@ def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, m
         ("table --n-range 6..40", "table_report", (6, 40)),
         ("wopt --n 12", "wopt_report", (12, 2)),
         ("wopt --n 12 --t 3", "wopt_report", (12, 3)),
+        ("hoffman --n 4 --t 3", "hoffman_report", (4, 3)),
     ],
 )
 def test_inputs_at_a_cap_are_let_through(capsys, monkeypatch, argv, builder, args):
@@ -368,3 +379,67 @@ def test_formats_stay_open_to_the_commands_that_write_them(capsys):
     code, out, _ = run_cli(capsys, ["table", "--n-range", "6..8", "--format", "table"])
     assert code == 0
     assert out == reports.table_text(reports.table_report(6, 8))
+
+
+def test_small_ranges_that_check_something_still_run(capsys):
+    code, out, err = run_cli(capsys, ["table", "--n-range", "3..8"])
+    assert code == 0, err
+    assert [c["n"] for c in json.loads(out)["columns"]] == [str(n) for n in range(3, 9)]
+    code, out, err = run_cli(capsys, ["reproduce", "--n-range", "4..5"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["all_checks_pass"] is True
+    assert int(data["checks_run"]) > 1
+
+
+COMMON = [
+    (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None, None),
+    (("--out",), "out", None, None, False, None, None),
+    (("--format",), "format", "json", ("json", "csv", "table"), False, None, None),
+    (("--seed",), "seed", 0, None, False, int, None),
+    (("--cap",), "cap", 10, None, False, int, None),
+]
+N = (("--n",), "n", None, None, True, int, None)
+T = (("--t",), "t", 2, None, False, int, None)
+N_RANGE = (("--n-range",), "n_range", None, None, True, None, None)
+FAMILY_NAMES = ("B", "F1", "F2", "F3", "F4", "G1", "G2", "G3", "G4", "2coset", "HM")
+# per command after the common options: (option strings, dest, default,
+# choices, required, type, index of its mutually exclusive group)
+PARSER = {
+    "derangements": [N],
+    "chartable": [N],
+    "spectrum": [N, T, (("--verify",), "verify", False, None, False, None, None)],
+    "table": [N_RANGE],
+    "hoffman": [N, T],
+    "families": [
+        (("--family",), "family", None, FAMILY_NAMES, True, None, None),
+        N,
+        T,
+        (("--verify-independence",), "verify_independence", False, None, False, None, None),
+        (("--members",), "members", False, None, False, None, None),
+    ],
+    "search": [
+        N,
+        T,
+        (("--exact", "--slow"), "exact", False, None, False, None, 0),
+        (("--node-budget",), "node_budget", None, None, False, int, 0),
+    ],
+    "wopt": [N, T],
+    "reproduce": [N_RANGE],
+}
+
+
+def test_parser_options_are_pinned():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    seen = {}
+    for name, p in sub.choices.items():
+        groups = {
+            id(a): i for i, g in enumerate(p._mutually_exclusive_groups) for a in g._group_actions
+        }
+        seen[name] = [
+            (tuple(a.option_strings), a.dest, a.default, a.choices, a.required, a.type,
+             groups.get(id(a)))
+            for a in p._actions
+        ]
+    assert list(seen) == list(PARSER)
+    assert seen == {name: COMMON + rest for name, rest in PARSER.items()}
