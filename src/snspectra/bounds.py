@@ -139,11 +139,12 @@ def _served(alpha: Sequence[int], n: int) -> Partition:
 
 
 def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
-    """The pair sums of a family of permutations of 1..n, from its count
-    tensor (one bincount of the codes of (i, j, s(i), s(j)))."""
-    if any(len(s) != n for s in members):
+    """The pair sums of a family of permutations of 1..n (rows), from its
+    count tensor (one bincount of the codes of (i, j, s(i), s(j)))."""
+    arr = np.asarray(members, dtype=np.int64)
+    if arr.size and arr.shape[1:] != (n,):
         raise ValueError("member degree mismatch")
-    arr = np.array(members, dtype=np.int64).reshape(len(members), n) - 1
+    arr = arr.reshape(len(arr), n) - 1
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
         raise ValueError(f"a member is not a permutation of 1..{n}")
     i, j = np.indices((n, n)).reshape(2, -1)
@@ -179,15 +180,15 @@ def _mass(alpha: Partition, n: int, sums: PairSums) -> Fraction:
 
 
 def projection_mass(
-    members: Iterable[Sequence[int]], alpha: Sequence[int], n: int
+    members: Sequence[Sequence[int]], alpha: Sequence[int], n: int
 ) -> Fraction:
     """||P_alpha chi_A||^2 for a served component alpha, exact."""
     alpha = _served(alpha, n)
-    return _mass(alpha, n, _pair_sums(list(members), n))
+    return _mass(alpha, n, _pair_sums(members, n))
 
 
 def exact_distance_sq_to_span(
-    members: Iterable[Sequence[int]],
+    members: Sequence[Sequence[int]],
     span_partitions: Iterable[Sequence[int]],
     n: int,
 ) -> Fraction:
@@ -196,9 +197,8 @@ def exact_distance_sq_to_span(
     product.  The trivial component (n) is the span of the all-ones vector.
     Every component is checked before the count tensor is built."""
     span = {_served(a, n) for a in span_partitions}
-    mem = list(members)
-    sums = _pair_sums(mem, n)
-    d2 = Fraction(len(mem), math.factorial(n)) - sum(
+    sums = _pair_sums(members, n)
+    d2 = Fraction(len(members), math.factorial(n)) - sum(
         (_mass(a, n, sums) for a in span), Fraction(0)
     )
     if d2 < 0:

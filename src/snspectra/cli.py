@@ -36,14 +36,16 @@ def _check(ok: bool, invariant: str) -> None:
 
 
 def _parse_range(text: str, start: int) -> tuple[int, int]:
-    """(lo, hi) of an ``--n-range``; a range whose top is below ``start``,
-    the first n its command checks, is refused: it would pass vacuously."""
+    """(lo, hi) of an ``--n-range``; a lower end below 1 (no such degree) and
+    a top below ``start``, the first n its command checks, are refused."""
     if ".." in text:
         lo, hi = (int(end) for end in text.split("..", 1))
     else:
         lo = hi = int(text)
     if hi < lo:
         raise ValueError(f"empty range {text!r}: the upper end is below the lower end")
+    if lo < 1:
+        raise ValueError(f"range {text!r} starts below 1: no degree below 1 exists")
     if hi < start:
         raise ValueError(f"range {text!r} checks nothing: the first n checked is {start}")
     return lo, hi

@@ -10,37 +10,40 @@ checked against them in the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .perms import derangement_count, fixed_points, identity, perms_fixing
+from .perms import derangement_count, identity, perm_rows
 
 PAIRWISE_CAP = 12000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
+    """``members`` holds one-line rows of degree n (int8) in strictly
+    increasing lexicographic order: any rows given are sorted and their
+    repeats dropped."""
+
     n: int
     label: str
-    members: frozenset[tuple[int, ...]]
+    members: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.members, dtype=np.int8)
+        if rows.size and rows.shape[1:] != (self.n,):
+            raise ValueError("member degree mismatch")
+        rows = rows.reshape(len(rows), self.n)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        repeat = np.zeros(len(rows), dtype=bool)
+        repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
+        object.__setattr__(self, "members", rows[~repeat])
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def sorted_members(self) -> list[tuple[int, ...]]:
-        return sorted(self.members)
-
-
-def _family(n: int, label: str, members: Iterable[tuple[int, ...]]) -> Family:
-    mem = frozenset(members)
-    if any(len(s) != n for s in mem):
-        raise ValueError("member degree mismatch")
-    return Family(n=n, label=label, members=mem)
 
 
 # ---------------------------------------------------------------------------
@@ -51,41 +54,26 @@ def t_coset(pairs: Sequence[tuple[int, int]], n: int) -> Family:
     """All permutations with s(i_k) = j_k for the given pairs; size (n-t)!.
     For two pairs this is an independent set of the agreement-at-one-point
     graph, since members pairwise agree on at least two points."""
-    sources = [i for i, _ in pairs]
-    targets = [j for _, j in pairs]
-    if len(set(sources)) != len(sources):
-        raise ValueError("repeated source point")
-    if len(set(targets)) != len(targets):
-        raise ValueError("repeated target point")
-    if len(pairs) > n:
-        raise ValueError("more pinned points than the degree")
     label = "coset[" + ",".join(f"{i}->{j}" for i, j in pairs) + "]"
-    return _family(n, label, perms_fixing(pairs, n))
-
-
-def fixed_points_ge(s: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple(i for i in fixed_points(s) if i >= k)
+    return Family(n, label, perm_rows(n, pairs))
 
 
 # ---------------------------------------------------------------------------
 # The Hilton-Milner style family for the forbidden singleton agreement.
 
 
-def hilton_milner_tail(n: int) -> frozenset[tuple[int, ...]]:
+def hilton_milner_tail(n: int) -> np.ndarray:
     """The four permutations fixing {5..n} pointwise whose image of {1,2} is
-    disjoint from {1,2}.  Computed from the predicate: exactly the elements
-    of S_{1..4} exchanging the blocks {1,2} and {3,4}.  Note the 4-cycle
-    sending 1->4, 4->3, 3->2, 2->1 (sometimes quoted in this role) fails the
-    predicate since it maps 2 into {1,2}."""
+    disjoint from {1,2}, as rows.  Computed from the predicate: exactly the
+    elements of S_{1..4} exchanging the blocks {1,2} and {3,4}.  Note the
+    4-cycle sending 1->4, 4->3, 3->2, 2->1 (sometimes quoted in this role)
+    fails the predicate since it maps 2 into {1,2}."""
     if n < 4:
         raise ValueError("need n >= 4")
-    tail = []
-    for image in itertools.permutations((1, 2, 3, 4)):
-        s = image + tuple(range(5, n + 1))
-        if {s[0], s[1]}.isdisjoint({1, 2}):
-            tail.append(s)
+    rows = perm_rows(n, [(i, i) for i in range(5, n + 1)])
+    tail = rows[(rows[:, :2] > 2).all(axis=1)]
     assert len(tail) == 4
-    return frozenset(tail)
+    return tail
 
 
 def family_B_size_formula(n: int) -> int:
@@ -102,7 +90,7 @@ def family_B(n: int) -> Family:
     elements."""
     if n < 7:
         raise ValueError("need n >= 7")
-    return _family(n, "B", itertools.chain(_stabilizer_part(4, n, False), hilton_milner_tail(n)))
+    return Family(n, "B", np.concatenate([_stabilizer_part(4, n, False), hilton_milner_tail(n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -115,16 +103,14 @@ def family_B(n: int) -> Family:
 F_RULES = {1: (3, 1), 2: (4, 0), 3: (4, 1), 4: (5, 1)}
 
 
-def _stabilizer_part(j: int, n: int, in_f: bool) -> Iterator[tuple[int, ...]]:
+def _stabilizer_part(j: int, n: int, in_f: bool) -> np.ndarray:
     """The permutations fixing 1 and 2 that lie in F_j (``in_f``) or not."""
     if j not in F_RULES:
         raise ValueError(f"j must be 1..4, got {j}")
     low, count = F_RULES[j]
-    return (
-        s
-        for s in perms_fixing([(1, 1), (2, 2)], n)
-        if (len(fixed_points_ge(s, low)) == count) == in_f
-    )
+    rows = perm_rows(n, [(1, 1), (2, 2)])
+    fixed = (rows[:, low - 1 :] == np.arange(low, n + 1)).sum(axis=1)
+    return rows[(fixed == count) == in_f]
 
 
 def family_F(j: int, n: int) -> Family:
@@ -133,7 +119,7 @@ def family_F(j: int, n: int) -> Family:
     (j=1); none >= 4 (j=2); exactly one >= 4 (j=3); exactly one >= 5 (j=4)."""
     if n < 7:
         raise ValueError("need n >= 7")
-    return _family(n, f"F{j}", _stabilizer_part(j, n, True))
+    return Family(n, f"F{j}", _stabilizer_part(j, n, True))
 
 
 def family_F_size_formula(j: int, n: int) -> int:
@@ -151,7 +137,7 @@ def family_F_size_formula(j: int, n: int) -> int:
 
 def family_G(j: int, n: int) -> Family:
     """The complement of F_j inside the stabilizer of 1 and 2."""
-    return _family(n, f"G{j}", _stabilizer_part(j, n, False))
+    return Family(n, f"G{j}", _stabilizer_part(j, n, False))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +149,12 @@ def hm_family(n: int, t: int) -> Family:
     with the t transpositions (i t+1)."""
     if not 1 <= t <= n - 2:
         raise ValueError(f"need 1 <= t <= n - 2, got t={t}, n={n}")
-    members = [
-        s
-        for s in perms_fixing([(i, i) for i in range(1, t + 1)], n)
-        if any(s[j - 1] == j for j in range(t + 2, n + 1))
-    ]
-    for i in range(1, t + 1):
-        images = list(identity(n))
-        images[i - 1], images[t] = t + 1, i
-        members.append(tuple(images))
-    return _family(n, f"HM(t={t})", members)
+    rows = perm_rows(n, [(i, i) for i in range(1, t + 1)])
+    rows = rows[(rows[:, t + 1 :] == np.arange(t + 2, n + 1)).any(axis=1)]
+    swaps = np.tile(identity(n), (t, 1))  # row i - 1 becomes (i t+1)
+    swaps[:, t] = np.arange(1, t + 1)
+    swaps[np.arange(t), np.arange(t)] = t + 1
+    return Family(n, f"HM(t={t})", np.concatenate([rows, swaps]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +218,25 @@ def verify(family: Family, t: int) -> VerificationResult:
     """Check that no two members agree on exactly t-1 points; on failure the
     witness is the lexicographically smallest violating pair.
 
-    The sorted members are scanned in 512-row blocks, each against itself
-    and the later rows only, so the first violation in row-major order is
-    that smallest pair."""
+    The members are in lexicographic order, so the first violating pair in
+    row-major order is that smallest pair."""
     if not 1 <= t <= family.n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={family.n}")
     if len(family) > PAIRWISE_CAP:
         raise ValueError(f"family too large for pairwise scan: {len(family)}")
-    members = family.sorted_members()
-    total = len(members) * (len(members) - 1) // 2
-    arr = np.array(members, dtype=np.int16).reshape(len(members), family.n)
-    for start in range(0, len(members), 512):
-        block = arr[start : start + 512]
-        hits = (block[:, None, :] == arr[None, start:, :]).sum(axis=2) == t - 1
+    witness = _first_agreeing_pair(family.members, t)
+    return VerificationResult(witness is None, math.comb(len(family), 2), witness)
+
+
+def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...] | None:
+    """The first pair of rows (a, b), a before b, in row-major order that
+    agree on exactly t-1 points, or None.  The rows are scanned in 512-row
+    blocks, each against itself and the later rows only."""
+    for start in range(0, len(rows), 512):
+        block = rows[start : start + 512]
+        hits = (block[:, None, :] == rows[None, start:, :]).sum(axis=2) == t - 1
         hits &= np.arange(hits.shape[1]) > np.arange(len(block))[:, None]
         if hits.any():
             i, j = np.argwhere(hits)[0]
-            return VerificationResult(False, total, (members[start + i], members[start + j]))
-    return VerificationResult(True, total)
+            return tuple(rows[start + i].tolist()), tuple(rows[start + j].tolist())
+    return None

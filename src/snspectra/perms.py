@@ -1,20 +1,22 @@
-"""Permutations of {1..n} in one-line notation, their cycle notation, and
-derangement combinatorics.
+"""Permutations of {1..n} in one-line notation, their cycle notation,
+derangement combinatorics, and the one enumeration of permutation sets.
 
-A permutation is a tuple ``(s(1), ..., s(n))`` of the integers 1..n.  All
-functions are pure; permutations are never mutated.
+A permutation is a tuple ``(s(1), ..., s(n))`` of the integers 1..n; a set of
+them is an int8 array of such rows in lexicographic order.  All functions are
+pure; permutations are never mutated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
-# Full enumeration of S_n is refused above this degree unless the caller
-# raises the cap explicitly.
+import numpy as np
+
+# The default of the CLI's --cap: the largest character table, and the most
+# unpinned points of a family, that a command builds unless told otherwise.
 DEFAULT_ENUMERATION_CAP = 10
 
 
@@ -38,10 +40,6 @@ def inverse(s: Sequence[int]) -> tuple[int, ...]:
     for i, v in enumerate(s, start=1):
         inv[v - 1] = i
     return tuple(inv)
-
-
-def fixed_points(s: Sequence[int]) -> tuple[int, ...]:
-    return tuple(i for i, v in enumerate(s, start=1) if v == i)
 
 
 def format_cycles(s: Sequence[int]) -> str:
@@ -108,24 +106,37 @@ def derangement_counts(n: int) -> DerangementCounts:
 # Enumeration.
 
 
-def all_perms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
-    """All of S_n in lexicographic one-line order; refuses n above the cap."""
-    if n > cap:
-        raise ValueError(f"refusing to enumerate S_{n} (cap {cap})")
-    return itertools.permutations(range(1, n + 1))
+def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
+    """The permutations of degree n with s(i) = j for each pinned (i, j), as
+    one-line rows (int8, values 1..n) in lexicographic order.
 
+    S_m is built from S_{m-1}: its block of rows with first value f is f
+    followed by the rows of S_{m-1} with every value >= f raised by one.  The
+    free points then take the free values in increasing order, which keeps
+    the rows in lexicographic order.
 
-def perms_fixing(pairs: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, ...]]:
-    """All permutations of degree n with s(i) = j for each (i, j) pair."""
-    pinned = dict(pairs)
-    if len(set(pinned.values())) != len(pinned):
-        raise ValueError("repeated target value")
-    free_slots = [i for i in range(1, n + 1) if i not in pinned]
-    free_vals = [v for v in range(1, n + 1) if v not in set(pinned.values())]
-    for assign in itertools.permutations(free_vals):
-        images = [0] * n
-        for i, j in pinned.items():
-            images[i - 1] = j
-        for slot, val in zip(free_slots, assign):
-            images[slot - 1] = val
-        yield tuple(images)
+    >>> perm_rows(3).tolist()
+    [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
+    >>> perm_rows(4, [(3, 1), (1, 4)]).tolist()
+    [[4, 2, 1, 3], [4, 3, 1, 2]]
+    """
+    pinned = dict(pins)
+    if len(pinned) != len(pins) or len(set(pinned.values())) != len(pins):
+        raise ValueError("a source or a target point is pinned twice")
+    if not all(1 <= i <= n and 1 <= j <= n for i, j in pins):
+        raise ValueError(f"pinned point outside 1..{n}")
+    if n > 127:
+        raise ValueError(f"int8 rows hold degrees up to 127 (got n={n})")
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for m in range(1, n - len(pinned) + 1):
+        prev, rows = rows, np.empty((m * len(rows), m), dtype=np.int8)
+        for f in range(1, m + 1):
+            block = rows[(f - 1) * len(prev) : f * len(prev)]
+            block[:, 0] = f
+            block[:, 1:] = prev + (prev >= f)
+    free_values = np.array([v for v in range(1, n + 1) if v not in pinned.values()], dtype=np.int8)
+    out = np.empty((len(rows), n), dtype=np.int8)
+    out[:, [i for i in range(n) if i + 1 not in pinned]] = free_values[rows - 1]
+    for i, j in pinned.items():
+        out[:, i - 1] = j
+    return out

@@ -233,7 +233,7 @@ def family_report(name: str, n: int, t: int, verify_independence: bool) -> dict:
 
 def family_members_text(name: str, n: int, t: int) -> str:
     family = fam_mod.FAMILIES[name].build(n, t)
-    return "\n".join(format_cycles(s) for s in family.sorted_members()) + "\n"
+    return "\n".join(format_cycles(s) for s in family.members.tolist()) + "\n"
 
 
 def search_report(n: int, t: int, node_budget: int | None) -> dict:

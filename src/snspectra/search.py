@@ -20,22 +20,24 @@ from functools import lru_cache
 import numpy as np
 
 from .families import Family, verify
-from .perms import all_perms
+from .perms import perm_rows
 from .spectrum import agreement_neighbours
 from .weightopt import NoGeneratingClassesError, optimize_bound
 
 
 @lru_cache(maxsize=None)
-def graph_bitsets(n: int, t: int = 2) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """(vertices in lex order, adjacency bitmasks); bit j of mask i is set
-    when vertices i and j are adjacent."""
+def graph_bitsets(n: int, t: int = 2) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(vertex rows in lex order, adjacency bitmasks); bit j of mask i is set
+    when vertices i and j are adjacent.  The cached rows are read-only."""
     nbrs = agreement_neighbours(n, t)
     size = len(nbrs)
     rows = np.zeros((size, size), dtype=bool)
     np.put_along_axis(rows, nbrs, True, axis=1)
     packed = np.packbits(rows, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return tuple(all_perms(n)), adj
+    verts = perm_rows(n)
+    verts.flags.writeable = False
+    return verts, adj
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _spectral_upper_bound(n: int, t: int) -> int:
 
 
 def _solve(
-    verts: tuple[tuple[int, ...], ...],
+    verts: np.ndarray,
     adj: tuple[int, ...],
     t: int,
     *,
@@ -94,7 +96,7 @@ def _solve(
 ) -> SearchResult:
     size = len(verts)
     full = (1 << size) - 1
-    n = len(verts[0]) if verts else 0
+    n = len(verts[0]) if size else 0
 
     best_size = 0
     best_mask = 0
@@ -135,7 +137,7 @@ def _solve(
     else:
         branch(0, 0, full)
 
-    witness = tuple(verts[i] for i in range(size) if best_mask >> i & 1)
+    witness = tuple(tuple(map(int, verts[i])) for i in range(size) if best_mask >> i & 1)
     upper = None
     if not exhausted and 1 <= t <= n:
         upper = _spectral_upper_bound(n, t)
@@ -185,15 +187,13 @@ def verify_certificate(result: SearchResult) -> bool:
     checked for independence only.  Maximality-by-extension does not by
     itself prove the independence number; that comes from the exhausted
     search tree."""
-    members = result.witness
-    if len(members) != result.independence_number or len(set(members)) != len(members):
+    witness = Family(result.n, "witness", result.witness)
+    if len(result.witness) != result.independence_number or len(witness) != len(result.witness):
         return False
-    if not verify(Family(result.n, "witness", frozenset(members)), result.t).ok:
+    if not verify(witness, result.t).ok:
         return False
     if not result.exact:
         return True
     # every vertex is a member (n agreements) or a neighbour of one
-    verts = np.array(list(all_perms(result.n)), dtype=np.int16)
-    wit = np.array(members, dtype=np.int16).reshape(len(members), result.n)
-    counts = (verts[:, None, :] == wit[None, :, :]).sum(axis=2)
+    counts = (perm_rows(result.n)[:, None, :] == witness.members[None]).sum(axis=2)
     return bool(((counts == result.n) | (counts == result.t - 1)).any(axis=1).all())

@@ -28,7 +28,7 @@ import numpy as np
 
 from .characters import CycleType, class_size, mn_character
 from .partitions import Partition, dimension, partitions_of
-from .perms import all_perms, derangement_count
+from .perms import derangement_count, perm_rows
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def _lex_perms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """S_n in lexicographic order as 0-based int8 rows, the base-n place
     values, and each row's code (its base-n number): the codes increase with
     the rank and stay below 7^7 < 2^31 under the cap."""
-    perms = np.array(list(all_perms(n)), dtype=np.int8) - 1
+    perms = perm_rows(n) - 1
     place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
     return perms, place, perms @ place
 

@@ -1,6 +1,9 @@
 """Independent reference implementations that the tests compare the
 production routes against.  None of them is used by the package itself.
 
+* the enumeration of S_n and of its point-stabilizer cosets by
+  ``itertools.permutations``, the oracle for ``perms.perm_rows`` and for the
+  rows of the family constructors;
 * the determinantal character route (permutation characters by a
   distribution count, irreducible characters as signed sums of them), the
   oracle for the Murnaghan-Nakayama characters of ``CharacterTable``;
@@ -34,11 +37,11 @@ production routes against.  None of them is used by the package itself.
   chi(s u^-1) over every ordered pair of a family, the oracles for the
   count-tensor masses of ``bounds.projection_mass``.
 
-It also holds helpers that only the tests read: agreement counts, cycle
-types, signs, a permutation check and parsers for cycle notation and for
-partition text, for writing test cases; the dense
-adjacency matrix; and the paper's exclusion step, the families H and M
-against a fixed outside permutation with their lower bounds.  And it holds
+It also holds helpers that only the tests read: member sets of families,
+fixed points, agreement counts, cycle types, signs, a permutation check and
+parsers for cycle notation and for partition text, for writing test cases;
+the dense adjacency matrix; and the paper's exclusion step, the families H
+and M against a fixed outside permutation with their lower bounds.  And it holds
 ``RATIO_BANDS``, the regression bands the tests put on two asymptotic
 ratios.
 """
@@ -52,12 +55,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from snspectra.characters import mn_character as production_character
-from snspectra.families import Family, _family, fixed_points_ge
+from snspectra.families import Family
 from snspectra.partitions import (
     MEDIUM,
     Partition,
@@ -70,11 +73,9 @@ from snspectra.partitions import (
 from snspectra.perms import (
     DEFAULT_ENUMERATION_CAP,
     DegreeMismatchError,
-    all_perms,
     compose,
     derangement_count,
     inverse,
-    perms_fixing,
 )
 from snspectra.search import SearchResult, _solve, graph_bitsets, max_independent_set
 from snspectra.spectrum import (
@@ -87,6 +88,48 @@ from snspectra.spectrum import (
 from snspectra.weightopt import LPError, solve_linear
 
 CycleType = tuple[int, ...]
+
+# ---------------------------------------------------------------------------
+# The reference enumeration, the oracle for ``perms.perm_rows`` and the
+# family constructors, and member sets for comparing families.
+
+
+def all_perms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+    """All of S_n in lexicographic one-line order; refuses n above the cap."""
+    if n > cap:
+        raise ValueError(f"refusing to enumerate S_{n} (cap {cap})")
+    return itertools.permutations(range(1, n + 1))
+
+
+def perms_fixing(pairs: Iterable[tuple[int, int]], n: int) -> Iterator[tuple[int, ...]]:
+    """All permutations of degree n with s(i) = j for each (i, j) pair."""
+    pinned = dict(pairs)
+    if len(set(pinned.values())) != len(pinned):
+        raise ValueError("repeated target value")
+    free_slots = [i for i in range(1, n + 1) if i not in pinned]
+    free_vals = [v for v in range(1, n + 1) if v not in set(pinned.values())]
+    for assign in itertools.permutations(free_vals):
+        images = [0] * n
+        for i, j in pinned.items():
+            images[i - 1] = j
+        for slot, val in zip(free_slots, assign):
+            images[slot - 1] = val
+        yield tuple(images)
+
+
+def fixed_points(s: Sequence[int]) -> tuple[int, ...]:
+    return tuple(i for i, v in enumerate(s, start=1) if v == i)
+
+
+def fixed_points_ge(s: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple(i for i in fixed_points(s) if i >= k)
+
+
+def member_set(rows: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The permutations of a family's rows (or any permutations) as a set of
+    tuples of ints, for ``|``, ``&`` and ``in``."""
+    return {tuple(map(int, s)) for s in rows}
+
 
 # ---------------------------------------------------------------------------
 # Permutation statistics, cycle-notation and partition input, for writing
@@ -468,7 +511,7 @@ def family_H(pi: Sequence[int], n: int) -> Family:
         for s in perms_fixing([(1, 1), (2, 2)], n)
         if sum(1 for i in moved if s[i - 1] == i) >= 2 and agree_count(s, tuple(pi)) == 1
     )
-    return _family(n, "H", members)
+    return Family(n, "H", list(members))
 
 
 def family_H_lower_bound(pi: Sequence[int], n: int) -> int:
@@ -505,7 +548,7 @@ def family_M(rho: Sequence[int], n: int) -> Family:
         return False
 
     members = (s for s in perms_fixing([(1, 1), (2, 2), (5, 5)], n) if ok(s))
-    return _family(n, "M", members)
+    return Family(n, "M", list(members))
 
 
 def family_M_lower_bound(rho: Sequence[int], n: int) -> int:
@@ -562,7 +605,8 @@ def max_independent_set_naive(n: int, t: int = 2) -> tuple[int, tuple[tuple[int,
     the branch-and-bound at tiny n."""
     if n > NAIVE_CAP:
         raise ValueError(f"naive search capped at n <= {NAIVE_CAP}")
-    verts, adj = graph_bitsets(n, t)
+    verts = list(all_perms(n))
+    _, adj = graph_bitsets(n, t)
     size = len(verts)
     best = (0, 0)
 
@@ -583,7 +627,8 @@ def maximum_sets(n: int, t: int = 2) -> list[tuple[tuple[int, ...], ...]]:
     """Every maximum independent set, for tiny n (uniqueness studies)."""
     if n > NAIVE_CAP:
         raise ValueError(f"exhaustive listing capped at n <= {NAIVE_CAP}")
-    verts, adj = graph_bitsets(n, t)
+    verts = list(all_perms(n))
+    _, adj = graph_bitsets(n, t)
     size = len(verts)
     best_size = max_independent_set(n, t).independence_number
     found: list[int] = []
@@ -630,7 +675,7 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
         inv[v - 1] = i
     conj = [tuple(relabel[s[inv[i - 1] - 1] - 1] for i in range(1, n + 1)) for s in verts]
     adj = agreement_bitsets(conj, t)
-    result = _solve(tuple(verts), adj, t, force_identity=False, node_budget=None)
+    result = _solve(np.array(verts), adj, t, force_identity=False, node_budget=None)
     return result.independence_number
 
 

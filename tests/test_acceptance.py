@@ -9,6 +9,7 @@ from fractions import Fraction
 from oracles import (
     RATIO_BANDS,
     agree_count,
+    all_perms,
     count_agreeing_exactly_once,
     derangement_count_recurrence,
     irreducible_character,
@@ -16,6 +17,7 @@ from oracles import (
     max_independent_set_naive,
     num_fixed_points,
     parse_cycles,
+    perms_fixing,
     projections_complete,
     projections_orthogonal,
     sign,
@@ -38,12 +40,7 @@ from snspectra.families import (
     verify,
 )
 from snspectra.partitions import dimension, partitions_of
-from snspectra.perms import (
-    all_perms,
-    derangement_count,
-    derangement_counts,
-    perms_fixing,
-)
+from snspectra.perms import derangement_count, derangement_counts
 from snspectra.search import max_independent_set, verify_certificate
 from snspectra.spectrum import (
     TABLE_ROWS,
@@ -247,7 +244,7 @@ def test_criterion_13_cross_bound():
         report = bound_report(n, 2)
         squared = cross_hoffman_bound(report.degree, report.nu, report.nverts) ** 2
         assert squared == report.cross_value_squared
-        coset = sorted(t_coset([(1, 1), (2, 2)], n).members)
+        coset = t_coset([(1, 1), (2, 2)], n).members.tolist()
         pairs = [
             (coset, coset),
             (coset, coset[: max(1, len(coset) // 2)]),

@@ -278,6 +278,10 @@ def forbid_reports(monkeypatch, *names):
         ("table --n-range 5", "range '5' checks nothing: the first n checked is 6"),
         ("table --n-range 2..5", "range '2..5' checks nothing: the first n checked is 6"),
         ("reproduce --n-range 2..3", "range '2..3' checks nothing: the first n checked is 4"),
+        # used to exit 0 with columns for the degrees -3 to 0
+        ("table --n-range=-3..6 --format table", "range '-3..6' starts below 1"),
+        ("reproduce --n-range=-3..4", "range '-3..4' starts below 1"),
+        ("table --n-range=0..8", "range '0..8' starts below 1"),
     ],
 )
 def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, message):
@@ -305,6 +309,8 @@ def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, m
         ("wopt --n 12", "wopt_report", (12, 2)),
         ("wopt --n 12 --t 3", "wopt_report", (12, 3)),
         ("hoffman --n 4 --t 3", "hoffman_report", (4, 3)),
+        # the lowest lower end of an --n-range
+        ("table --n-range 1..8", "table_report", (1, 8)),
     ],
 )
 def test_inputs_at_a_cap_are_let_through(capsys, monkeypatch, argv, builder, args):

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     RATIO_BANDS,
     agree_count,
+    all_perms,
     count_agreeing_exactly_once,
     family_H,
     family_H_lower_bound,
@@ -15,12 +16,15 @@ from oracles import (
     family_M,
     family_M_lower_bound,
     fixed_point_census,
+    fixed_points_ge,
     fixed_points_ge5,
     is_t_intersecting,
     least_agreeing_pair,
     many_fixed_points_count,
+    member_set,
     moved_points_ge5,
     parse_cycles,
+    perms_fixing,
     rencontres_count,
     sign,
 )
@@ -41,7 +45,7 @@ from snspectra.families import (
     t_coset,
     verify,
 )
-from snspectra.perms import all_perms, identity
+from snspectra.perms import identity
 
 
 def test_t_coset_sizes_and_errors():
@@ -66,9 +70,9 @@ def test_hilton_milner_tail_from_predicate():
         parse_cycles(text, 8)
         for text in ["(1 3)(2 4)", "(1 4)(2 3)", "(1 3 2 4)", "(1 4 2 3)"]
     }
-    assert tail == expected
+    assert member_set(tail) == expected
     # the variant sometimes quoted instead fails the defining predicate
-    assert parse_cycles("(1 4 3 2)", 8) not in tail
+    assert parse_cycles("(1 4 3 2)", 8) not in member_set(tail)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -87,7 +91,7 @@ def test_family_B_requires_n7():
 
 def test_family_B_not_in_any_two_coset():
     fam = family_B(8)
-    members = fam.sorted_members()
+    members = fam.members
     for i in (1, 2):
         values = {s[i - 1] for s in members}
         assert len(values) > 1
@@ -99,8 +103,8 @@ def test_family_B_independent_at_n8():
 
 def test_family_B_coset_part_is_G4():
     for n in (7, 8):
-        expected = family_G(4, n).members | hilton_milner_tail(n)
-        assert family_B(n).members == expected
+        expected = member_set(family_G(4, n).members) | member_set(hilton_milner_tail(n))
+        assert member_set(family_B(n).members) == expected
 
 
 @pytest.mark.parametrize("n", [7, 8, 9])
@@ -122,11 +126,11 @@ def test_G_complements_F():
     for j in (1, 2, 3, 4):
         f = family_F(j, 7)
         g = family_G(j, 7)
-        assert not f.members & g.members
+        assert not member_set(f.members) & member_set(g.members)
         assert len(f) + len(g) == math.factorial(5)
         # the 2-coset elements split between them; G always contains the
         # permutations fixing everything (the identity among them)
-        assert identity(7) in g.members
+        assert identity(7) in member_set(g.members)
 
 
 def test_F_members_hit_by_the_excluded_element():
@@ -186,7 +190,7 @@ def test_fixed_points_ge5_of_identity():
 
 
 def test_no_singleton_witness_is_lex_least():
-    fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2 3)", 4)}))
+    fam = Family(4, "demo", [identity(4), parse_cycles("(1 2 3)", 4)])
     res = verify(fam, 2)
     assert not res.ok
     assert res.witness == (identity(4), parse_cycles("(1 2 3)", 4))
@@ -194,9 +198,9 @@ def test_no_singleton_witness_is_lex_least():
 
 
 def test_agreeing_twice_is_fine():
-    fam = Family(4, "demo", frozenset({identity(4), parse_cycles("(1 2)", 4)}))
+    fam = Family(4, "demo", [identity(4), parse_cycles("(1 2)", 4)])
     assert verify(fam, 2).ok
-    assert verify(Family(4, "empty", frozenset()), 2) == VerificationResult(True, 0)
+    assert verify(Family(4, "empty", []), 2) == VerificationResult(True, 0)
 
 
 @pytest.mark.parametrize("t", [-1, 0, 5, 6])
@@ -208,10 +212,10 @@ def test_verify_refuses_t_outside_1_to_n(t):
 
 
 def test_verify_refuses_a_family_above_the_pairwise_cap(monkeypatch):
-    # refused from its size alone: the members are never sorted
-    members = frozenset(itertools.islice(all_perms(8), PAIRWISE_CAP + 1))
+    # refused from its size alone: the rows are never scanned
+    members = list(itertools.islice(all_perms(8), PAIRWISE_CAP + 1))
     fam = Family(8, "big", members)
-    monkeypatch.setattr(Family, "sorted_members", lambda self: pytest.fail("sorted"))
+    monkeypatch.setattr(families, "_first_agreeing_pair", lambda rows, t: pytest.fail("scanned"))
     with pytest.raises(ValueError, match="too large for pairwise scan: 12001"):
         verify(fam, 2)
 
@@ -222,7 +226,7 @@ def test_verify_finds_a_violation_past_the_first_block():
     # the only pair agreeing on 5 points, in rows 600 and 601
     y, x = list(all_perms(7))[-2:]
     clean = (s for s in all_perms(7) if s < y and sign(s) == 1 and agree_count(s, x) != 5)
-    fam = Family(7, "dip", frozenset([*itertools.islice(clean, 600), x, y]))
+    fam = Family(7, "dip", [*itertools.islice(clean, 600), x, y])
     res = verify(fam, 6)
     assert res.witness == least_agreeing_pair(fam.members, 6) == (y, x)
 
@@ -232,7 +236,7 @@ def test_verify_witness_is_the_least_violating_pair(seed):
     rng = random.Random(seed)
     # S_6 at every t: dense violations, small and large families
     t, size = seed % 6 + 1, rng.randint(2, 700)
-    fam = Family(6, "random", frozenset(rng.sample(list(all_perms(6)), size)))
+    fam = Family(6, "random", rng.sample(list(all_perms(6)), size))
     assert verify(fam, t).witness == least_agreeing_pair(fam.members, t), (t, size)
     # even permutations of S_8 are never one transposition apart; up to two
     # planted odd ones make sparse violations at t = 7, in rows on either
@@ -241,7 +245,7 @@ def test_verify_witness_is_the_least_violating_pair(seed):
     for s in all_perms(8):
         (evens if sign(s) == 1 else odds).append(s)
     members = rng.sample(evens, rng.randint(500, 1100)) + rng.sample(odds, seed % 3)
-    fam = Family(8, "planted", frozenset(members))
+    fam = Family(8, "planted", members)
     res = verify(fam, 7)
     assert res.witness == least_agreeing_pair(fam.members, 7), (seed, len(members))
     assert res.ok == (res.witness is None)
@@ -348,3 +352,44 @@ def test_registry_calls_the_module_constructor(monkeypatch):
     report = reports.family_report("B", 7, 2, False)
     assert calls == [7]
     assert report["formula_match"] is True
+
+
+def _members_by_rule(name: str, n: int, t: int) -> set[tuple[int, ...]]:
+    """The family named ``name`` from its constructor's docstring rule,
+    filtered over the reference enumeration of the pinned cosets."""
+    stabilizer = list(perms_fixing([(1, 1), (2, 2)], n))
+
+    def in_f(j: int, s: tuple[int, ...]) -> bool:
+        # exactly one fixed point >= 3; none >= 4; exactly one >= 4; exactly one >= 5
+        low, count = {1: (3, 1), 2: (4, 0), 3: (4, 1), 4: (5, 1)}[j]
+        return len(fixed_points_ge(s, low)) == count
+
+    if name == "2coset":
+        return set(stabilizer)
+    if name[0] in "FG":
+        j = int(name[1])
+        return {s for s in stabilizer if in_f(j, s) == (name[0] == "F")}
+    if name == "B":
+        block_swaps = {
+            s for s in perms_fixing([(i, i) for i in range(5, n + 1)], n) if min(s[:2]) > 2
+        }
+        return {s for s in stabilizer if len(fixed_points_ge(s, 5)) != 1} | block_swaps
+    assert name == "HM"
+    fixing_more = {
+        s
+        for s in perms_fixing([(i, i) for i in range(1, t + 1)], n)
+        if fixed_points_ge(s, t + 2)
+    }
+    return fixing_more | {parse_cycles(f"({i} {t + 1})", n) for i in range(1, t + 1)}
+
+
+@pytest.mark.parametrize(
+    "name, t", [(name, 2) for name in FAMILIES] + [("HM", 1), ("HM", 3)]
+)
+def test_family_rows_are_sorted_and_follow_the_rule(name, t):
+    spec = FAMILIES[name]
+    for n in range(spec.pinned(t) + spec.min_free, 10):
+        family = spec.build(n, t)
+        rows = family.members.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:])), (name, n)
+        assert member_set(rows) == _members_by_rule(name, n, t), (name, n)

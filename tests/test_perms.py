@@ -1,31 +1,33 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
     agree_count,
+    all_perms,
     cycle_type,
     derangement_count_recurrence,
+    fixed_points,
     generating_set,
     is_permutation,
     num_fixed_points,
     parse_cycles,
+    perms_fixing,
     rencontres_count,
     sign,
 )
 from snspectra.perms import (
     DegreeMismatchError,
-    all_perms,
     compose,
     derangement_count,
     derangement_counts,
-    fixed_points,
     format_cycles,
     identity,
     inverse,
-    perms_fixing,
+    perm_rows,
 )
 
 
@@ -242,6 +244,34 @@ def test_perms_fixing():
     assert len(list(perms_fixing([(1, 2)], 4))) == 6
     with pytest.raises(ValueError):
         list(perms_fixing([(1, 2), (3, 2)], 4))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_perm_rows_is_the_reference_enumeration(n):
+    # S_0 is one empty row
+    rows = perm_rows(n)
+    assert rows.dtype == np.int8 and rows.shape == (math.factorial(n), n)
+    assert rows.tolist() == [list(p) for p in all_perms(n)]
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("pins", [[(1, 1), (2, 2)], [(1, 2)], [(3, 1), (1, 4)]])
+def test_perm_rows_with_pins_is_the_reference_coset(pins, n):
+    assert perm_rows(n, pins).tolist() == [list(p) for p in perms_fixing(pins, n)]
+
+
+@pytest.mark.parametrize(
+    "pins, message",
+    [
+        ([(1, 2), (3, 2)], "pinned twice"),  # a repeated target
+        ([(1, 2), (1, 3)], "pinned twice"),  # a repeated source
+        ([(0, 1)], "outside 1..4"),
+        ([(2, 5)], "outside 1..4"),
+    ],
+)
+def test_perm_rows_refuses_bad_pins(pins, message):
+    with pytest.raises(ValueError, match=message):
+        perm_rows(4, pins)
 
 
 def test_fixed_points_listing():

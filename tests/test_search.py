@@ -5,15 +5,16 @@ import random
 import pytest
 
 from oracles import (
+    all_perms,
     greedy_clique_count,
     max_independent_set_naive,
     maximum_sets,
+    perms_fixing,
     relabel_graph_independence_number,
     verify_certificate_by_pairs,
 )
 from snspectra import search
 from snspectra.bounds import bound_report
-from snspectra.perms import all_perms
 from snspectra.search import (
     SearchResult,
     graph_bitsets,
@@ -26,6 +27,7 @@ from snspectra.weightopt import optimize_bound
 def test_gamma3_is_k33():
     verts, adj = graph_bitsets(3, 2)
     assert len(verts) == 6
+    assert not verts.flags.writeable  # the cached rows cannot be changed
     assert all(mask.bit_count() == 3 for mask in adj)
     result = max_independent_set(3, 2)
     assert result.independence_number == 3
@@ -224,8 +226,6 @@ def test_maximality_flag_on_coset_witness():
     # true independence number is 13; the certificate checks independence
     # and, for an exact result, the extension flag; it does not assert
     # global maximality
-    from snspectra.perms import perms_fixing
-
     coset = tuple(sorted(perms_fixing([(1, 1), (2, 2)], 5)))
     framed = SearchResult(
         n=5, t=2, independence_number=6, witness=coset,
