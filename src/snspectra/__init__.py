@@ -55,7 +55,6 @@ from .spectrum import (
     eigenvalue,
     full_spectrum,
     generating_classes,
-    graph_spectrum,
     table_row_partition,
 )
 from .weightopt import (

@@ -22,7 +22,7 @@ from .partitions import (
     is_partition,
     partitions_of,
 )
-from .spectrum import Spectrum, graph_spectrum
+from .spectrum import Spectrum, full_spectrum
 
 
 def hoffman_bound(d: int, lam_min: int, nverts: int) -> Fraction:
@@ -83,7 +83,7 @@ def paper_tail_split(
     applies.  Returns (tail partitions, lam_m, lam_n) with lam_m the least
     eigenvalue outside the tail and lam_n the least overall.
     """
-    spec = graph_spectrum(n, t)
+    spec = full_spectrum(n, t)
     by_alpha = {r.partition: r.eigenvalue for r in spec.rows}
     threshold = max(by_alpha[(n - 2, 2)], by_alpha[(n - 2, 1, 1)])
     tail = tuple(
@@ -225,7 +225,7 @@ class BoundReport:
 
 
 def bound_report(n: int, t: int = 2) -> BoundReport:
-    spec: Spectrum = graph_spectrum(n, t)
+    spec: Spectrum = full_spectrum(n, t)
     hoffman = hoffman_bound(spec.degree, spec.lambda_min, math.factorial(n))
     cross = cross_hoffman_bound(spec.degree, spec.nu, math.factorial(n))
     return BoundReport(

@@ -27,7 +27,6 @@ from .spectrum import (
     eigenvalue,
     full_spectrum,
     generating_classes,
-    graph_spectrum,
     table_row_partition,
 )
 from .weightopt import optimize_bound
@@ -271,7 +270,7 @@ def wopt_report(n: int, t: int) -> dict:
             "least_weighted_eigenvalue": result.least_eigenvalue,
             "bound": result.bound,
             "uniform_bound": result.uniform_bound,
-            "certified": result.certified,
+            "certified": True,  # optimize_bound raises unless certified
             "ratio_to_stabilizer_target": result.bound / math.factorial(n - t),
             "ratio_to_pair_target": result.bound / math.factorial(n - 2),
         }
@@ -297,7 +296,7 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
 
     extremes = []
     for n in range(max(n_start, REPRODUCE_START), n_stop + 1):
-        spec = graph_spectrum(n, 2)
+        spec = full_spectrum(n, 2)
         hoff = bound_report(n, 2)
         ok = spec.trace_identity_holds()
         statuses.append(ok)

@@ -72,18 +72,15 @@ def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...], room: int)
 
 
 def _spectral_upper_bound(n: int, t: int) -> int:
-    """floor of the certified optimal weighted Hoffman bound, or of the plain
-    Hoffman bound when the LP optimum fails its certificate.  The weighted
-    bound is never the weaker: uniform weights are feasible for its LP.  At
-    t = n no class has t-1 fixed points, the graph has no edges and no
-    eigenvalue bound applies, so the bound is the vertex count n!."""
+    """floor of the certified optimal weighted Hoffman bound, never weaker
+    than the plain Hoffman bound (uniform weights are feasible for its LP);
+    an optimum that fails its certificate raises LPError.  At t = n no class
+    has t-1 fixed points, the graph has no edges and no eigenvalue bound
+    applies, so the bound is the vertex count n!."""
     try:
-        weighted = optimize_bound(n, t)
+        return math.floor(optimize_bound(n, t).bound)
     except NoGeneratingClassesError:
         return math.factorial(n)
-    if weighted.certified:
-        return math.floor(weighted.bound)
-    return math.floor(weighted.uniform_bound)
 
 
 def _solve(
@@ -156,6 +153,9 @@ def _solve(
 # Without a node budget the tree is searched to the end only up to n = 6
 # (99,591 nodes); from n = 6 on the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
+# The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
+# running after 45 s on a 2-core machine); t = 1, 2, 5 and 6 take 0.5-11 s.
+EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 
 

@@ -122,9 +122,10 @@ class Spectrum:
 SPECTRUM_CAP = 26
 
 
+@lru_cache(maxsize=None)
 def full_spectrum(n: int, t: int) -> Spectrum:
     """Every eigenvalue of the graph joining permutations that agree on
-    exactly t-1 points, one row per partition of n."""
+    exactly t-1 points, one row per partition of n (cached)."""
     classes = generating_classes(n, t)
     rows = tuple(
         SpectrumRow(
@@ -372,8 +373,3 @@ def brute_force_spectrum(
         moments_checked=r + 1,
     )
     return pairs, cert
-
-
-@lru_cache(maxsize=None)
-def graph_spectrum(n: int, t: int = 2) -> Spectrum:
-    return full_spectrum(n, t)

@@ -8,9 +8,9 @@ maximize the least nontrivial weighted eigenvalue m; the induced bound is
 
 The LP is solved in exact rational arithmetic by a two-phase simplex with
 Bland's rule that carries its reduced-cost row and pivots over nonzero
-entries only, and the solution is not trusted: primal feasibility, dual
-feasibility, and objective equality are re-verified exactly, which together
-certify optimality.
+entries only, and the solution is not trusted: ``solve_lp_min`` returns it
+only once primal feasibility, dual feasibility, and objective equality,
+which together certify optimality, are re-verified exactly.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 from .bounds import hoffman_bound
 from .characters import CycleType, class_size
 from .partitions import Partition, partitions_of
-from .spectrum import class_eigenvalues, generating_classes, graph_spectrum
+from .spectrum import class_eigenvalues, full_spectrum, generating_classes
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def weighted_eigenvalue(alpha: Partition, weighting: ClassWeighting) -> Fraction
 
 
 class LPError(Exception):
-    pass
+    """An infeasible or unbounded LP, or an optimum that fails a check."""
 
 
 class NoGeneratingClassesError(LPError, ValueError):
@@ -140,11 +140,17 @@ def solve_lp_min(
     cost: Sequence[Fraction],
     a_eq: Sequence[Sequence[Fraction]],
     b_eq: Sequence[Fraction],
-) -> tuple[list[Fraction], Fraction, list[int]]:
+) -> tuple[list[Fraction], list[Fraction], Fraction]:
     """Minimize cost.x subject to a_eq x = b_eq, x >= 0, exactly.
 
-    Returns (x, objective, basis column indices).  Raises LPError when
-    infeasible or unbounded.
+    Returns (x, y the dual of the final basis, objective cost.x) only once
+    x >= 0 with a_eq x = b_eq, no reduced cost c_j - a_j.y is negative and
+    b_eq.y equals the objective, which prove x optimal.  Raises LPError when
+    infeasible or unbounded, or naming the check that fails.
+
+    >>> x, y, objective = solve_lp_min([-1, -1, 0, 0], [[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6])
+    >>> [str(v) for v in x], [str(v) for v in y], str(objective)
+    (['8/5', '6/5', '0', '0'], ['-2/5', '-1/5'], '-14/5')
     """
     nrows = len(a_eq)
     ncols = len(cost)
@@ -177,12 +183,24 @@ def solve_lp_min(
                 basis[r] = col
     # any remaining artificial rows are redundant zero rows; freeze them
     phase2_cost = [Fraction(x) for x in cost] + [Fraction(0)] * nrows
-    objective = _simplex_phase(tableau, basis, phase2_cost, ncols)
+    _simplex_phase(tableau, basis, phase2_cost, ncols)
     x = [Fraction(0)] * ncols
     for r, b in enumerate(basis):
         if b < ncols:
             x[b] = tableau[r][-1]
-    return x, objective, basis
+
+    if any(xi < 0 for xi in x) or any(
+        sum(a * xi for a, xi in zip(row, x)) != rhs for row, rhs in zip(a_eq, b_eq)
+    ):
+        raise LPError("primal check failed: x is not >= 0 with a_eq x = b_eq")
+    y = _dual_solution(cost, a_eq, basis)
+    for j in range(ncols):
+        if cost[j] - sum(a_eq[r][j] * y[r] for r in range(nrows)) < 0:
+            raise LPError(f"dual check failed: column {j} has a negative reduced cost")
+    objective = sum((c * xi for c, xi in zip(cost, x)), Fraction(0))
+    if sum(yr * rhs for yr, rhs in zip(y, b_eq)) != objective:
+        raise LPError("duality check failed: b_eq.y differs from the objective cost.x")
+    return x, y, objective
 
 
 def _dual_solution(
@@ -190,7 +208,7 @@ def _dual_solution(
     a_eq: Sequence[Sequence[Fraction]],
     basis: Sequence[int],
 ) -> list[Fraction]:
-    """y solving B^T y = c_B for the returned basis (artificial columns are
+    """y solving B^T y = c_B for the final basis (artificial columns are
     unit vectors, so their dual rows are direct)."""
     nrows = len(a_eq)
     ncols = len(cost)
@@ -221,7 +239,6 @@ class WeightedBoundResult:
     least_eigenvalue: Fraction
     bound: Fraction
     uniform_bound: Fraction
-    certified: bool
 
 
 # Largest degree of the weighted-bound LP: n = 12 at t = 2 takes about 10 s
@@ -232,8 +249,9 @@ WOPT_CAP = 12
 def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     """Maximize the least nontrivial weighted eigenvalue over nonnegative
     normalized class weightings; return the weighting and the induced
-    independence bound, exactly, with the optimum certified by an exact
-    primal/dual pair."""
+    independence bound, exactly.  The optimum comes with the checked
+    primal/dual pair of ``solve_lp_min``, and the weighting is substituted
+    back through ``weighted_eigenvalue``; LPError names a failed check."""
     classes = generating_classes(n, t)
     if not classes:
         raise NoGeneratingClassesError(n, t)
@@ -256,15 +274,18 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     b_eq.append(Fraction(1))
 
     cost = [Fraction(0)] * k + [Fraction(-1), Fraction(1)] + [Fraction(0)] * len(alphas)
-    x, objective, basis = solve_lp_min(cost, a_eq, b_eq)
+    x, _, objective = solve_lp_min(cost, a_eq, b_eq)
     m = -objective  # we minimized -(m_plus - m_minus)
 
     weights = tuple((c, x[i]) for i, (c, _) in enumerate(classes))
     weighting = ClassWeighting(n=n, t=t, weights=weights)
+    # re-substitution through the public eigenvalue path
+    if weighting.weighted_degree() != 1:
+        raise LPError("re-substitution failed: the weighted degree is not 1")
+    if min(weighted_eigenvalue(a, weighting) for a in alphas) != m:
+        raise LPError("re-substitution failed: the least weighted eigenvalue is not m")
 
-    certified = _certify(cost, a_eq, b_eq, x, objective, basis, weighting, m, alphas)
-
-    spec = graph_spectrum(n, t)
+    spec = full_spectrum(n, t)
     return WeightedBoundResult(
         n=n,
         t=t,
@@ -272,29 +293,4 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
         least_eigenvalue=m,
         bound=hoffman_bound(1, m, math.factorial(n)),
         uniform_bound=hoffman_bound(spec.degree, spec.lambda_min, math.factorial(n)),
-        certified=certified,
     )
-
-
-def _certify(cost, a_eq, b_eq, x, objective, basis, weighting, m, alphas) -> bool:
-    # primal feasibility
-    if any(xi < 0 for xi in x):
-        return False
-    for row, rhs in zip(a_eq, b_eq):
-        if sum(r * xi for r, xi in zip(row, x)) != rhs:
-            return False
-    # re-substitution through the public eigenvalue path
-    if weighting.weighted_degree() != 1:
-        return False
-    if min(weighted_eigenvalue(a, weighting) for a in alphas) != m:
-        return False
-    # dual feasibility and strong duality
-    y = _dual_solution(cost, a_eq, basis)
-    nrows = len(a_eq)
-    for j in range(len(cost)):
-        reduced = cost[j] - sum(a_eq[r][j] * y[r] for r in range(nrows))
-        if reduced < 0:
-            return False
-    if sum(y[r] * b_eq[r] for r in range(nrows)) != objective:
-        return False
-    return True

@@ -47,8 +47,8 @@ from snspectra.spectrum import (
     brute_force_spectrum,
     closed_form_eigenvalue,
     eigenvalue,
+    full_spectrum,
     generating_classes,
-    graph_spectrum,
     table_row_partition,
 )
 from snspectra.weightopt import optimize_bound
@@ -75,7 +75,7 @@ def test_criterion_01_character_correctness():
 def test_criterion_02_spectrum_oracle_equivalence():
     for n in (3, 4, 5, 6):
         pairs, cert = brute_force_spectrum(n, 2)
-        assert pairs == graph_spectrum(n, 2).multiset(), f"n={n}"
+        assert pairs == full_spectrum(n, 2).multiset(), f"n={n}"
         assert cert.method == "matrix-annihilation"
     _report(2, "character spectrum == certified adjacency spectrum, n = 3..6")
 
@@ -91,17 +91,17 @@ def test_criterion_03_closed_form_table():
 
 def test_criterion_04_trace_identity():
     for n in range(4, 13):
-        spec = graph_spectrum(n, 2)
+        spec = full_spectrum(n, 2)
         total = sum(r.multiplicity * r.eigenvalue**2 for r in spec.rows)
         assert total == math.factorial(n) * n * derangement_count(n - 1), n
-    spec6 = graph_spectrum(6, 2)
+    spec6 = full_spectrum(6, 2)
     assert sum(r.multiplicity * r.eigenvalue**2 for r in spec6.rows) == 190080
     _report(4, "sum of mult * eigenvalue^2 = n! * n * d_{n-1}, n = 4..12")
 
 
 def test_criterion_05_eigenvalue_magnitude_bound():
     for n in range(4, 13):
-        spec = graph_spectrum(n, 2)
+        spec = full_spectrum(n, 2)
         budget = spec.degree * math.factorial(n)
         for row in spec.rows:
             assert row.eigenvalue**2 * row.multiplicity <= budget, (n, row.partition)
@@ -111,7 +111,7 @@ def test_criterion_05_eigenvalue_magnitude_bound():
 def test_criterion_06_lambda_min_location():
     observed_constant = Fraction(0)
     for n in range(8, 13):
-        spec = graph_spectrum(n, 2)
+        spec = full_spectrum(n, 2)
         assert set(spec.argmin) <= {(n - 2, 2), (n - 2, 1, 1)}, (n, spec.argmin)
         from snspectra.partitions import classify
 
@@ -220,7 +220,7 @@ def test_criterion_11_projection_invariants():
 
 
 def test_criterion_12_stability_bound():
-    spec = graph_spectrum(5, 2)
+    spec = full_spectrum(5, 2)
     tail, lam_m, lam_n = paper_tail_split(5, 2)
     span = [(5,)] + list(tail)
     rng = random.Random(20260810)
@@ -273,8 +273,7 @@ def test_criterion_14_exact_search():
 def test_criterion_15_weighted_bounds():
     for n in (6, 7, 8):
         for t in (2, 3):
-            result = optimize_bound(n, t)
-            assert result.certified, (n, t)
+            result = optimize_bound(n, t)  # raises LPError unless certified
             assert result.bound <= result.uniform_bound, (n, t)
             assert result.bound >= math.factorial(n - t), (n, t)
     _report(15, "optimal weighted bound certified, <= uniform, >= (n-t)!, (n,t) in 6..8 x 2..3")

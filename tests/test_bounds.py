@@ -27,7 +27,7 @@ from snspectra.bounds import (
 )
 from snspectra.families import FAMILIES
 from snspectra.partitions import dimension, partitions_of
-from snspectra.spectrum import graph_spectrum
+from snspectra.spectrum import full_spectrum
 
 
 def test_hoffman_formula():
@@ -243,7 +243,7 @@ def test_paper_tail_split_values():
 
 
 def test_stability_bound_dominates_exact_distance():
-    spec = graph_spectrum(5, 2)
+    spec = full_spectrum(5, 2)
     tail, lam_m, lam_n = paper_tail_split(5, 2)
     span = [(5,)] + list(tail)
     rng = random.Random(20260810)

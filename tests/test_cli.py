@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from snspectra import cli, reports
+from snspectra import cli, reports, weightopt
 
 
 def run_cli(capsys, argv):
@@ -171,6 +171,16 @@ def test_wopt(capsys):
     assert data["bound"] == "48"
 
 
+def test_wopt_with_a_failed_certificate_exits_1(capsys, monkeypatch):
+    dual = weightopt._dual_solution
+    monkeypatch.setattr(weightopt, "_dual_solution", lambda *a: [yr + 1 for yr in dual(*a)])
+    code, out, err = run_cli(capsys, ["wopt", "--n", "6"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failure: dual check failed: column ")
+    assert "Traceback" not in err
+
+
 def test_wopt_without_generating_classes_is_usage_error(capsys):
     # no permutation of degree 5 has exactly 4 fixed points
     code, out, err = run_cli(capsys, ["wopt", "--n", "5", "--t", "5"])
@@ -254,6 +264,9 @@ def forbid_reports(monkeypatch, *names):
         ("families --family B --n 10 --verify-independence", "capped at 12000 by PAIRWISE_CAP"),
         ("search --n 7 --t 2 --exact", "capped at 6 by EXHAUSTIVE_CAP"),
         ("search --n 7 --t 2 --slow", "capped at 6 by EXHAUSTIVE_CAP"),
+        # still running after 45 s (t = 3 after about 9 minutes)
+        ("search --n 6 --t 3 --exact", "t = 3 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
+        ("search --n 6 --t 4 --slow", "t = 4 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
         ("search --n 8 --node-budget 10", "capped at 7 by GRAPH_CAP"),
         ("spectrum --n 40", "capped at 26 by SPECTRUM_CAP"),
         # used to compute the spectrum, then fail classing its rows 2-fat
@@ -311,11 +324,13 @@ def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, m
         ("hoffman --n 4 --t 3", "hoffman_report", (4, 3)),
         # the lowest lower end of an --n-range
         ("table --n-range 1..8", "table_report", (1, 8)),
+        # the tree finishes in about 10 s
+        ("search --n 6 --t 5 --exact", "search_report", (6, 5, None)),
     ],
 )
 def test_inputs_at_a_cap_are_let_through(capsys, monkeypatch, argv, builder, args):
     seen = []
-    stub = {"config": {}, "all_match": True, "certified": True}
+    stub = {"config": {}, "all_match": True, "witness_verified": True}
     monkeypatch.setattr(reports, builder, lambda *a: seen.append(a) or stub)
     code, _, err = run_cli(capsys, argv.split())
     assert code == 0, err

@@ -13,7 +13,7 @@ from oracles import (
     relabel_graph_independence_number,
     verify_certificate_by_pairs,
 )
-from snspectra import search
+from snspectra import cli, search, weightopt
 from snspectra.bounds import bound_report
 from snspectra.search import (
     SearchResult,
@@ -21,7 +21,6 @@ from snspectra.search import (
     max_independent_set,
     verify_certificate,
 )
-from snspectra.weightopt import optimize_bound
 
 
 def test_gamma3_is_k33():
@@ -141,10 +140,17 @@ def test_budgeted_search_on_the_edgeless_graph_bounds_by_vertex_count():
     assert result.upper_bound == 24
 
 
-def test_budgeted_search_falls_back_to_hoffman_when_uncertified(monkeypatch):
-    uncertified = dataclasses.replace(optimize_bound(7, 2), certified=False)
-    monkeypatch.setattr(search, "optimize_bound", lambda n, t: uncertified)
-    assert max_independent_set(7, 2, node_budget=10).upper_bound == 170
+def test_budgeted_search_with_a_failed_certificate_exits_1(monkeypatch, capsys):
+    # a budgeted search reports the certified weighted bound or fails; it
+    # has no uncertified fallback
+    dual = weightopt._dual_solution
+    monkeypatch.setattr(weightopt, "_dual_solution", lambda *a: [yr + 1 for yr in dual(*a)])
+    code = cli.main(["search", "--n", "5", "--t", "2", "--node-budget", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("verification failure: dual check failed: column ")
+    assert "Traceback" not in captured.err
 
 
 def test_tampered_witness_fails():

@@ -30,7 +30,6 @@ from snspectra.spectrum import (
     eigenvalue,
     full_spectrum,
     generating_classes,
-    graph_spectrum,
     table_row_partition,
 )
 
@@ -74,11 +73,11 @@ def test_a_non_central_character_value_is_refused(monkeypatch):
     character = spectrum.mn_character
     monkeypatch.setattr(spectrum, "mn_character", lambda alpha, c: character(alpha, c) + 1)
     with pytest.raises(ArithmeticError, match="not integral"):
-        full_spectrum(7, 2)
+        full_spectrum.__wrapped__(7, 2)  # past the cache
 
 
 def test_k33_spectrum():
-    spec = graph_spectrum(3, 2)
+    spec = full_spectrum(3, 2)
     assert spec.multiset() == ((-3, 1), (0, 4), (3, 1))
     by = {r.partition: r.eigenvalue for r in spec.rows}
     assert by == {(3,): 3, (2, 1): 0, (1, 1, 1): -3}
@@ -132,7 +131,7 @@ def test_collision_regime_consistency_at_n5():
 
 @pytest.mark.parametrize("n", range(4, 13))
 def test_trace_identity_and_multiplicities(n):
-    spec = graph_spectrum(n, 2)
+    spec = full_spectrum(n, 2)
     assert sum(r.multiplicity for r in spec.rows) == math.factorial(n)
     assert spec.trace_identity_holds()
 
@@ -140,7 +139,7 @@ def test_trace_identity_and_multiplicities(n):
 @pytest.mark.parametrize("n", range(4, 13))
 def test_eigenvalue_magnitude_bound(n):
     # |lambda| <= sqrt(|X| n!) / f, compared by squaring
-    spec = graph_spectrum(n, 2)
+    spec = full_spectrum(n, 2)
     budget = spec.degree * math.factorial(n)
     for row in spec.rows:
         assert row.eigenvalue**2 * row.multiplicity <= budget
@@ -148,19 +147,19 @@ def test_eigenvalue_magnitude_bound(n):
 
 @pytest.mark.parametrize("n", range(7, 13))
 def test_argmin_on_fat_rows(n):
-    spec = graph_spectrum(n, 2)
+    spec = full_spectrum(n, 2)
     assert set(spec.argmin) <= {(n - 2, 2), (n - 2, 1, 1)}
 
 
 def test_argmin_threshold_is_seven():
     # below n=7 the minimum sits elsewhere: the report layer flags this
-    assert graph_spectrum(5, 2).argmin == ((1, 1, 1, 1, 1),)
-    assert graph_spectrum(6, 2).argmin == ((2, 2, 2),)
+    assert full_spectrum(5, 2).argmin == ((1, 1, 1, 1, 1),)
+    assert full_spectrum(6, 2).argmin == ((2, 2, 2),)
 
 
 @pytest.mark.parametrize("n", range(7, 13))
 def test_medium_eigenvalues_below_fat_rows(n):
-    spec = graph_spectrum(n, 2)
+    spec = full_spectrum(n, 2)
     by = {r.partition: r.eigenvalue for r in spec.rows}
     fat_rows_min = min(abs(by[(n - 2, 2)]), abs(by[(n - 2, 1, 1)]))
     for alpha in partitions_of(n):
@@ -171,7 +170,7 @@ def test_medium_eigenvalues_below_fat_rows(n):
 def test_eigenvalues_sum_to_zero_weighted_by_dimension():
     # sum over alpha of f_alpha^2 lambda_alpha = trace(A) = 0
     for n in range(3, 10):
-        spec = graph_spectrum(n, 2)
+        spec = full_spectrum(n, 2)
         assert sum(r.multiplicity * r.eigenvalue for r in spec.rows) == 0
 
 
@@ -211,7 +210,7 @@ def test_builder_matches_direct_agreement_count(n):
 @pytest.mark.parametrize("n,t", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3)])
 def test_oracle_matches_character_route(n, t):
     pairs, cert = brute_force_spectrum(n, t)
-    assert pairs == graph_spectrum(n, t).multiset()
+    assert pairs == full_spectrum(n, t).multiset()
     assert cert.method == "matrix-annihilation"
     assert cert.max_residual < 1e-9
 
@@ -219,14 +218,14 @@ def test_oracle_matches_character_route(n, t):
 def test_oracle_n6():
     for t in (2, 3):
         pairs, cert = brute_force_spectrum(6, t)
-        assert pairs == graph_spectrum(6, t).multiset()
+        assert pairs == full_spectrum(6, t).multiset()
         assert cert.method == "matrix-annihilation"
 
 
 @pytest.mark.slow
 def test_oracle_n7():
     pairs, cert = brute_force_spectrum(7, 2)
-    assert pairs == graph_spectrum(7, 2).multiset()
+    assert pairs == full_spectrum(7, 2).multiset()
     assert cert.method == "matrix-annihilation"
 
 
@@ -278,7 +277,7 @@ def test_oracle_refuses_a_graph_that_is_not_cayley(n, t, monkeypatch):
 
 
 def test_spectrum_properties_at_n6():
-    spec = graph_spectrum(6, 2)
+    spec = full_spectrum(6, 2)
     assert spec.degree == 264
     assert sum(r.multiplicity * r.eigenvalue**2 for r in spec.rows) == 190080
     assert spec.lambda_min == -24

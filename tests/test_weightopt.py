@@ -8,7 +8,7 @@ import oracles
 from snspectra import weightopt
 from snspectra.characters import class_size
 from snspectra.partitions import partitions_of
-from snspectra.spectrum import generating_classes, graph_spectrum
+from snspectra.spectrum import full_spectrum, generating_classes
 from snspectra.weightopt import (
     ClassWeighting,
     LPError,
@@ -30,7 +30,7 @@ def test_uniform_weighting_recovers_spectrum():
     for n, t in [(5, 2), (6, 2), (6, 3)]:
         uniform = uniform_weighting(n, t)
         assert uniform.weighted_degree() == 1
-        spec = graph_spectrum(n, t)
+        spec = full_spectrum(n, t)
         by = {r.partition: r.eigenvalue for r in spec.rows}
         for alpha in partitions_of(n):
             assert weighted_eigenvalue(alpha, uniform) == Fraction(
@@ -66,9 +66,39 @@ def test_simplex_small_dictionary():
     cost = [Fraction(-1), Fraction(-1), Fraction(0)]
     a_eq = [[Fraction(1), Fraction(1), Fraction(1)]]
     b_eq = [Fraction(1)]
-    x, obj, _ = solve_lp_min(cost, a_eq, b_eq)
+    x, y, obj = solve_lp_min(cost, a_eq, b_eq)
     assert obj == -1
     assert x[0] + x[1] == 1
+    assert y == [-1]
+
+
+def certified_oracle(cost, a_eq, b_eq):
+    """The dense oracle's optimum in the shape ``solve_lp_min`` returns: x,
+    the dual of the oracle's final basis, and the objective."""
+    x, objective, basis = oracles.solve_lp_min(cost, a_eq, b_eq)
+    return x, weightopt._dual_solution(cost, a_eq, basis), objective
+
+
+# the LP of the solve_lp_min doctest: optimum x = (8/5, 6/5, 0, 0), with
+# dual y = (-2/5, -1/5)
+DOCTEST_LP = ([-1, -1, 0, 0], [[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6])
+
+
+@pytest.mark.parametrize(
+    "shift,check",
+    [
+        (1, "dual check failed: column 0 has a negative reduced cost"),
+        # (-7/5, -6/5) is dual feasible, but b.y = -64/5 is below the optimum
+        (-1, "duality check failed"),
+    ],
+)
+def test_a_wrong_dual_is_refused(monkeypatch, shift, check):
+    dual = weightopt._dual_solution
+    monkeypatch.setattr(
+        weightopt, "_dual_solution", lambda *a: [yr + shift for yr in dual(*a)]
+    )
+    with pytest.raises(LPError, match=check):
+        solve_lp_min(*DOCTEST_LP)
 
 
 def test_solve_linear_vandermonde_and_singular():
@@ -143,7 +173,7 @@ def test_simplex_matches_dense_oracle_on_random_lps(monkeypatch):
     kinds = {"feasible": 0, "infeasible linear program": 0, "unbounded linear program": 0}
     for _ in range(400):
         lp = _random_lp(rng)
-        expected = _outcome(oracles.solve_lp_min, lp)
+        expected = _outcome(certified_oracle, lp)
         assert _outcome(solve_lp_min, lp) == expected, lp
         kinds["feasible" if isinstance(expected, tuple) else expected] += 1
     assert all(kinds.values()), kinds
@@ -160,10 +190,10 @@ def test_simplex_matches_dense_oracle_on_beale_cycling_example():
         [0, 0, 1, 0, 0, 1, 0],
     ]
     b_eq = [0, 0, 1]
-    x, objective, basis = solve_lp_min(cost, a_eq, b_eq)
+    x, y, objective = solve_lp_min(cost, a_eq, b_eq)
     assert objective == Fraction(-1, 20)
     assert x[3] == Fraction(1, 25) and x[5] == 1
-    assert (x, objective, basis) == oracles.solve_lp_min(cost, a_eq, b_eq)
+    assert (x, y, objective) == certified_oracle(cost, a_eq, b_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +203,13 @@ def test_simplex_matches_dense_oracle_on_beale_cycling_example():
 @pytest.mark.parametrize("n,t", [(n, t) for n in range(3, 9) for t in (2, 3) if t < n])
 def test_optimized_bound_matches_dense_oracle(monkeypatch, n, t):
     result = optimize_bound(n, t)
-    monkeypatch.setattr(weightopt, "solve_lp_min", oracles.solve_lp_min)
+    monkeypatch.setattr(weightopt, "solve_lp_min", certified_oracle)
     assert optimize_bound(n, t) == result
 
 
 @pytest.mark.parametrize("n,t", [(6, 2), (6, 3), (7, 2), (7, 3), (8, 2), (8, 3)])
 def test_optimized_bound_is_certified_and_sound(n, t):
-    result = optimize_bound(n, t)
-    assert result.certified
+    result = optimize_bound(n, t)  # raises LPError unless certified
     assert result.least_eigenvalue < 0
     assert result.bound <= result.uniform_bound
     # the t-coset is a verified independent family of size (n-t)!
