@@ -72,7 +72,8 @@ def hilton_milner_tail(n: int) -> np.ndarray:
         raise ValueError("need n >= 4")
     rows = perm_rows(n, [(i, i) for i in range(5, n + 1)])
     tail = rows[(rows[:, :2] > 2).all(axis=1)]
-    assert len(tail) == 4
+    if len(tail) != 4:
+        raise ArithmeticError(f"Hilton-Milner tail at n={n} has {len(tail)} members, not 4")
     return tail
 
 

@@ -63,7 +63,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
                 yield (first,) + rest
 
     out = tuple(gen(n, n))
-    assert out == tuple(sorted(out, reverse=True))
+    if out != tuple(sorted(out, reverse=True)):
+        raise ArithmeticError(f"partitions of {n} are not in reverse-lexicographic order")
     return out
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .families import Family, verify
 from .perms import perm_rows
-from .spectrum import agreement_neighbours
-from .weightopt import NoGeneratingClassesError, optimize_bound
+from .spectrum import agreement_neighbours, generating_classes
+from .weightopt import optimize_bound
 
 
 @lru_cache(maxsize=None)
@@ -77,10 +77,9 @@ def _spectral_upper_bound(n: int, t: int) -> int:
     an optimum that fails its certificate raises LPError.  At t = n no class
     has t-1 fixed points, the graph has no edges and no eigenvalue bound
     applies, so the bound is the vertex count n!."""
-    try:
-        return math.floor(optimize_bound(n, t).bound)
-    except NoGeneratingClassesError:
+    if not generating_classes(n, t):
         return math.factorial(n)
+    return math.floor(optimize_bound(n, t).bound)
 
 
 def _solve(

@@ -125,7 +125,8 @@ SPECTRUM_CAP = 26
 @lru_cache(maxsize=None)
 def full_spectrum(n: int, t: int) -> Spectrum:
     """Every eigenvalue of the graph joining permutations that agree on
-    exactly t-1 points, one row per partition of n (cached)."""
+    exactly t-1 points, one row per partition of n (cached); ArithmeticError
+    unless the trace identity holds."""
     classes = generating_classes(n, t)
     rows = tuple(
         SpectrumRow(
@@ -135,7 +136,10 @@ def full_spectrum(n: int, t: int) -> Spectrum:
         )
         for a in partitions_of(n)
     )
-    return Spectrum(n=n, degree=sum(size for _, size in classes), rows=rows)
+    spec = Spectrum(n=n, degree=sum(size for _, size in classes), rows=rows)
+    if not spec.trace_identity_holds():
+        raise ArithmeticError(f"spectrum trace identity failed for n={n}, t={t}")
+    return spec
 
 
 # ---------------------------------------------------------------------------

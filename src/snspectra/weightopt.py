@@ -54,17 +54,8 @@ def weighted_eigenvalue(alpha: Partition, weighting: ClassWeighting) -> Fraction
 # Exact two-phase simplex (minimization, equality form, x >= 0).
 
 
-class LPError(Exception):
+class LPError(ArithmeticError):
     """An infeasible or unbounded LP, or an optimum that fails a check."""
-
-
-class NoGeneratingClassesError(LPError, ValueError):
-    """No class of S_n has exactly t-1 fixed points (t = n), so the graph has
-    no edges and there is nothing to weight: an input error, not a failed
-    solve."""
-
-    def __init__(self, n: int, t: int):
-        super().__init__(f"no generating classes for n={n}, t={t}")
 
 
 def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
@@ -251,10 +242,12 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     normalized class weightings; return the weighting and the induced
     independence bound, exactly.  The optimum comes with the checked
     primal/dual pair of ``solve_lp_min``, and the weighting is substituted
-    back through ``weighted_eigenvalue``; LPError names a failed check."""
+    back through ``weighted_eigenvalue``; LPError names a failed check.  At
+    t = n no class has t-1 fixed points and there is nothing to weight, a
+    ValueError."""
     classes = generating_classes(n, t)
     if not classes:
-        raise NoGeneratingClassesError(n, t)
+        raise ValueError(f"no generating classes for n={n}, t={t}")
     k = len(classes)
     alphas = [a for a in partitions_of(n) if a != (n,)]
 

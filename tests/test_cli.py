@@ -1,10 +1,12 @@
 import argparse
+import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
-from snspectra import cli, reports, weightopt
+from snspectra import characters, cli, families, reports, spectrum, weightopt
 
 
 def run_cli(capsys, argv):
@@ -218,14 +220,86 @@ def test_value_error_maps_to_exit_2(capsys):
     assert "error" in err
 
 
-def test_verification_failure_maps_to_exit_1(capsys, monkeypatch):
-    def broken(n, t, verify):
-        return {"trace_check": "fail"}
+def assert_failed_check(capsys, argv, check):
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 1, err
+    assert out == ""
+    assert err.startswith("verification failure: ")
+    assert check in err
+    assert "Traceback" not in err
 
-    monkeypatch.setattr(reports, "spectrum_report", broken)
-    code, _, err = run_cli(capsys, ["spectrum", "--n", "5"])
-    assert code == 1
-    assert "verification failure" in err
+
+def test_verification_failure_maps_to_exit_1(capsys, monkeypatch):
+    # the trace identity, checked inside full_spectrum for every caller
+    monkeypatch.setattr(spectrum.Spectrum, "trace_identity_holds", lambda self: False)
+    spectrum.full_spectrum.cache_clear()
+    assert_failed_check(capsys, "spectrum --n 5", "spectrum trace identity failed for n=5, t=2")
+
+
+def _break_oracle(monkeypatch):
+    monkeypatch.setattr(spectrum, "_left_translation_invariant", lambda nbrs, n: False)
+
+
+def _break_class_integrality(monkeypatch):
+    mn = spectrum.mn_character
+    monkeypatch.setattr(spectrum, "mn_character", lambda alpha, ctype: mn(alpha, ctype) + 1)
+    spectrum.full_spectrum.cache_clear()
+
+
+def _break_character_table(monkeypatch):
+    monkeypatch.setattr(characters.CharacterTable, "verify_regular_character", lambda self: False)
+
+
+def _break_closed_form(monkeypatch):
+    closed = reports.closed_form_eigenvalue
+    monkeypatch.setattr(
+        reports, "closed_form_eigenvalue", lambda row, n: closed(row, n) + (row == "n-2,2")
+    )
+
+
+def _break_size_formula(monkeypatch):
+    spec = dataclasses.replace(families.FAMILIES["B"], size_formula=lambda n: 0)
+    monkeypatch.setitem(families.FAMILIES, "B", spec)
+
+
+def _break_search_certificate(monkeypatch):
+    monkeypatch.setattr(reports, "verify_certificate", lambda result: False)
+
+
+def _break_reproduce_hoffman(monkeypatch):
+    bound = reports.bound_report
+    monkeypatch.setattr(
+        reports,
+        "bound_report",
+        lambda n, t: dataclasses.replace(bound(n, t), hoffman_value=Fraction(1)),
+    )
+
+
+# id -> (argv, the fault injected, or None for a real input, the check named)
+FAILED_CHECKS = {
+    "oracle": ("spectrum --n 4 --verify", _break_oracle, "does not commute with left translation"),
+    "class_integrality": ("spectrum --n 5", _break_class_integrality, "(4, 1) is not integral"),
+    "character_table": ("chartable --n 4", _break_character_table, "['regular_character']"),
+    "closed_form": ("table --n-range 6", _break_closed_form, "character route: row n-2,2 at n=6"),
+    "size_formula": ("families --family B --n 7", _break_size_formula, "family B size does not"),
+    "search_certificate": ("search --n 4 --exact", _break_search_certificate, "witness failed"),
+    "reproduce": ("reproduce --n-range 5", _break_reproduce_hoffman, "Hoffman bound at n=5"),
+    # HM(t=2) is not 2-intersecting at n = 4
+    "hm_n4": (
+        "families --family HM --n 4 --t 2 --verify-independence",
+        None,
+        "family HM is not independent; witness ['(2 3)', '(1 3)']",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS)
+def test_failed_check_exits_1(capsys, monkeypatch, case):
+    # the oracle and class integrality used to exit 2, as input errors
+    argv, inject, check = FAILED_CHECKS[case]
+    if inject:
+        inject(monkeypatch)
+    assert_failed_check(capsys, argv, check)
 
 
 def test_out_file(tmp_path, capsys):
@@ -356,6 +430,16 @@ def test_families_cap_counts_the_points_the_family_pins(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["families", "--family", "HM", "--n", "13", "--t", "3", "--members"])
     assert code == 0, err
     assert seen == [("HM", 13, 3)]
+
+
+def test_derangements_refuses_a_huge_n_before_lgamma(capsys, monkeypatch):
+    # used to fail inside math.lgamma with "int too large to convert to float"
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    forbid_reports(monkeypatch, "derangements_report")
+    code, out, err = run_cli(capsys, ["derangements", "--n", "1" + "0" * 400])
+    assert code == 2
+    assert out == ""
+    assert "has more than 4300 digits" in err
 
 
 @pytest.mark.parametrize("limit", [640, 4300])

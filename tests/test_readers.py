@@ -7,7 +7,10 @@ package (the family registry, the CLI entry point) and
 directly; every definition that a reachable body names is reachable too.
 Re-exports in ``__init__`` are imports, not readers, and a definition that
 only an unread one names is itself unread.  Whatever no report needs lives
-in ``tests/oracles.py`` or is deleted."""
+in ``tests/oracles.py`` or is deleted.
+
+No check in the package is an ``assert`` statement, which ``python -O``
+strips: a failed check raises ArithmeticError, which the CLI maps to exit 1."""
 
 import ast
 from pathlib import Path
@@ -87,3 +90,13 @@ def unread_definitions() -> set[str]:
 
 def test_every_definition_has_a_reader():
     assert unread_definitions() == set(ALLOWED_UNREAD)
+
+
+def test_no_assert_statements():
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -251,7 +251,8 @@ def test_random_feasible_weightings_stay_sound():
 
 
 def test_optimize_requires_generating_classes():
-    with pytest.raises(LPError):
+    # an input refused, not a failed solve
+    with pytest.raises(ValueError, match="no generating classes for n=5, t=5"):
         optimize_bound(5, 5)  # no class has exactly 4 fixed points
 
 
