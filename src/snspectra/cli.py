@@ -16,7 +16,7 @@ import sys
 
 from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
-from .perms import DEFAULT_ENUMERATION_CAP
+from .perms import DEFAULT_ENUMERATION_CAP, DERANGEMENT_CAP, ROW_DEGREE_CAP
 from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T
 from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP, TABLE_START
 from .weightopt import WOPT_CAP
@@ -46,13 +46,15 @@ def _parse_range(text: str, start: int) -> tuple[int, int]:
 def derangements(args: argparse.Namespace) -> dict:
     # d_n, the integer nearest n!/e, prints within the interpreter's limit
     # of L digits exactly when log10(n!/e) < L; from n = 26 on log10(n!/e) > n,
-    # and L >= 640, so n > L is refused before lgamma could overflow
+    # and L >= 640, so n > L is refused before lgamma could overflow.  With
+    # the limit off (L = 0), DERANGEMENT_CAP bounds the run.
     n, limit = args.n, sys.get_int_max_str_digits()
     if limit and n > 1 and (n > limit or (math.lgamma(n + 1) - 1) / math.log(10) >= limit):
         raise ValueError(
             f"derangements: d_{n} has more than {limit} digits, the "
             "sys.get_int_max_str_digits() limit for printing integers"
         )
+    _cap("derangements: n is", n, DERANGEMENT_CAP, "DERANGEMENT_CAP")
     return reports.derangements_report(n)
 
 
@@ -92,6 +94,7 @@ def hoffman(args: argparse.Namespace) -> dict:
 
 def families(args: argparse.Namespace) -> dict | str:
     name, spec, n, t = args.family, FAMILIES[args.family], args.n, args.t
+    _cap(f"family {name}: n is", n, ROW_DEGREE_CAP, "ROW_DEGREE_CAP, the int8 row limit")
     free = n - spec.pinned(t)
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")

@@ -15,6 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
+# Rows are int8, so they hold degrees up to 127.
+ROW_DEGREE_CAP = 127
+
 # The default of the CLI's --cap: the largest character table, and the most
 # unpinned points of a family, that a command builds unless told otherwise.
 DEFAULT_ENUMERATION_CAP = 10
@@ -79,6 +82,12 @@ class DerangementCounts:
     o: int
 
 
+# The largest n whose derangement counts the CLI computes: a fresh
+# `derangements --n 4000` takes 3.3 s with the interpreter's digit limit off
+# (2-core machine; n = 2000 takes 0.6 s and n = 8000 takes 29 s).
+DERANGEMENT_CAP = 4000
+
+
 @lru_cache(maxsize=None)
 def derangement_count(n: int) -> int:
     """d_n by inclusion-exclusion: sum over i of (-1)^i n!/i!.
@@ -125,8 +134,8 @@ def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
         raise ValueError("a source or a target point is pinned twice")
     if not all(1 <= i <= n and 1 <= j <= n for i, j in pins):
         raise ValueError(f"pinned point outside 1..{n}")
-    if n > 127:
-        raise ValueError(f"int8 rows hold degrees up to 127 (got n={n})")
+    if n > ROW_DEGREE_CAP:
+        raise ValueError(f"int8 rows hold degrees up to {ROW_DEGREE_CAP} (got n={n})")
     rows = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n - len(pinned) + 1):
         prev, rows = rows, np.empty((m * len(rows), m), dtype=np.int8)

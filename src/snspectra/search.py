@@ -2,7 +2,8 @@
 
 Vertices are the permutations of S_n in lexicographic one-line order,
 adjacency is agreement on exactly t-1 points, and candidate sets live in
-Python-int bitsets.  The branch-and-bound exhausts its tree (no first-found
+Python-int bitsets; the branching choice reads the adjacency as a matrix of
+uint64 words.  The branch-and-bound exhausts its tree (no first-found
 termination), so the result and witness are deterministic.
 
 Because agreement counts are translation invariant, the graph is
@@ -26,18 +27,30 @@ from .weightopt import optimize_bound
 
 
 @lru_cache(maxsize=None)
-def graph_bitsets(n: int, t: int = 2) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(vertex rows in lex order, adjacency bitmasks); bit j of mask i is set
-    when vertices i and j are adjacent.  The cached rows are read-only."""
+def graph_bitsets(n: int, t: int = 2) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """(vertex rows in lex order, adjacency bitmasks, adjacency words); bit j
+    of mask i, and of row i of the words, is set when vertices i and j are
+    adjacent.  The cached arrays are read-only."""
     nbrs = agreement_neighbours(n, t)
     size = len(nbrs)
     rows = np.zeros((size, size), dtype=bool)
     np.put_along_axis(rows, nbrs, True, axis=1)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    adj, words = _adjacency_bitsets(rows)
     verts = perm_rows(n)
     verts.flags.writeable = False
-    return verts, adj
+    return verts, adj, words
+
+
+def _adjacency_bitsets(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    """A boolean adjacency matrix as Python-int bitmasks and as a read-only
+    matrix of little-endian uint64 words, each row padded to whole words."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    padded = np.zeros((len(rows), -(-len(rows) // 64) * 8), dtype=np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    words = padded.view("<u8")
+    words.flags.writeable = False
+    return adj, words
 
 
 @dataclass(frozen=True)
@@ -60,15 +73,26 @@ def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...], room: int)
     cliques = 0
     rest = candidates
     while rest and cliques <= room:
-        v = (rest & -rest).bit_length() - 1
-        common = rest & adj[v]
-        rest ^= 1 << v
+        low = rest & -rest
+        rest ^= low
+        common = rest & adj[low.bit_length() - 1]
         while common:
-            u = (common & -common).bit_length() - 1
-            rest ^= 1 << u
-            common &= adj[u]
+            low = common & -common
+            rest ^= low
+            common &= adj[low.bit_length() - 1]
         cliques += 1
     return cliques
+
+
+def _branch_vertex(pool: int, words: np.ndarray) -> int:
+    """The candidate with the most candidate neighbours, ties to the lowest
+    vertex index: one exact popcount per word of each candidate's row."""
+    pool_bytes = np.frombuffer(pool.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint8)
+    members = np.unpackbits(pool_bytes, bitorder="little").nonzero()[0]
+    rows = words.take(members, axis=0)
+    np.bitwise_and(rows, pool_bytes.view("<u8"), out=rows)
+    # argmax takes the first of equal degrees, the lowest vertex index
+    return int(members[np.bitwise_count(rows).sum(axis=1, dtype=np.int32).argmax()])
 
 
 def _spectral_upper_bound(n: int, t: int) -> int:
@@ -85,11 +109,16 @@ def _spectral_upper_bound(n: int, t: int) -> int:
 def _solve(
     verts: np.ndarray,
     adj: tuple[int, ...],
+    words: np.ndarray,
     t: int,
     *,
     force_identity: bool,
     node_budget: int | None,
 ) -> SearchResult:
+    """Depth first over an explicit stack of (chosen, chosen size, pool)
+    nodes: a branching node pushes its exclude child, then its include
+    child, so the include subtree is searched first.  Each node is pruned
+    when its pool is empty, by popcount, then by the clique cover."""
     size = len(verts)
     full = (1 << size) - 1
     n = len(verts[0]) if size else 0
@@ -98,40 +127,30 @@ def _solve(
     best_mask = 0
     nodes = 0
     exhausted = True
-
-    def branch(chosen: int, chosen_size: int, pool: int) -> None:
-        nonlocal best_size, best_mask, nodes, exhausted
+    if force_identity and size:
+        stack = [(1, 1, (full ^ 1) & ~adj[0])]
+    else:
+        stack = [(0, 0, full)]
+    while stack:
         if node_budget is not None and nodes >= node_budget:
             exhausted = False
-            return
+            break
+        chosen, chosen_size, pool = stack.pop()
         nodes += 1
         if chosen_size > best_size:
             best_size = chosen_size
             best_mask = chosen
         if not pool:
-            return
+            continue
         room = best_size - chosen_size
         if pool.bit_count() <= room:
-            return
+            continue
         if _greedy_clique_cover_bound(pool, adj, room) <= room:
-            return
-        # branch on the candidate with the most candidate neighbours
-        # (ties to the lowest vertex index)
-        v, v_deg = -1, -1
-        scan = pool
-        while scan:
-            u = (scan & -scan).bit_length() - 1
-            scan &= scan - 1
-            d = (adj[u] & pool).bit_count()
-            if d > v_deg:
-                v, v_deg = u, d
-        branch(chosen | (1 << v), chosen_size + 1, pool & ~adj[v] & ~(1 << v))
-        branch(chosen, chosen_size, pool & ~(1 << v))
-
-    if force_identity and size:
-        branch(1, 1, (full ^ 1) & ~adj[0])
-    else:
-        branch(0, 0, full)
+            continue
+        v = _branch_vertex(pool, words)
+        rest = pool ^ (1 << v)
+        stack.append((chosen, chosen_size, rest))
+        stack.append((chosen | (1 << v), chosen_size + 1, rest & ~adj[v]))
 
     witness = tuple(tuple(map(int, verts[i])) for i in range(size) if best_mask >> i & 1)
     upper = None
@@ -150,10 +169,12 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes); from n = 6 on the CLI sets this budget unless told not to.
+# (99,591 nodes at t = 2, 5.0 s fresh on a 2-core machine); from n = 6 on
+# the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
-# running after 45 s on a 2-core machine); t = 1, 2, 5 and 6 take 0.5-11 s.
+# running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
+# 0.6, 5.0, 4.8 and 0.3 s.
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -173,9 +194,9 @@ def max_independent_set(
     """
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"search: the node budget must be at least 1 (got {node_budget})")
-    verts, adj = graph_bitsets(n, t)
+    verts, adj, words = graph_bitsets(n, t)
     return _solve(
-        verts, adj, t, force_identity=force_identity, node_budget=node_budget
+        verts, adj, words, t, force_identity=force_identity, node_budget=node_budget
     )
 
 

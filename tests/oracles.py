@@ -24,7 +24,10 @@ production routes against.  None of them is used by the package itself.
 * agreement-graph adjacency by direct agreement counting, the oracle for the
   rank-based Cayley builder;
 * unpruned independent-set scans and a relabelled search, the oracles for
-  the branch-and-bound, the greedy clique count without its early exit, and
+  the branch-and-bound; the recursive branch-and-bound with a pure-Python
+  degree scan, the oracle for the tree, node count and witness of the
+  explicit-stack search and for its word-matrix branching choice; the
+  greedy clique count without its early exit; and
   the search certificate by pairwise ``agree_count`` loops, the oracle for
   ``search.verify_certificate``;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
@@ -77,7 +80,13 @@ from snspectra.perms import (
     derangement_count,
     inverse,
 )
-from snspectra.search import SearchResult, _solve, graph_bitsets, max_independent_set
+from snspectra.search import (
+    SearchResult,
+    _adjacency_bitsets,
+    _solve,
+    graph_bitsets,
+    max_independent_set,
+)
 from snspectra.spectrum import (
     SpectrumCertificate,
     _crt,
@@ -606,7 +615,7 @@ def max_independent_set_naive(n: int, t: int = 2) -> tuple[int, tuple[tuple[int,
     if n > NAIVE_CAP:
         raise ValueError(f"naive search capped at n <= {NAIVE_CAP}")
     verts = list(all_perms(n))
-    _, adj = graph_bitsets(n, t)
+    _, adj, _ = graph_bitsets(n, t)
     size = len(verts)
     best = (0, 0)
 
@@ -628,7 +637,7 @@ def maximum_sets(n: int, t: int = 2) -> list[tuple[tuple[int, ...], ...]]:
     if n > NAIVE_CAP:
         raise ValueError(f"exhaustive listing capped at n <= {NAIVE_CAP}")
     verts = list(all_perms(n))
-    _, adj = graph_bitsets(n, t)
+    _, adj, _ = graph_bitsets(n, t)
     size = len(verts)
     best_size = max_independent_set(n, t).independence_number
     found: list[int] = []
@@ -674,9 +683,58 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
     for i, v in enumerate(relabel, start=1):
         inv[v - 1] = i
     conj = [tuple(relabel[s[inv[i - 1] - 1] - 1] for i in range(1, n + 1)) for s in verts]
-    adj = agreement_bitsets(conj, t)
-    result = _solve(np.array(verts), adj, t, force_identity=False, node_budget=None)
+    adj, words = _adjacency_bitsets(agreement_matrix(conj, t))
+    result = _solve(np.array(verts), adj, words, t, force_identity=False, node_budget=None)
     return result.independence_number
+
+
+def branch_vertex_by_scan(pool: int, adj: tuple[int, ...]) -> int:
+    """The candidate of ``pool`` with the most candidate neighbours, ties to
+    the lowest vertex index, by one Python-int popcount per candidate; the
+    oracle for the word-matrix choice of the search."""
+    v, v_deg = -1, -1
+    scan = pool
+    while scan:
+        u = (scan & -scan).bit_length() - 1
+        scan &= scan - 1
+        d = (adj[u] & pool).bit_count()
+        if d > v_deg:
+            v, v_deg = u, d
+    return v
+
+
+def recursive_search(
+    adj: tuple[int, ...], *, force_identity: bool, node_budget: int | None
+) -> tuple[int, int, int, bool]:
+    """(independence number, nodes, witness mask, exhausted) of the
+    recursive branch-and-bound: the same prunes (popcount, then the greedy
+    clique count, then branch on ``branch_vertex_by_scan``, include child
+    first) as the explicit-stack search, the oracle for its tree."""
+    size = len(adj)
+    best_size = best_mask = nodes = 0
+    exhausted = True
+
+    def branch(chosen: int, chosen_size: int, pool: int) -> None:
+        nonlocal best_size, best_mask, nodes, exhausted
+        if node_budget is not None and nodes >= node_budget:
+            exhausted = False
+            return
+        nodes += 1
+        if chosen_size > best_size:
+            best_size, best_mask = chosen_size, chosen
+        room = best_size - chosen_size
+        if not pool or pool.bit_count() <= room or greedy_clique_count(pool, adj) <= room:
+            return
+        v = branch_vertex_by_scan(pool, adj)
+        branch(chosen | (1 << v), chosen_size + 1, pool & ~adj[v] & ~(1 << v))
+        branch(chosen, chosen_size, pool & ~(1 << v))
+
+    full = (1 << size) - 1
+    if force_identity and size:
+        branch(1, 1, (full ^ 1) & ~adj[0])
+    else:
+        branch(0, 0, full)
+    return best_size, nodes, best_mask, exhausted
 
 
 def verify_certificate_by_pairs(result: SearchResult) -> bool:

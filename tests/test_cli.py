@@ -106,6 +106,19 @@ def test_search(capsys):
     assert data["witness_verified"] is True
 
 
+def test_search_on_the_edgeless_n7_graph_runs_without_recursion(capsys):
+    # at t = n the include chain runs 5,040 deep; the recursive search died
+    # with RecursionError from a budget of about 1,000 nodes on
+    code, out, err = run_cli(capsys, ["search", "--n", "7", "--t", "7", "--node-budget", "2000"])
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["nodes"], data["independence_number"], data["upper_bound"]) == (
+        "2000",
+        "2000",
+        "5040",
+    )
+
+
 def test_budgeted_search_passes_verification(capsys):
     # a search cut short by its budget claims independence, not maximality
     code, out, err = run_cli(capsys, ["search", "--n", "6", "--node-budget", "10"])
@@ -459,6 +472,33 @@ def test_derangements_refused_past_the_interpreter_digit_limit(capsys, monkeypat
     monkeypatch.setattr(reports, "derangements_report", lambda n: {"config": {}})
     code, _, err = run_cli(capsys, ["derangements", "--n", str(first_too_long - 1)])
     assert code == 0, err
+
+
+@pytest.mark.parametrize("n", [10**30, 200_000, 4001])
+def test_derangements_capped_when_the_digit_limit_is_off(capsys, monkeypatch, n):
+    # with the limit off, --n 200000 ran without bound and --n 10**30 failed
+    # inside math.factorial with exit 1
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    forbid_reports(monkeypatch, "derangements_report")
+    code, out, err = run_cli(capsys, ["derangements", "--n", str(n)])
+    assert code == 2
+    assert out == ""
+    assert f"capped at 4000 by DERANGEMENT_CAP (got {n})" in err
+    monkeypatch.setattr(reports, "derangements_report", lambda n: {"config": {}})
+    code, _, err = run_cli(capsys, ["derangements", "--n", "4000"])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("family", ["2coset", "HM"])
+def test_families_refuses_a_degree_past_the_int8_rows(capsys, monkeypatch, family):
+    # with --cap raised past n, the family was sized first and failed inside
+    # math.factorial, reported as a verification failure with exit 1
+    forbid_reports(monkeypatch, "family_report", "family_members_text")
+    argv = ["families", "--family", family, "--n", str(10**21), "--cap", str(10**22)]
+    code, out, err = run_cli(capsys, [*argv, "--verify-independence"])
+    assert code == 2
+    assert out == ""
+    assert "capped at 127 by ROW_DEGREE_CAP, the int8 row limit" in err
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,12 @@ import pytest
 
 from oracles import (
     all_perms,
+    branch_vertex_by_scan,
     greedy_clique_count,
     max_independent_set_naive,
     maximum_sets,
     perms_fixing,
+    recursive_search,
     relabel_graph_independence_number,
     verify_certificate_by_pairs,
 )
@@ -24,7 +26,7 @@ from snspectra.search import (
 
 
 def test_gamma3_is_k33():
-    verts, adj = graph_bitsets(3, 2)
+    verts, adj, _ = graph_bitsets(3, 2)
     assert len(verts) == 6
     assert not verts.flags.writeable  # the cached rows cannot be changed
     assert all(mask.bit_count() == 3 for mask in adj)
@@ -115,7 +117,7 @@ def test_exhausted_trees_keep_their_node_counts():
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_clique_cover_early_exit_keeps_every_prune_decision(n):
-    _, adj = graph_bitsets(n, 2)
+    _, adj, _ = graph_bitsets(n, 2)
     rng = random.Random(n)
     for _ in range(40):
         pool = rng.getrandbits(len(adj))
@@ -123,6 +125,43 @@ def test_clique_cover_early_exit_keeps_every_prune_decision(n):
         for room in range(pool.bit_count() + 1):
             early = search._greedy_clique_cover_bound(pool, adj, room)
             assert (early <= room) == (full <= room)
+
+
+def _oracle_cases():
+    for n in range(1, 6):
+        for t in range(1, n + 1):
+            for force in (True, False):
+                yield n, t, force, None
+    yield 6, 2, True, 20_000
+    yield 7, 2, True, 5_000
+    yield 7, 3, True, 5_000
+
+
+@pytest.mark.parametrize("n,t,force,budget", _oracle_cases())
+def test_search_keeps_the_recursive_tree(n, t, force, budget):
+    # the explicit stack and the word-matrix branching choice visit the
+    # same nodes in the same order as the recursive scan they replace
+    verts, adj, _ = graph_bitsets(n, t)
+    size, nodes, mask, exhausted = recursive_search(
+        adj, force_identity=force, node_budget=budget
+    )
+    result = max_independent_set(n, t, force_identity=force, node_budget=budget)
+    assert (result.independence_number, result.nodes, result.exact) == (size, nodes, exhausted)
+    assert result.witness == tuple(
+        tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1
+    )
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_branch_vertex_matches_the_scan(n):
+    _, adj, words = graph_bitsets(n, 2)
+    rng = random.Random(100 + n)
+    for _ in range(40):
+        pool = 0
+        while not pool:
+            density = rng.random()
+            pool = sum(1 << v for v in range(len(adj)) if rng.random() < density)
+        assert search._branch_vertex(pool, words) == branch_vertex_by_scan(pool, adj)
 
 
 def test_budgeted_search_reports_certified_weighted_bound():

@@ -199,9 +199,12 @@ def test_builder_matches_direct_agreement_count(n):
         dense = adjacency_matrix(n, t)
         assert dense.dtype == np.float64
         assert np.array_equal(dense, direct.astype(np.float64)), t
-        rows, adj = graph_bitsets(n, t)
+        rows, adj, words = graph_bitsets(n, t)
         assert rows.tolist() == [list(v) for v in verts], t
         assert adj == agreement_bitsets(verts, t), t
+        assert words.dtype == np.dtype("<u8") and not words.flags.writeable, t
+        assert words.shape == (len(verts), -(-len(verts) // 64)), t
+        assert adj == tuple(int.from_bytes(row.tobytes(), "little") for row in words), t
     for t in (0, n + 1):
         with pytest.raises(ValueError):
             adjacency_matrix(n, t)
