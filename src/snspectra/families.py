@@ -232,10 +232,11 @@ def verify(family: Family, t: int) -> VerificationResult:
 def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...] | None:
     """The first pair of rows (a, b), a before b, in row-major order that
     agree on exactly t-1 points, or None.  The rows are scanned in 512-row
-    blocks, each against itself and the later rows only."""
+    blocks, each against itself and the later rows only.  A count is at
+    most n <= ROW_DEGREE_CAP = 127, so it is summed as uint8."""
     for start in range(0, len(rows), 512):
         block = rows[start : start + 512]
-        hits = (block[:, None, :] == rows[None, start:, :]).sum(axis=2) == t - 1
+        hits = (block[:, None, :] == rows[None, start:, :]).sum(axis=2, dtype=np.uint8) == t - 1
         hits &= np.arange(hits.shape[1]) > np.arange(len(block))[:, None]
         if hits.any():
             i, j = np.argwhere(hits)[0]

@@ -10,6 +10,17 @@ Because agreement counts are translation invariant, the graph is
 vertex-transitive and any maximum independent set can be translated to one
 containing the identity; forcing the identity in is the default symmetry
 reduction.
+
+The search runs in mirrored vertex order: bit n!-1-i of a mask stands for
+vertex i.  Lex index i and index n!-1-i are s and w0 s, where
+w0 = (n, n-1, ..., 1), and left multiplication by w0 keeps every agreement
+count, so adjacency mask n!-1-i is mask i with its bits reversed: the
+mirrored neighbours of vertex i are ``adj[n!-1-i]``, and no mask is rebuilt.
+Stepping on the highest set bit in this order is stepping on the lowest in
+lex order, so the tree, its node count and its witness are those of the
+bottom-up search.  It is cheaper: one ``bit_length`` finds the top bit with
+no negation, a precomputed single-bit mask clears it, and the masks shorten
+as their top bits are consumed.
 """
 
 from __future__ import annotations
@@ -65,34 +76,39 @@ class SearchResult:
     upper_bound: int | None = None  # spectral bound, reported when inexact
 
 
-def _greedy_clique_cover_bound(candidates: int, adj: tuple[int, ...], room: int) -> int:
+def _greedy_clique_cover_bound(
+    candidates: int, adj: tuple[int, ...], bits: tuple[int, ...], room: int
+) -> int:
     """Upper bound on the independent set inside ``candidates``: number of
     cliques in a greedy clique partition (an independent set meets each
-    clique at most once).  The caller only asks whether the count is at most
-    ``room``, so the count stops as soon as it exceeds ``room``."""
+    clique at most once), each clique grown from the highest candidate left
+    by the highest common neighbour; ``bits[v]`` is ``1 << v``.  The caller
+    only asks whether the count is at most ``room``, so the count stops as
+    soon as it exceeds ``room``."""
     cliques = 0
     rest = candidates
     while rest and cliques <= room:
-        low = rest & -rest
-        rest ^= low
-        common = rest & adj[low.bit_length() - 1]
+        v = rest.bit_length() - 1
+        rest ^= bits[v]
+        common = rest & adj[v]
         while common:
-            low = common & -common
-            rest ^= low
-            common &= adj[low.bit_length() - 1]
+            u = common.bit_length() - 1
+            rest ^= bits[u]
+            common &= adj[u]
         cliques += 1
     return cliques
 
 
 def _branch_vertex(pool: int, words: np.ndarray) -> int:
-    """The candidate with the most candidate neighbours, ties to the lowest
+    """The candidate with the most candidate neighbours, ties to the highest
     vertex index: one exact popcount per word of each candidate's row."""
     pool_bytes = np.frombuffer(pool.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint8)
     members = np.unpackbits(pool_bytes, bitorder="little").nonzero()[0]
     rows = words.take(members, axis=0)
     np.bitwise_and(rows, pool_bytes.view("<u8"), out=rows)
-    # argmax takes the first of equal degrees, the lowest vertex index
-    return int(members[np.bitwise_count(rows).sum(axis=1, dtype=np.int32).argmax()])
+    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int32)
+    # argmax takes the first of equal degrees, so reversed, the highest index
+    return int(members[len(members) - 1 - degrees[::-1].argmax()])
 
 
 def _spectral_upper_bound(n: int, t: int) -> int:
@@ -118,9 +134,12 @@ def _solve(
     """Depth first over an explicit stack of (chosen, chosen size, pool)
     nodes: a branching node pushes its exclude child, then its include
     child, so the include subtree is searched first.  Each node is pruned
-    when its pool is empty, by popcount, then by the clique cover."""
+    when its pool is empty, by popcount, then by the clique cover.  Bit
+    size-1-i stands for vertex i (see the module docstring), so forcing the
+    top bit forces the identity."""
     size = len(verts)
     full = (1 << size) - 1
+    bits = tuple(1 << v for v in range(size))
     n = len(verts[0]) if size else 0
 
     best_size = 0
@@ -128,7 +147,8 @@ def _solve(
     nodes = 0
     exhausted = True
     if force_identity and size:
-        stack = [(1, 1, (full ^ 1) & ~adj[0])]
+        top = bits[-1]
+        stack = [(top, 1, (full ^ top) & ~adj[-1])]
     else:
         stack = [(0, 0, full)]
     while stack:
@@ -145,14 +165,16 @@ def _solve(
         room = best_size - chosen_size
         if pool.bit_count() <= room:
             continue
-        if _greedy_clique_cover_bound(pool, adj, room) <= room:
+        if _greedy_clique_cover_bound(pool, adj, bits, room) <= room:
             continue
         v = _branch_vertex(pool, words)
-        rest = pool ^ (1 << v)
+        rest = pool ^ bits[v]
         stack.append((chosen, chosen_size, rest))
-        stack.append((chosen | (1 << v), chosen_size + 1, rest & ~adj[v]))
+        stack.append((chosen | bits[v], chosen_size + 1, rest & ~adj[v]))
 
-    witness = tuple(tuple(map(int, verts[i])) for i in range(size) if best_mask >> i & 1)
+    witness = tuple(
+        tuple(map(int, verts[i])) for i in range(size) if best_mask >> (size - 1 - i) & 1
+    )
     upper = None
     if not exhausted and 1 <= t <= n:
         upper = _spectral_upper_bound(n, t)
@@ -169,12 +191,12 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes at t = 2, 5.0 s fresh on a 2-core machine); from n = 6 on
+# (99,591 nodes at t = 2, 5.2 s fresh on a 2-core machine); from n = 6 on
 # the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
 # running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
-# 0.6, 5.0, 4.8 and 0.3 s.
+# 0.6, 5.2, 5.4 and 0.5 s.
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 

@@ -12,7 +12,8 @@ production routes against.  None of them is used by the package itself.
   ``characters.mn_character`` (largest cycle first, one memo entry per
   partition and remaining cycle type);
 * a standard-tableau count, the oracle for hook-length dimensions;
-* the derangement recurrence, the oracle for inclusion-exclusion;
+* the two-term derangement recurrence and inclusion-exclusion, the oracles
+  for the one-term recurrence of ``perms.derangement_count``;
 * a fixed-point census of S_n by enumeration, checked against the
   rencontres numbers C(n, k) d_{n-k}, and the generating set of each
   agreement graph by enumeration;
@@ -26,8 +27,9 @@ production routes against.  None of them is used by the package itself.
 * unpruned independent-set scans and a relabelled search, the oracles for
   the branch-and-bound; the recursive branch-and-bound with a pure-Python
   degree scan, the oracle for the tree, node count and witness of the
-  explicit-stack search and for its word-matrix branching choice; the
-  greedy clique count without its early exit; and
+  explicit-stack search and for its word-matrix branching choice, both
+  scanning bottom-up while the search runs on mirrored masks; the greedy
+  clique count without its early exit; and
   the search certificate by pairwise ``agree_count`` loops, the oracle for
   ``search.verify_certificate``;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
@@ -429,9 +431,18 @@ def count_standard_tableaux(alpha: Sequence[int]) -> int:
     return count(alpha)
 
 
+def derangement_count_inclusion_exclusion(n: int) -> int:
+    """d_n by inclusion-exclusion: sum over i of (-1)^i n!/i!; independent
+    of both recurrences."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    fact_n = math.factorial(n)
+    return sum((-1) ** i * (fact_n // math.factorial(i)) for i in range(n + 1))
+
+
 def derangement_count_recurrence(n: int) -> int:
     """d_n by the recurrence d_n = (n-1)(d_{n-1} + d_{n-2}); independent of
-    the inclusion-exclusion route."""
+    the one-term recurrence of the package and of inclusion-exclusion."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     a, b = 1, 0  # d_0, d_1

@@ -11,6 +11,7 @@ from oracles import (
     agree_count,
     all_perms,
     count_agreeing_exactly_once,
+    derangement_count_inclusion_exclusion,
     derangement_count_recurrence,
     irreducible_character,
     isotypic_projection,
@@ -150,7 +151,8 @@ def test_criterion_07_hoffman_soundness_and_ratio():
 
 def test_criterion_08_derangement_identities():
     for n in range(31):
-        assert derangement_count(n) == derangement_count_recurrence(n), n
+        d = derangement_count(n)
+        assert d == derangement_count_recurrence(n) == derangement_count_inclusion_exclusion(n), n
     assert derangement_counts(0).d == 1 and derangement_count(1) == 0
     for n in range(1, 10):
         even = odd = 0
@@ -164,7 +166,11 @@ def test_criterion_08_derangement_identities():
         assert (even, odd) == (counts.e, counts.o), n
         assert even - odd == (-1) ** (n - 1) * (n - 1), n
     assert (derangement_counts(4).e, derangement_counts(4).o) == (3, 6)
-    _report(8, "inclusion-exclusion == recurrence (n <= 30); parity split by enumeration (n <= 9)")
+    _report(
+        8,
+        "one-term recurrence == two-term recurrence == inclusion-exclusion (n <= 30); "
+        "parity split by enumeration (n <= 9)",
+    )
 
 
 def test_criterion_09_family_size_formulas():

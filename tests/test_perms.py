@@ -9,6 +9,7 @@ from oracles import (
     agree_count,
     all_perms,
     cycle_type,
+    derangement_count_inclusion_exclusion,
     derangement_count_recurrence,
     fixed_points,
     generating_set,
@@ -180,8 +181,11 @@ def test_derangement_small_values():
 
 
 def test_inclusion_exclusion_matches_recurrence():
-    for n in range(31):
-        assert derangement_count(n) == derangement_count_recurrence(n)
+    # three independent routes: the package's d_m = m d_{m-1} + (-1)^m,
+    # the two-term recurrence and inclusion-exclusion
+    for n in range(301):
+        d = derangement_count(n)
+        assert d == derangement_count_recurrence(n) == derangement_count_inclusion_exclusion(n), n
 
 
 @pytest.mark.parametrize("n", range(1, 8))

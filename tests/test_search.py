@@ -94,6 +94,19 @@ def test_independence_number_n6():
     assert verify_certificate(result)
 
 
+@pytest.mark.slow
+def test_search_keeps_the_recursive_tree_at_n6():
+    # the full 99,591-node tree, against the recursive bottom-up scan
+    verts, adj, _ = graph_bitsets(6, 2)
+    size, nodes, mask, exhausted = recursive_search(adj, force_identity=True, node_budget=None)
+    result = max_independent_set(6, 2)
+    assert (size, nodes, exhausted) == (48, 99_591, True)
+    assert (result.independence_number, result.nodes, result.exact) == (size, nodes, exhausted)
+    assert result.witness == tuple(
+        tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1
+    )
+
+
 def test_budgeted_search_reports_upper_bound():
     result = max_independent_set(5, 2, node_budget=10)
     if not result.exact:
@@ -115,15 +128,32 @@ def test_exhausted_trees_keep_their_node_counts():
     assert max_independent_set(5, 2, node_budget=1189).exact
 
 
+def _mirror(mask, size):
+    """``mask`` with bit b moved to bit size-1-b."""
+    return int(format(mask, f"0{size}b")[::-1], 2)
+
+
+@pytest.mark.parametrize("n,t", [(n, t) for n in range(1, 7) for t in range(1, n + 1)])
+def test_mirror_is_an_automorphism(n, t):
+    # lex index size-1-b is w0 times vertex b, and left multiplication by
+    # w0 = (n, ..., 1) keeps agreement counts; the top-down search rests on it
+    _, adj, _ = graph_bitsets(n, t)
+    size = len(adj)
+    assert all(adj[size - 1 - b] == _mirror(adj[b], size) for b in range(size))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_clique_cover_early_exit_keeps_every_prune_decision(n):
+    # the cover runs from the top bit down, the bottom-up oracle on the
+    # mirrored pool
     _, adj, _ = graph_bitsets(n, 2)
+    bits = tuple(1 << v for v in range(len(adj)))
     rng = random.Random(n)
     for _ in range(40):
         pool = rng.getrandbits(len(adj))
-        full = greedy_clique_count(pool, adj)
+        full = greedy_clique_count(_mirror(pool, len(adj)), adj)
         for room in range(pool.bit_count() + 1):
-            early = search._greedy_clique_cover_bound(pool, adj, room)
+            early = search._greedy_clique_cover_bound(pool, adj, bits, room)
             assert (early <= room) == (full <= room)
 
 
@@ -161,7 +191,9 @@ def test_branch_vertex_matches_the_scan(n):
         while not pool:
             density = rng.random()
             pool = sum(1 << v for v in range(len(adj)) if rng.random() < density)
-        assert search._branch_vertex(pool, words) == branch_vertex_by_scan(pool, adj)
+        # ties go to the highest index, the lowest of the mirrored scan
+        mirrored = branch_vertex_by_scan(_mirror(pool, len(adj)), adj)
+        assert search._branch_vertex(pool, words) == len(adj) - 1 - mirrored
 
 
 def test_budgeted_search_reports_certified_weighted_bound():
