@@ -33,12 +33,10 @@ def is_partition(parts: Sequence[int]) -> bool:
     return all(x >= 1 for x in p) and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
-def check_partition(parts: Sequence[int], n: int | None = None) -> Partition:
+def check_partition(parts: Sequence[int]) -> Partition:
     p = integer_parts(parts)
     if not is_partition(p):
         raise ValueError(f"not a partition: {p!r}")
-    if n is not None and sum(p) != n:
-        raise ValueError(f"partition {p!r} does not sum to {n}")
     return p
 
 

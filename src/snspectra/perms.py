@@ -81,10 +81,10 @@ class DerangementCounts:
     o: int
 
 
-# The largest n whose derangement counts the CLI computes: a fresh
-# `derangements --n 4000` takes 0.3 s with the interpreter's digit limit off
-# (2-core machine).
-DERANGEMENT_CAP = 4000
+# The largest n whose derangement counts the CLI computes: with the
+# interpreter's digit limit off, a fresh `derangements --n 16000` takes
+# 0.69 s and prints 181 kB (0.30 s at n = 4,000; 2-core machine, Python 3.11).
+DERANGEMENT_CAP = 16_000
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,7 @@ termination), so the result and witness are deterministic.
 
 Because agreement counts are translation invariant, the graph is
 vertex-transitive and any maximum independent set can be translated to one
-containing the identity; forcing the identity in is the default symmetry
-reduction.
+containing the identity, so every search forces the identity in.
 
 The search runs in mirrored vertex order: bit n!-1-i of a mask stands for
 vertex i.  Lex index i and index n!-1-i are s and w0 s, where
@@ -72,7 +71,6 @@ class SearchResult:
     witness: tuple[tuple[int, ...], ...]
     nodes: int
     exact: bool
-    forced_identity: bool
     upper_bound: int | None = None  # spectral bound, reported when inexact
 
 
@@ -128,29 +126,25 @@ def _solve(
     words: np.ndarray,
     t: int,
     *,
-    force_identity: bool,
     node_budget: int | None,
 ) -> SearchResult:
     """Depth first over an explicit stack of (chosen, chosen size, pool)
     nodes: a branching node pushes its exclude child, then its include
     child, so the include subtree is searched first.  Each node is pruned
     when its pool is empty, by popcount, then by the clique cover.  Bit
-    size-1-i stands for vertex i (see the module docstring), so forcing the
-    top bit forces the identity."""
+    size-1-i stands for vertex i (see the module docstring), so the root,
+    which holds the top bit, holds the identity."""
     size = len(verts)
     full = (1 << size) - 1
     bits = tuple(1 << v for v in range(size))
-    n = len(verts[0]) if size else 0
+    n = len(verts[0])
 
     best_size = 0
     best_mask = 0
     nodes = 0
     exhausted = True
-    if force_identity and size:
-        top = bits[-1]
-        stack = [(top, 1, (full ^ top) & ~adj[-1])]
-    else:
-        stack = [(0, 0, full)]
+    top = bits[-1]
+    stack = [(top, 1, (full ^ top) & ~adj[-1])]
     while stack:
         if node_budget is not None and nodes >= node_budget:
             exhausted = False
@@ -175,9 +169,7 @@ def _solve(
     witness = tuple(
         tuple(map(int, verts[i])) for i in range(size) if best_mask >> (size - 1 - i) & 1
     )
-    upper = None
-    if not exhausted and 1 <= t <= n:
-        upper = _spectral_upper_bound(n, t)
+    upper = None if exhausted else _spectral_upper_bound(n, t)
     return SearchResult(
         n=n,
         t=t,
@@ -185,7 +177,6 @@ def _solve(
         witness=witness,
         nodes=nodes,
         exact=exhausted,
-        forced_identity=force_identity,
         upper_bound=upper,
     )
 
@@ -201,13 +192,7 @@ EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 
 
-def max_independent_set(
-    n: int,
-    t: int = 2,
-    *,
-    force_identity: bool = True,
-    node_budget: int | None = None,
-) -> SearchResult:
+def max_independent_set(n: int, t: int = 2, *, node_budget: int | None = None) -> SearchResult:
     """Exact independence number with a verified witness.
 
     With a node budget, the search may stop early and report the best set
@@ -217,9 +202,7 @@ def max_independent_set(
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"search: the node budget must be at least 1 (got {node_budget})")
     verts, adj, words = graph_bitsets(n, t)
-    return _solve(
-        verts, adj, words, t, force_identity=force_identity, node_budget=node_budget
-    )
+    return _solve(verts, adj, words, t, node_budget=node_budget)
 
 
 def verify_certificate(result: SearchResult) -> bool:

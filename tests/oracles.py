@@ -258,7 +258,10 @@ def parse_partition(text: str, n: int | None = None) -> Partition:
         value = int(m.group(1))
         count = int(m.group(2)) if m.group(2) else 1
         parts.extend([value] * count)
-    return check_partition(tuple(sorted(parts, reverse=True)), n)
+    alpha = check_partition(tuple(sorted(parts, reverse=True)))
+    if n is not None and sum(alpha) != n:
+        raise ValueError(f"partition {alpha!r} does not sum to {n}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +698,8 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
         inv[v - 1] = i
     conj = [tuple(relabel[s[inv[i - 1] - 1] - 1] for i in range(1, n + 1)) for s in verts]
     adj, words = _adjacency_bitsets(agreement_matrix(conj, t))
-    result = _solve(np.array(verts), adj, words, t, force_identity=False, node_budget=None)
+    # forcing one vertex is sound on any labelling of a vertex-transitive graph
+    result = _solve(np.array(verts), adj, words, t, node_budget=None)
     return result.independence_number
 
 

@@ -9,6 +9,11 @@ Re-exports in ``__init__`` are imports, not readers, and a definition that
 only an unread one names is itself unread.  Whatever no report needs lives
 in ``tests/oracles.py`` or is deleted.
 
+Likewise every optional parameter (defaulted or keyword-only) of a read
+top-level function is passed by some call in the package or in
+``bench/library_steps.py``: an option that only tests set is a second mode
+with no production user, and it goes to the oracles too.
+
 No check in the package is an ``assert`` statement, which ``python -O``
 strips: a failed check raises ArithmeticError, which the CLI maps to exit 1."""
 
@@ -24,6 +29,11 @@ ALLOWED_UNREAD = {
     "bounds.paper_tail_split": "read by item 3's `stability` command (ROADMAP.md)",
     "bounds.stability_gap_bound": "read by item 3's `stability` command (ROADMAP.md)",
     "bounds.projection_mass": "read by item 3's `stability` command (ROADMAP.md)",
+}
+
+# optional parameters that only the tests set
+ALLOWED_UNPASSED = {
+    "cli.main.argv": "the tests' entry point; the console script passes none",
 }
 
 DEFS = (ast.FunctionDef, ast.ClassDef)
@@ -43,53 +53,96 @@ def _bindings(tree: ast.Module, module: str, modules: set[str]) -> dict[str, str
     return out
 
 
-def unread_definitions() -> set[str]:
+def _parse() -> tuple[dict[str, ast.Module], ast.Module, dict[str, dict[str, str]], dict]:
+    """(package module trees, the library step's tree, bindings of every
+    one of them, "module.name" -> (module, node) of each package definition)."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    steps = ast.parse(LIBRARY_STEPS.read_text())
     bindings = {m: _bindings(tree, m, set(trees)) for m, tree in trees.items()}
+    bindings["library_steps"] = _bindings(steps, "library_steps", set(trees))
     bodies = {
         f"{m}.{node.name}": (m, node)
         for m, tree in trees.items()
         for node in tree.body
         if isinstance(node, DEFS)
     }
+    return trees, steps, bindings, bodies
 
-    def resolve(target: str) -> str:
-        """Follow re-exports (``__init__``, imports) to the defining module."""
-        while target not in bodies and "." in target:
-            module, name = target.split(".")
-            nxt = bindings[module].get(name, target)
-            if nxt == target:  # not a definition, or one outside the package
-                break
-            target = nxt
-        return target
 
-    def reads(module: str, nodes) -> set[str]:
-        out = set()
-        names = bindings[module]
-        for node in nodes:
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and sub.id in names:
-                    out.add(resolve(names[sub.id]))
-                elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                    home = names.get(sub.value.id)
-                    if home in trees:
-                        out.add(resolve(f"{home}.{sub.attr}"))
-        return out
+TREES, STEPS, BINDINGS, BODIES = _parse()
 
-    steps = ast.parse(LIBRARY_STEPS.read_text())
-    bindings["library_steps"] = _bindings(steps, "library_steps", set(trees))
-    frontier = reads("library_steps", [steps])
-    for m, tree in trees.items():
-        frontier |= reads(m, [node for node in tree.body if not isinstance(node, DEFS)])
+
+def resolve(target: str) -> str:
+    """Follow re-exports (``__init__``, imports) to the defining module."""
+    while target not in BODIES and "." in target:
+        module, name = target.split(".")
+        nxt = BINDINGS[module].get(name, target)
+        if nxt == target:  # not a definition, or one outside the package
+            break
+        target = nxt
+    return target
+
+
+def _named(module: str, node: ast.AST) -> str | None:
+    """The resolved "module.name" that ``node`` names in ``module``: a bound
+    name, or an attribute of a bound package module; None otherwise."""
+    names = BINDINGS[module]
+    if isinstance(node, ast.Name) and node.id in names:
+        return resolve(names[node.id])
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        home = names.get(node.value.id)
+        if home in TREES:
+            return resolve(f"{home}.{node.attr}")
+    return None
+
+
+def _reads(module: str, nodes) -> set[str]:
+    return {
+        name for node in nodes for sub in ast.walk(node) if (name := _named(module, sub)) is not None
+    }
+
+
+def unread_definitions() -> set[str]:
+    frontier = _reads("library_steps", [STEPS])
+    for m, tree in TREES.items():
+        frontier |= _reads(m, [node for node in tree.body if not isinstance(node, DEFS)])
     live: set[str] = set()
-    while frontier := (frontier & bodies.keys()) - live:
+    while frontier := (frontier & BODIES.keys()) - live:
         live |= frontier
-        frontier = set().union(*(reads(m, [node]) for m, node in map(bodies.get, frontier)))
-    return bodies.keys() - live
+        frontier = set().union(*(_reads(m, [node]) for m, node in map(BODIES.get, frontier)))
+    return BODIES.keys() - live
+
+
+def unpassed_parameters() -> set[str]:
+    """"module.function.parameter" of each defaulted or keyword-only
+    parameter of a read top-level function that no call in the package or
+    in ``bench/library_steps.py`` passes, by position or by keyword."""
+    optional = {}  # function -> (positional parameter names, optional ones)
+    for name in BODIES.keys() - unread_definitions():
+        node = BODIES[name][1]
+        if isinstance(node, ast.FunctionDef):
+            positional = node.args.posonlyargs + node.args.args
+            defaulted = positional[len(positional) - len(node.args.defaults) :]
+            optional[name] = (
+                [a.arg for a in positional],
+                {a.arg for a in defaulted + node.args.kwonlyargs},
+            )
+    passed = set()
+    for module, tree in [*TREES.items(), ("library_steps", STEPS)]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and (target := _named(module, call.func)) in optional:
+                positional = optional[target][0][: len(call.args)]
+                keywords = [kw.arg for kw in call.keywords if kw.arg is not None]
+                passed |= {f"{target}.{p}" for p in positional + keywords}
+    return {f"{f}.{p}" for f, (_, params) in optional.items() for p in params} - passed
 
 
 def test_every_definition_has_a_reader():
     assert unread_definitions() == set(ALLOWED_UNREAD)
+
+
+def test_every_optional_parameter_is_passed_by_the_package():
+    assert unpassed_parameters() == set(ALLOWED_UNPASSED)
 
 
 def test_no_assert_statements():

@@ -17,6 +17,7 @@ from oracles import (
 )
 from snspectra import cli, search, weightopt
 from snspectra.bounds import bound_report
+from snspectra.perms import compose, identity, inverse
 from snspectra.search import (
     SearchResult,
     graph_bitsets,
@@ -53,11 +54,23 @@ def test_empty_graph_t_equals_n():
     assert result.independence_number == 6
 
 
+def _oracle_result(n, t, force, budget=None):
+    """The oracle's recursive search on the lex-ordered graph, as a result."""
+    verts, adj, _ = graph_bitsets(n, t)
+    size, nodes, mask, exhausted = recursive_search(adj, force_identity=force, node_budget=budget)
+    witness = tuple(tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1)
+    return SearchResult(
+        n=n, t=t, independence_number=size, witness=witness, nodes=nodes, exact=exhausted
+    )
+
+
 def test_forced_identity_agrees_with_unforced():
-    for n, t in [(3, 2), (4, 2), (4, 3), (5, 2)]:
-        forced = max_independent_set(n, t)
-        free = max_independent_set(n, t, force_identity=False)
-        assert forced.independence_number == free.independence_number
+    # the package always forces the identity in; the oracle's free search
+    # finds the same independence number on every graph up to n = 5
+    for n in range(1, 6):
+        for t in range(1, n + 1):
+            free = _oracle_result(n, t, force=False)
+            assert max_independent_set(n, t).independence_number == free.independence_number
 
 
 def test_witness_is_independent_and_contains_identity():
@@ -108,10 +121,11 @@ def test_search_keeps_the_recursive_tree_at_n6():
 
 
 def test_budgeted_search_reports_upper_bound():
+    # 10 nodes of the 1,189-node tree
     result = max_independent_set(5, 2, node_budget=10)
-    if not result.exact:
-        assert result.upper_bound is not None
-        assert result.upper_bound >= result.independence_number
+    assert not result.exact
+    assert result.upper_bound is not None
+    assert result.upper_bound >= result.independence_number
 
 
 @pytest.mark.parametrize("n,budget", [(6, 100), (7, 5000)])
@@ -158,6 +172,7 @@ def test_clique_cover_early_exit_keeps_every_prune_decision(n):
 
 
 def _oracle_cases():
+    # ``force`` is the root of the oracle's search; the package's is forced
     for n in range(1, 6):
         for t in range(1, n + 1):
             for force in (True, False):
@@ -170,16 +185,19 @@ def _oracle_cases():
 @pytest.mark.parametrize("n,t,force,budget", _oracle_cases())
 def test_search_keeps_the_recursive_tree(n, t, force, budget):
     # the explicit stack and the word-matrix branching choice visit the
-    # same nodes in the same order as the recursive scan they replace
-    verts, adj, _ = graph_bitsets(n, t)
-    size, nodes, mask, exhausted = recursive_search(
-        adj, force_identity=force, node_budget=budget
-    )
-    result = max_independent_set(n, t, force_identity=force, node_budget=budget)
-    assert (result.independence_number, result.nodes, result.exact) == (size, nodes, exhausted)
-    assert result.witness == tuple(
-        tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1
-    )
+    # same nodes in the same order as the recursive scan they replace; the
+    # free scan finds a maximum set that translates to one holding the
+    # identity, which is why the package may force the identity in
+    oracle = _oracle_result(n, t, force, budget)
+    result = max_independent_set(n, t, node_budget=budget)
+    assert (result.independence_number, result.exact) == (oracle.independence_number, oracle.exact)
+    if force:
+        assert (result.nodes, result.witness) == (oracle.nodes, oracle.witness)
+    else:
+        back = inverse(oracle.witness[0])
+        moved = tuple(sorted(compose(back, s) for s in oracle.witness))
+        assert moved[0] == identity(n)
+        assert verify_certificate(dataclasses.replace(oracle, witness=moved))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -233,7 +251,6 @@ def test_tampered_witness_fails():
         witness=result.witness[:-1] + ((1, 2, 4, 3),),
         nodes=result.nodes,
         exact=True,
-        forced_identity=True,
     )
     assert not verify_certificate(bad)
 
@@ -250,15 +267,15 @@ def test_repeated_witness_member_fails():
 
 
 def _certificate_cases():
-    """Search results for n = 2..5 at every t and both symmetry settings,
-    with the exact flag as found and flipped, and with the witness replaced
-    by prefixes of it and by seeded random sets of distinct vertices."""
+    """Search results for n = 2..5 at every t, the package's and one from
+    the oracle's free search, with the exact flag as found and flipped, and
+    with the witness replaced by prefixes of it and by seeded random sets of
+    distinct vertices."""
     rng = random.Random(2026)
     for n in range(2, 6):
         verts = list(all_perms(n))
         for t in range(1, n + 1):
-            for force in (True, False):
-                result = max_independent_set(n, t, force_identity=force)
+            for result in (max_independent_set(n, t), _oracle_result(n, t, force=False)):
                 full = len(result.witness)
                 witnesses = [result.witness[:k] for k in sorted({0, 1, full // 2, full - 1, full})]
                 witnesses += [
@@ -292,7 +309,7 @@ def test_budgeted_witness_needs_independence_only():
     result = max_independent_set(5, 2)
     partial = SearchResult(
         n=5, t=2, independence_number=6, witness=result.witness[:6],
-        nodes=10, exact=False, forced_identity=True,
+        nodes=10, exact=False,
     )
     assert verify_certificate(partial)
     assert not verify_certificate(dataclasses.replace(partial, exact=True))
@@ -306,7 +323,7 @@ def test_maximality_flag_on_coset_witness():
     coset = tuple(sorted(perms_fixing([(1, 1), (2, 2)], 5)))
     framed = SearchResult(
         n=5, t=2, independence_number=6, witness=coset,
-        nodes=0, exact=False, forced_identity=False,
+        nodes=0, exact=False,
     )
     assert verify_certificate(framed)
     assert verify_certificate(dataclasses.replace(framed, exact=True))
