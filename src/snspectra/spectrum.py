@@ -213,7 +213,7 @@ def _lex_perms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return perms, place, perms @ place
 
 
-def agreement_neighbours(n: int, t: int = 2) -> np.ndarray:
+def agreement_neighbours(n: int, t: int) -> np.ndarray:
     """Neighbour ranks of the graph joining permutations that agree on
     exactly t-1 points, vertices in lexicographic order: row g lists the
     ranks of g∘s for the generators s with exactly t-1 fixed points (shape
@@ -279,7 +279,6 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SpectrumCertificate:
-    method: str
     primes: tuple[int, ...]
     max_residual: float
     moments_checked: int
@@ -299,9 +298,7 @@ def _left_translation_invariant(nbrs: np.ndarray, n: int) -> bool:
     return True
 
 
-def brute_force_spectrum(
-    n: int, t: int = 2
-) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
+def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
     """Eigenvalue multiset of the explicit adjacency matrix A, with an exact
     certificate.
 
@@ -371,7 +368,6 @@ def brute_force_spectrum(
 
     pairs = tuple((lam, c) for lam, c in zip(distinct, counts) if c > 0)
     cert = SpectrumCertificate(
-        method="matrix-annihilation",
         primes=tuple(primes),
         max_residual=max_residual,
         moments_checked=r + 1,

@@ -31,8 +31,6 @@ class ClassWeighting:
     """Nonnegative rational weight per generating class, with weighted
     degree sum(w_c |c|) = 1."""
 
-    n: int
-    t: int
     weights: tuple[tuple[CycleType, Fraction], ...]
 
     def weighted_degree(self) -> Fraction:
@@ -224,8 +222,6 @@ def _dual_solution(
 
 @dataclass(frozen=True)
 class WeightedBoundResult:
-    n: int
-    t: int
     weighting: ClassWeighting
     least_eigenvalue: Fraction
     bound: Fraction
@@ -237,7 +233,7 @@ class WeightedBoundResult:
 WOPT_CAP = 12
 
 
-def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
+def optimize_bound(n: int, t: int) -> WeightedBoundResult:
     """Maximize the least nontrivial weighted eigenvalue over nonnegative
     normalized class weightings; return the weighting and the induced
     independence bound, exactly.  The optimum comes with the checked
@@ -271,7 +267,7 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
     m = -objective  # we minimized -(m_plus - m_minus)
 
     weights = tuple((c, x[i]) for i, (c, _) in enumerate(classes))
-    weighting = ClassWeighting(n=n, t=t, weights=weights)
+    weighting = ClassWeighting(weights)
     # re-substitution through the public eigenvalue path
     if weighting.weighted_degree() != 1:
         raise LPError("re-substitution failed: the weighted degree is not 1")
@@ -280,8 +276,6 @@ def optimize_bound(n: int, t: int = 2) -> WeightedBoundResult:
 
     spec = full_spectrum(n, t)
     return WeightedBoundResult(
-        n=n,
-        t=t,
         weighting=weighting,
         least_eigenvalue=m,
         bound=hoffman_bound(1, m, math.factorial(n)),

@@ -942,7 +942,7 @@ def dense_brute_force_spectrum(
     if sum(m * lam**r for m, lam in zip(mults, distinct)) != traces[r]:
         raise ArithmeticError("extra moment check failed")
     pairs = tuple((lam, int(m)) for lam, m in zip(distinct, mults) if m > 0)
-    return pairs, SpectrumCertificate("matrix-annihilation", tuple(primes), max_residual, r + 1)
+    return pairs, SpectrumCertificate(tuple(primes), max_residual, r + 1)
 
 
 # ---------------------------------------------------------------------------

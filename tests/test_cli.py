@@ -325,6 +325,17 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["d"] == "265"
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-such-dir", "a-directory"])
+def test_unwritable_out_is_refused(tmp_path, capsys, target):
+    # used to end in a FileNotFoundError or IsADirectoryError traceback, exit 1
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, ["derangements", "--n", "5", "--out", str(path)])
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write --out {path}: " in err
+    assert "Traceback" not in err
+
+
 def forbid_reports(monkeypatch, *names):
     """Replace report builders with stubs that fail the test if entered."""
 
@@ -382,6 +393,9 @@ def forbid_reports(monkeypatch, *names):
         ("table --n-range=-3..6 --format table", "range '-3..6' starts below 1"),
         ("reproduce --n-range=-3..4", "range '-3..4' starts below 1"),
         ("table --n-range=0..8", "range '0..8' starts below 1"),
+        # used to exit 2 naming only int(): invalid literal for int() with base 10: ''
+        ("table --n-range ..6", "--n-range '..6' is not of the form N or LO..HI"),
+        ("table --n-range 6..x", "--n-range '6..x' is not of the form N or LO..HI"),
     ],
 )
 def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, message):
@@ -501,6 +515,19 @@ def test_families_refuses_a_degree_past_the_int8_rows(capsys, monkeypatch, famil
     assert "capped at 127 by ROW_DEGREE_CAP, the int8 row limit" in err
 
 
+def test_families_members_excludes_verify_independence(capsys, monkeypatch):
+    # --members used to skip the check: HM at n = 4 printed three members and
+    # exited 0, although the check alone fails with the witness (2 3), (1 3)
+    forbid_reports(monkeypatch, "family_report", "family_members_text")
+    argv = "families --family HM --n 4 --t 2 --members --verify-independence".split()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv,builder,message",
     [
@@ -560,8 +587,8 @@ PARSER = {
         (("--family",), "family", None, FAMILY_NAMES, True, None, None),
         N,
         T,
-        (("--verify-independence",), "verify_independence", False, None, False, None, None),
-        (("--members",), "members", False, None, False, None, None),
+        (("--verify-independence",), "verify_independence", False, None, False, None, 0),
+        (("--members",), "members", False, None, False, None, 0),
     ],
     "search": [
         N,

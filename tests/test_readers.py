@@ -5,9 +5,9 @@ or through an import.  The roots are the module-level statements of the
 package (the family registry, the CLI entry point) and
 ``bench/library_steps.py``, the benchmark step that calls the library
 directly; every definition that a reachable body names is reachable too.
-Re-exports in ``__init__`` are imports, not readers, and a definition that
-only an unread one names is itself unread.  Whatever no report needs lives
-in ``tests/oracles.py`` or is deleted.
+The package root imports nothing, so no re-export can pass for a reader,
+and a definition that only an unread one names is itself unread.  Whatever
+no report needs lives in ``tests/oracles.py`` or is deleted.
 
 Likewise every optional parameter (defaulted or keyword-only) of a read
 top-level function is passed by some call in the package or in
@@ -73,7 +73,7 @@ TREES, STEPS, BINDINGS, BODIES = _parse()
 
 
 def resolve(target: str) -> str:
-    """Follow re-exports (``__init__``, imports) to the defining module."""
+    """Follow imports to the defining module."""
     while target not in BODIES and "." in target:
         module, name = target.split(".")
         nxt = BINDINGS[module].get(name, target)
@@ -143,6 +143,16 @@ def test_every_definition_has_a_reader():
 
 def test_every_optional_parameter_is_passed_by_the_package():
     assert unpassed_parameters() == set(ALLOWED_UNPASSED)
+
+
+def test_package_init_imports_nothing():
+    # the modules are the API; a re-export list is a second surface to keep
+    imports = [
+        node.lineno
+        for node in ast.walk(TREES["__init__"])
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert imports == []
 
 
 def test_no_assert_statements():

@@ -214,22 +214,19 @@ def test_builder_matches_direct_agreement_count(n):
 def test_oracle_matches_character_route(n, t):
     pairs, cert = brute_force_spectrum(n, t)
     assert pairs == full_spectrum(n, t).multiset()
-    assert cert.method == "matrix-annihilation"
     assert cert.max_residual < 1e-9
 
 
 def test_oracle_n6():
     for t in (2, 3):
-        pairs, cert = brute_force_spectrum(6, t)
+        pairs, _ = brute_force_spectrum(6, t)
         assert pairs == full_spectrum(6, t).multiset()
-        assert cert.method == "matrix-annihilation"
 
 
 @pytest.mark.slow
 def test_oracle_n7():
-    pairs, cert = brute_force_spectrum(7, 2)
+    pairs, _ = brute_force_spectrum(7, 2)
     assert pairs == full_spectrum(7, 2).multiset()
-    assert cert.method == "matrix-annihilation"
 
 
 # the dense certificate takes about 2 s per t at n = 6

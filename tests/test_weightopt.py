@@ -23,7 +23,7 @@ def uniform_weighting(n, t):
     """Weight 1/degree on every generating class."""
     classes = generating_classes(n, t)
     degree = sum(size for _, size in classes)
-    return ClassWeighting(n=n, t=t, weights=tuple((c, Fraction(1, degree)) for c, _ in classes))
+    return ClassWeighting(tuple((c, Fraction(1, degree)) for c, _ in classes))
 
 
 def test_uniform_weighting_recovers_spectrum():
@@ -47,7 +47,7 @@ def test_trivial_component_sees_the_normalization():
 def test_single_class_weighting():
     n, t = 6, 2
     ctype, size = generating_classes(n, t)[0]
-    w = ClassWeighting(n=n, t=t, weights=((ctype, Fraction(1, size)),))
+    w = ClassWeighting(((ctype, Fraction(1, size)),))
     assert w.weighted_degree() == 1
     from snspectra.characters import mn_character
     from snspectra.partitions import dimension
@@ -238,7 +238,7 @@ def test_random_feasible_weightings_stay_sound():
             weights = tuple(
                 (c, r / scale) for r, (c, size) in zip(raw, classes)
             )
-            weighting = ClassWeighting(n=n, t=t, weights=weights)
+            weighting = ClassWeighting(weights)
             assert weighting.weighted_degree() == 1
             least = min(
                 weighted_eigenvalue(a, weighting)
