@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
+from .lazy import np
 from .partitions import (
     Partition,
     check_partition,
@@ -137,14 +136,19 @@ def _served(alpha: Sequence[int], n: int) -> Partition:
 
 
 def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
-    """The pair sums of a family of permutations of 1..n (rows), from its
-    count tensor (one bincount of the codes of (i, j, s(i), s(j)))."""
+    """The pair sums of a family, a set of distinct permutations of 1..n
+    (rows), from its count tensor (one bincount of the codes of
+    (i, j, s(i), s(j)))."""
     arr = np.asarray(members, dtype=np.int64)
     if arr.size and arr.shape[1:] != (n,):
         raise ValueError("member degree mismatch")
     arr = arr.reshape(len(arr), n) - 1
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
         raise ValueError(f"a member is not a permutation of 1..{n}")
+    rows, copies = np.unique(arr, axis=0, return_counts=True)
+    if len(rows) < len(arr):
+        repeated = tuple(int(v) + 1 for v in rows[copies.argmax()])
+        raise ValueError(f"member {repeated} is repeated: a family is a set of permutations")
     i, j = np.indices((n, n)).reshape(2, -1)
     codes = ((i * n + j) * n + arr[:, i]) * n + arr[:, j]
     counts = np.bincount(codes.ravel(), minlength=n**4).reshape(n, n, n, n)

@@ -10,15 +10,11 @@ or an argparse usage error, and when the ``--out`` file cannot be written.
 
 from __future__ import annotations
 
-# The package modules, and numpy with them, load before argparse: in that
-# order a fresh process peaks about 0.1 MB lower (ru_maxrss of
-# `families --family B --n 9 --verify-independence`, Python 3.11).
-from . import reports  # isort: skip
-
 import argparse
 import math
 import sys
 
+from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
 from .perms import DEFAULT_ENUMERATION_CAP, DERANGEMENT_CAP, ROW_DEGREE_CAP
 from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T

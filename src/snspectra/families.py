@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
-import numpy as np
-
+from .lazy import np
 from .perms import derangement_count, identity, perm_rows
 
 PAIRWISE_CAP = 12000

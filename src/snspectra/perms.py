@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-import numpy as np
+from .lazy import np
 
 # Rows are int8, so they hold degrees up to 127.
 ROW_DEGREE_CAP = 127

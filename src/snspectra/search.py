@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .families import Family, verify
+from .lazy import np
 from .perms import perm_rows
 from .spectrum import agreement_neighbours, generating_classes
 from .weightopt import optimize_bound
@@ -182,12 +181,13 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes at t = 2, 5.2 s fresh on a 2-core machine); from n = 6 on
+# (99,591 nodes at t = 2, 4.1-4.8 s fresh on a 2-core machine); from n = 6 on
 # the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
 # running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
-# 0.6, 5.2, 5.4 and 0.5 s.
+# 0.5-0.7, 4.1-4.8, 3.7-5.0 and 0.3-0.4 s (the medians of three sets of
+# runs).
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 

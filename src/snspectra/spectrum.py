@@ -24,9 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .characters import CycleType, class_size, mn_character
+from .lazy import np
 from .partitions import Partition, dimension, partitions_of
 from .perms import derangement_count, perm_rows
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -199,6 +200,24 @@ def test_members_must_be_permutations_of_the_degree():
         projection_mass([(1, 2, 3)], (4,), 4)
     with pytest.raises(ValueError, match="not a permutation"):
         projection_mass([(1, 1, 3, 4)], (4,), 4)
+
+
+@pytest.mark.parametrize(
+    "members, repeated",
+    [
+        # two copies of the identity gave 11/144, the distance of no vector
+        ([(1, 2, 3, 4)] * 2, "(1, 2, 3, 4)"),
+        # 25 copies gave a negative distance, an ArithmeticError (exit 1)
+        ([(1, 2, 3, 4)] * 25, "(1, 2, 3, 4)"),
+        ([(1, 2, 3, 4), (2, 1, 3, 4), (3, 4, 1, 2), (2, 1, 3, 4)], "(2, 1, 3, 4)"),
+    ],
+)
+def test_repeated_members_are_refused(members, repeated):
+    match = rf"member {re.escape(repeated)} is repeated"
+    with pytest.raises(ValueError, match=match):
+        exact_distance_sq_to_span(members, [(4,)], 4)
+    with pytest.raises(ValueError, match=match):
+        projection_mass(members, (4,), 4)
 
 
 def test_B9_distance_to_the_paper_span():
