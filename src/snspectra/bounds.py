@@ -78,8 +78,12 @@ def paper_tail_split(n: int, t: int) -> tuple[tuple[Partition, ...], int, int]:
     component lies lower still) the tail picks up whatever sits below, which
     keeps the split a genuine sorted-spectrum suffix so the distance bound
     applies.  Returns (tail partitions, lam_m, lam_n) with lam_m the least
-    eigenvalue outside the tail and lam_n the least overall.
+    eigenvalue outside the tail and lam_n the least overall.  A ValueError
+    below n = 4, where (n-2,2) is no partition, and when the tail takes every
+    nontrivial component and leaves no lam_m (at t = 1 and at t = n).
     """
+    if n < 4:
+        raise ValueError(f"tail split: (n-2,2) is a partition only from n = 4 on (got n={n})")
     spec = full_spectrum(n, t)
     by_alpha = {r.partition: r.eigenvalue for r in spec.rows}
     threshold = max(by_alpha[(n - 2, 2)], by_alpha[(n - 2, 1, 1)])
@@ -87,6 +91,11 @@ def paper_tail_split(n: int, t: int) -> tuple[tuple[Partition, ...], int, int]:
         a for a in partitions_of(n) if a != (n,) and by_alpha[a] <= threshold
     )
     rest = [by_alpha[a] for a in partitions_of(n) if a != (n,) and a not in set(tail)]
+    if not rest:
+        raise ValueError(
+            f"tail split: at n={n}, t={t} the tail holds every nontrivial component, "
+            "so no eigenvalue is left outside it"
+        )
     lam_n = spec.lambda_min
     lam_m = min(rest)
     return tail, lam_m, lam_n

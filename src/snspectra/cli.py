@@ -149,12 +149,6 @@ def _n_t(p: argparse.ArgumentParser, t: bool = True) -> argparse.ArgumentParser:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to a file instead of stdout")
-    common.add_argument(
-        "--format",
-        choices=("json", "csv", "table"),
-        default="json",
-        help="json for every command; csv for chartable, table for table",
-    )
     common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
     common.add_argument(
         "--cap",
@@ -173,17 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(run, help: str) -> argparse.ArgumentParser:
+    def command(run, help: str, formats: tuple[str, ...] = ("json",)) -> argparse.ArgumentParser:
         p = sub.add_parser(run.__name__, parents=[common], help=help)
+        p.add_argument("--format", choices=formats, default="json")
         p.set_defaults(run=run)
         return p
 
     _n_t(command(derangements, "derangement counts d, even, odd"), t=False)
-    _n_t(command(chartable, "character table as CSV plus checks"), t=False)
+    _n_t(command(chartable, "character table as CSV plus checks", ("json", "csv")), t=False)
     _n_t(command(spectrum, "full spectrum of the agreement graph")).add_argument(
         "--verify", action="store_true", help="cross-check against the brute-force adjacency oracle"
     )
-    command(table, "closed-form eigenvalue table over an n range").add_argument(
+    command(table, "closed-form eigenvalue table over an n range", ("json", "table")).add_argument(
         "--n-range", required=True, help="e.g. 6..12 or a single n"
     )
     _n_t(command(hoffman, "Hoffman and cross bounds for the graph"))
@@ -214,17 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every command writes json; each other format is written by one command
-FORMAT_COMMAND = {"csv": "chartable", "table": "table"}
-
-
 def run(args: argparse.Namespace) -> str:
-    """Refuse a ``--format`` the command does not write, run the command and
-    echo ``--seed`` and ``--cap`` into its json report, if it returns one."""
-    fmt, command = args.format, args.command
-    writer = FORMAT_COMMAND.get(fmt, command)
-    if writer != command:
-        raise ValueError(f"--format {fmt} is written only by {writer}, not by {command}")
+    """Run the command and echo ``--seed`` and ``--cap`` into its json
+    report, if it returns one."""
     report = args.run(args)
     if isinstance(report, str):
         return report

@@ -8,6 +8,7 @@ pure; permutations are never mutated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -113,6 +114,17 @@ def derangement_counts(n: int) -> DerangementCounts:
 # Enumeration.
 
 
+def _integer_pin(pin: Sequence[int]) -> tuple[int, int]:
+    """A pin (i, j) as Python ints.  Integer types such as numpy's pass
+    through ``operator.index``; any other entry, 2.0 included, is a
+    ``ValueError`` naming the pin."""
+    try:
+        i, j = map(operator.index, pin)
+    except TypeError:
+        raise ValueError(f"pin {tuple(pin)!r} is not a pair of integers") from None
+    return i, j
+
+
 def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
     """The permutations of degree n with s(i) = j for each pinned (i, j), as
     one-line rows (int8, values 1..n) in lexicographic order.
@@ -127,6 +139,7 @@ def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
     >>> perm_rows(4, [(3, 1), (1, 4)]).tolist()
     [[4, 2, 1, 3], [4, 3, 1, 2]]
     """
+    pins = [_integer_pin(pin) for pin in pins]
     pinned = dict(pins)
     if len(pinned) != len(pins) or len(set(pinned.values())) != len(pins):
         raise ValueError("a source or a target point is pinned twice")

@@ -276,11 +276,11 @@ def wopt_report(n: int, t: int) -> dict:
             "t": t,
             "classes": [
                 {"cycle_type": format_partition(c), "weight": w}
-                for c, w in result.weighting.weights
+                for c, w in result.weights
             ],
             "least_weighted_eigenvalue": result.least_eigenvalue,
             "bound": result.bound,
-            "uniform_bound": result.uniform_bound,
+            "uniform_bound": bound_report(n, t).hoffman_value,
             "certified": True,  # optimize_bound raises unless certified
             "ratio_to_stabilizer_target": result.bound / math.factorial(n - t),
             "ratio_to_pair_target": result.bound / math.factorial(n - 2),

@@ -116,8 +116,8 @@ class Spectrum:
 
 
 # Largest degree of the full-spectrum commands: p(26) = 2,436 eigenvalues,
-# about 5 s and 260 MB in one process on a 2-core machine, and each further
-# 2 in n costs about 2.2 times more time.
+# 3.3-3.6 s and 149 MB peak in a fresh process on a 2-core machine, and each
+# further 2 in n costs about 2.2 times more time.
 SPECTRUM_CAP = 26
 
 

@@ -8,8 +8,9 @@ maximize the least nontrivial weighted eigenvalue m; the induced bound is
 
 The LP is solved in exact rational arithmetic by a two-phase simplex with
 Bland's rule that carries its reduced-cost row and pivots over nonzero
-entries only, and the solution is not trusted: ``solve_lp_min`` returns it
-only once primal feasibility, dual feasibility, and objective equality,
+entries only; the dual is read from the final reduced costs of the
+artificial columns.  The solution is not trusted: ``solve_lp_min`` returns
+it only once primal feasibility, dual feasibility, and objective equality,
 which together certify optimality, are re-verified exactly.
 """
 
@@ -23,29 +24,18 @@ from typing import Sequence
 from .bounds import hoffman_bound
 from .characters import CycleType, class_size
 from .partitions import Partition, partitions_of
-from .spectrum import class_eigenvalues, full_spectrum, generating_classes
+from .spectrum import class_eigenvalues, generating_classes
 
 
-@dataclass(frozen=True)
-class ClassWeighting:
-    """Nonnegative rational weight per generating class, with weighted
-    degree sum(w_c |c|) = 1."""
-
-    weights: tuple[tuple[CycleType, Fraction], ...]
-
-    def weighted_degree(self) -> Fraction:
-        return sum(
-            (w * class_size(c) for c, w in self.weights), Fraction(0)
-        )
-
-
-def weighted_eigenvalue(alpha: Partition, weighting: ClassWeighting) -> Fraction:
-    """Linear extension of the class-eigenvalue map:
-    sum_c w_c |c| chi_alpha(c) / f^alpha.  Weights 1/degree recover the
-    unweighted eigenvalue divided by the degree."""
-    classes = tuple((c, class_size(c)) for c, _ in weighting.weights)
+def weighted_eigenvalue(
+    alpha: Partition, weights: Sequence[tuple[CycleType, Fraction]]
+) -> Fraction:
+    """Linear extension of the class-eigenvalue map to the weights
+    ((cycle type c, w_c), ...): sum_c w_c |c| chi_alpha(c) / f^alpha.
+    Weights 1/degree recover the unweighted eigenvalue divided by the degree."""
+    classes = tuple((c, class_size(c)) for c, _ in weights)
     values = class_eigenvalues(alpha, classes)
-    return sum((w * e for (_, w), e in zip(weighting.weights, values)), Fraction(0))
+    return sum((w * e for (_, w), e in zip(weights, values)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +82,16 @@ def _simplex_phase(
     basis: list[int],
     cost: Sequence[Fraction],
     allowed: int,
-) -> Fraction:
-    """Run Bland-rule simplex to optimality on the given cost row;
-    ``allowed`` is the number of tableau columns before the right-hand side,
-    all eligible to enter (phase 2 runs on a tableau without the artificial
-    columns, while ``cost`` still prices every basis index).  Returns the
-    optimal objective value.
+) -> list[Fraction]:
+    """Run Bland-rule simplex to optimality on the given cost row; ``cost``
+    prices every tableau column before the right-hand side and the first
+    ``allowed`` of them are eligible to enter (phase 2 bars the artificial
+    columns).  Returns the final reduced-cost row.
 
     The reduced costs c_j - c_B . column_j are carried as an extra row,
     built once here and updated by each pivot; its last entry is minus the
     objective value."""
-    reduced = [Fraction(cost[j]) for j in range(allowed)] + [Fraction(0)]
+    reduced = [*cost, Fraction(0)]
     for r, b in enumerate(basis):
         if cost[b]:
             for j, a in enumerate(tableau[r]):
@@ -112,7 +101,7 @@ def _simplex_phase(
     while True:
         entering = next((j for j in range(allowed) if reduced[j] < 0), None)
         if entering is None:
-            return -reduced[-1]
+            return reduced
         ratios = [
             (row[-1] / row[entering], basis[r], r)
             for r, row in enumerate(tableau)
@@ -157,12 +146,9 @@ def solve_lp_min(
     basis = [ncols + r for r in range(nrows)]
 
     phase1_cost = [Fraction(0)] * ncols + [Fraction(1)] * nrows
-    value = _simplex_phase(tableau, basis, phase1_cost, ncols + nrows)
-    if value != 0:
+    # the last reduced cost is minus the phase-1 objective, the artificial sum
+    if _simplex_phase(tableau, basis, phase1_cost, ncols + nrows)[-1] != 0:
         raise LPError("infeasible linear program")
-    # no artificial column can enter again, so drop them
-    for row in tableau:
-        del row[ncols:-1]
     # drive leftover artificials out of the basis
     for r in range(nrows):
         if basis[r] >= ncols:
@@ -170,19 +156,21 @@ def solve_lp_min(
             if col is not None:
                 _eliminate(tableau, r, col)
                 basis[r] = col
-    # any remaining artificial rows are redundant zero rows; freeze them
+    # any remaining artificial rows are redundant zero rows; freeze them.
+    # The artificial columns stay, barred from entering: they hold B^-1, so
+    # the reduced cost of artificial column r is -y_r (+y_r for a negated row)
     phase2_cost = [Fraction(x) for x in cost] + [Fraction(0)] * nrows
-    _simplex_phase(tableau, basis, phase2_cost, ncols)
+    reduced = _simplex_phase(tableau, basis, phase2_cost, ncols)
     x = [Fraction(0)] * ncols
     for r, b in enumerate(basis):
         if b < ncols:
             x[b] = tableau[r][-1]
+    y = [reduced[ncols + r] if b_eq[r] < 0 else -reduced[ncols + r] for r in range(nrows)]
 
     if any(xi < 0 for xi in x) or any(
         sum(a * xi for a, xi in zip(row, x)) != rhs for row, rhs in zip(a_eq, b_eq)
     ):
         raise LPError("primal check failed: x is not >= 0 with a_eq x = b_eq")
-    y = _dual_solution(cost, a_eq, basis)
     for j in range(ncols):
         if cost[j] - sum(a_eq[r][j] * y[r] for r in range(nrows)) < 0:
             raise LPError(f"dual check failed: column {j} has a negative reduced cost")
@@ -192,52 +180,27 @@ def solve_lp_min(
     return x, y, objective
 
 
-def _dual_solution(
-    cost: Sequence[Fraction],
-    a_eq: Sequence[Sequence[Fraction]],
-    basis: Sequence[int],
-) -> list[Fraction]:
-    """y solving B^T y = c_B for the final basis (artificial columns are
-    unit vectors, so their dual rows are direct)."""
-    nrows = len(a_eq)
-    ncols = len(cost)
-    # row i of [B^T | c_B] is basic column basis[i], artificials included
-    aug = []
-    for b in basis:
-        if b < ncols:
-            aug.append([Fraction(a_eq[r][b]) for r in range(nrows)] + [Fraction(cost[b])])
-        else:
-            unit = [Fraction(0)] * (nrows + 1)
-            unit[b - ncols] = Fraction(1)
-            aug.append(unit)
-    try:
-        return solve_linear(aug)
-    except ArithmeticError as exc:
-        raise LPError("singular basis while extracting the dual") from exc
-
-
 # ---------------------------------------------------------------------------
 # The weighted-bound optimization.
 
 
 @dataclass(frozen=True)
 class WeightedBoundResult:
-    weighting: ClassWeighting
+    weights: tuple[tuple[CycleType, Fraction], ...]
     least_eigenvalue: Fraction
     bound: Fraction
-    uniform_bound: Fraction
 
 
-# Largest degree of the weighted-bound LP: n = 12 at t = 2 takes about 10 s
-# in a fresh process on a 2-core machine, and n = 13 about 41 s.
+# Largest degree of the weighted-bound LP: n = 12 at t = 2 takes 6.6-8.0 s
+# in a fresh process on a 2-core machine, and n = 13 about 27-29 s.
 WOPT_CAP = 12
 
 
 def optimize_bound(n: int, t: int) -> WeightedBoundResult:
     """Maximize the least nontrivial weighted eigenvalue over nonnegative
-    normalized class weightings; return the weighting and the induced
+    normalized class weights; return the weights and the induced
     independence bound, exactly.  The optimum comes with the checked
-    primal/dual pair of ``solve_lp_min``, and the weighting is substituted
+    primal/dual pair of ``solve_lp_min``, and the weights are substituted
     back through ``weighted_eigenvalue``; LPError names a failed check.  At
     t = n no class has t-1 fixed points and there is nothing to weight, a
     ValueError."""
@@ -267,17 +230,14 @@ def optimize_bound(n: int, t: int) -> WeightedBoundResult:
     m = -objective  # we minimized -(m_plus - m_minus)
 
     weights = tuple((c, x[i]) for i, (c, _) in enumerate(classes))
-    weighting = ClassWeighting(weights)
     # re-substitution through the public eigenvalue path
-    if weighting.weighted_degree() != 1:
+    if sum((w * class_size(c) for c, w in weights), Fraction(0)) != 1:
         raise LPError("re-substitution failed: the weighted degree is not 1")
-    if min(weighted_eigenvalue(a, weighting) for a in alphas) != m:
+    if min(weighted_eigenvalue(a, weights) for a in alphas) != m:
         raise LPError("re-substitution failed: the least weighted eigenvalue is not m")
 
-    spec = full_spectrum(n, t)
     return WeightedBoundResult(
-        weighting=weighting,
+        weights=weights,
         least_eigenvalue=m,
         bound=hoffman_bound(1, m, math.factorial(n)),
-        uniform_bound=hoffman_bound(spec.degree, spec.lambda_min, math.factorial(n)),
     )

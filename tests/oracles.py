@@ -64,6 +64,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from snspectra import weightopt
 from snspectra.characters import mn_character as production_character
 from snspectra.families import Family
 from snspectra.partitions import (
@@ -865,6 +866,43 @@ def solve_lp_min(
         if b < ncols:
             x[b] = tableau[r][-1]
     return x, objective, basis
+
+
+def basis_dual(
+    cost: Sequence[Fraction],
+    a_eq: Sequence[Sequence[Fraction]],
+    basis: Sequence[int],
+) -> list[Fraction]:
+    """y solving B^T y = c_B for a final basis, by a second Gauss-Jordan
+    pass; an artificial basic column is a unit vector of cost 0."""
+    nrows = len(a_eq)
+    ncols = len(cost)
+    # row i of [B^T | c_B] is basic column basis[i], artificials included
+    aug = []
+    for b in basis:
+        if b < ncols:
+            aug.append([Fraction(a_eq[r][b]) for r in range(nrows)] + [Fraction(cost[b])])
+        else:
+            unit = [Fraction(0)] * (nrows + 1)
+            unit[b - ncols] = Fraction(1)
+            aug.append(unit)
+    return solve_linear(aug)
+
+
+def shift_dual(monkeypatch, shift: Fraction) -> None:
+    """Make ``weightopt.solve_lp_min`` read y_r + shift for every row r with
+    a nonnegative right-hand side: y_r is minus the final phase-2 reduced
+    cost of artificial column r, and phase 2 is the call whose ``allowed``
+    columns stop short of the priced ones."""
+    phase = weightopt._simplex_phase
+
+    def shifted(tableau, basis, cost, allowed):
+        reduced = phase(tableau, basis, cost, allowed)
+        for j in range(allowed, len(cost)):
+            reduced[j] -= shift
+        return reduced
+
+    monkeypatch.setattr(weightopt, "_simplex_phase", shifted)
 
 
 # ---------------------------------------------------------------------------

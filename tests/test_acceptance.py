@@ -282,7 +282,7 @@ def test_criterion_15_weighted_bounds():
     for n in (6, 7, 8):
         for t in (2, 3):
             result = optimize_bound(n, t)  # raises LPError unless certified
-            assert result.bound <= result.uniform_bound, (n, t)
+            assert result.bound <= bound_report(n, t).hoffman_value, (n, t)
             assert result.bound >= math.factorial(n - t), (n, t)
     _report(15, "optimal weighted bound certified, <= uniform, >= (n-t)!, (n,t) in 6..8 x 2..3")
 

@@ -261,6 +261,23 @@ def test_paper_tail_split_values():
     assert abs(lam_m8) < abs(lam_n8)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_paper_tail_split_needs_the_two_tail_components(n):
+    # a bare KeyError: (n-2, 2) is not a partition of n
+    with pytest.raises(ValueError, match=f"from n = 4 on \\(got n={n}\\)"):
+        paper_tail_split(n, 2)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+@pytest.mark.parametrize("end", ["one", "n"])
+def test_paper_tail_split_refuses_an_empty_outside(n, end):
+    # the tail held every nontrivial component, and min() of the empty rest
+    # raised a bare "min() arg is an empty sequence"
+    t = 1 if end == "one" else n
+    with pytest.raises(ValueError, match=f"at n={n}, t={t} the tail holds every nontrivial"):
+        paper_tail_split(n, t)
+
+
 def test_stability_bound_dominates_exact_distance():
     spec = full_spectrum(5, 2)
     tail, lam_m, lam_n = paper_tail_split(5, 2)

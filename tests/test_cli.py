@@ -6,11 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from snspectra import characters, cli, families, reports, spectrum, weightopt
+from oracles import shift_dual
+from snspectra import characters, cli, families, reports, spectrum
 
 
 def run_cli(capsys, argv):
-    code = cli.main(argv)
+    """The exit code and output of a run; an argparse usage error exits 2
+    through SystemExit, as a process would."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -187,8 +193,7 @@ def test_wopt(capsys):
 
 
 def test_wopt_with_a_failed_certificate_exits_1(capsys, monkeypatch):
-    dual = weightopt._dual_solution
-    monkeypatch.setattr(weightopt, "_dual_solution", lambda *a: [yr + 1 for yr in dual(*a)])
+    shift_dual(monkeypatch, 1)
     code, out, err = run_cli(capsys, ["wopt", "--n", "6"])
     assert code == 1
     assert out == ""
@@ -532,8 +537,8 @@ def test_families_members_excludes_verify_independence(capsys, monkeypatch):
     "argv,builder,message",
     [
         # printed JSON and exited 0 although no csv is written
-        ("derangements --n 5 --format csv", "derangements_report", "written only by chartable"),
-        ("spectrum --n 5 --format table", "spectrum_report", "written only by table"),
+        ("derangements --n 5 --format csv", "derangements_report", "invalid choice: 'csv'"),
+        ("spectrum --n 5 --format table", "spectrum_report", "invalid choice: 'table'"),
     ],
 )
 def test_unwritten_format_is_refused_before_any_work(capsys, monkeypatch, argv, builder, message):
@@ -567,10 +572,10 @@ def test_small_ranges_that_check_something_still_run(capsys):
 COMMON = [
     (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None, None),
     (("--out",), "out", None, None, False, None, None),
-    (("--format",), "format", "json", ("json", "csv", "table"), False, None, None),
     (("--seed",), "seed", 0, None, False, int, None),
     (("--cap",), "cap", 10, None, False, int, None),
 ]
+JSON = (("--format",), "format", "json", ("json",), False, None, None)
 N = (("--n",), "n", None, None, True, int, None)
 T = (("--t",), "t", 2, None, False, int, None)
 N_RANGE = (("--n-range",), "n_range", None, None, True, None, None)
@@ -578,12 +583,13 @@ FAMILY_NAMES = ("B", "F1", "F2", "F3", "F4", "G1", "G2", "G3", "G4", "2coset", "
 # per command after the common options: (option strings, dest, default,
 # choices, required, type, index of its mutually exclusive group)
 PARSER = {
-    "derangements": [N],
-    "chartable": [N],
-    "spectrum": [N, T, (("--verify",), "verify", False, None, False, None, None)],
-    "table": [N_RANGE],
-    "hoffman": [N, T],
+    "derangements": [JSON, N],
+    "chartable": [(("--format",), "format", "json", ("json", "csv"), False, None, None), N],
+    "spectrum": [JSON, N, T, (("--verify",), "verify", False, None, False, None, None)],
+    "table": [(("--format",), "format", "json", ("json", "table"), False, None, None), N_RANGE],
+    "hoffman": [JSON, N, T],
     "families": [
+        JSON,
         (("--family",), "family", None, FAMILY_NAMES, True, None, None),
         N,
         T,
@@ -591,13 +597,14 @@ PARSER = {
         (("--members",), "members", False, None, False, None, 0),
     ],
     "search": [
+        JSON,
         N,
         T,
         (("--exact", "--slow"), "exact", False, None, False, None, 0),
         (("--node-budget",), "node_budget", None, None, False, int, 0),
     ],
-    "wopt": [N, T],
-    "reproduce": [N_RANGE],
+    "wopt": [JSON, N, T],
+    "reproduce": [JSON, N_RANGE],
 }
 
 

@@ -259,7 +259,9 @@ def test_perm_rows_is_the_reference_enumeration(n):
 
 
 @pytest.mark.parametrize("n", [6, 7])
-@pytest.mark.parametrize("pins", [[(1, 1), (2, 2)], [(1, 2)], [(3, 1), (1, 4)]])
+@pytest.mark.parametrize(
+    "pins", [[(1, 1), (2, 2)], [(1, 2)], [(3, 1), (1, 4)], [(np.int64(3), np.int8(1)), (1, 4)]]
+)
 def test_perm_rows_with_pins_is_the_reference_coset(pins, n):
     assert perm_rows(n, pins).tolist() == [list(p) for p in perms_fixing(pins, n)]
 
@@ -271,6 +273,11 @@ def test_perm_rows_with_pins_is_the_reference_coset(pins, n):
         ([(1, 2), (1, 3)], "pinned twice"),  # a repeated source
         ([(0, 1)], "outside 1..4"),
         ([(2, 5)], "outside 1..4"),
+        # the pin was cut to 1 in int8 while 1 stayed a free value, giving
+        # rows such as [1, 1, 2, 3]
+        ([(1, 1.5)], r"pin \(1, 1.5\) is not a pair of integers"),
+        ([(1.0, 2)], r"pin \(1.0, 2\) is not a pair of integers"),  # a bare IndexError
+        ([(1, 2), ("3", 1)], r"pin \('3', 1\) is not a pair of integers"),
     ],
 )
 def test_perm_rows_refuses_bad_pins(pins, message):

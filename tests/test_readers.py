@@ -26,9 +26,9 @@ LIBRARY_STEPS = ROOT / "bench" / "library_steps.py"
 
 # paper content that no report reads yet
 ALLOWED_UNREAD = {
-    "bounds.paper_tail_split": "read by item 3's `stability` command (ROADMAP.md)",
-    "bounds.stability_gap_bound": "read by item 3's `stability` command (ROADMAP.md)",
-    "bounds.projection_mass": "read by item 3's `stability` command (ROADMAP.md)",
+    "bounds.paper_tail_split": "read by item 4's `stability` command (ROADMAP.md)",
+    "bounds.stability_gap_bound": "read by item 4's `stability` command (ROADMAP.md)",
+    "bounds.projection_mass": "read by item 4's `stability` command (ROADMAP.md)",
 }
 
 # optional parameters that only the tests set

@@ -13,9 +13,10 @@ from oracles import (
     perms_fixing,
     recursive_search,
     relabel_graph_independence_number,
+    shift_dual,
     verify_certificate_by_pairs,
 )
-from snspectra import cli, search, weightopt
+from snspectra import cli, search
 from snspectra.bounds import bound_report
 from snspectra.perms import compose, identity, inverse
 from snspectra.search import (
@@ -232,8 +233,7 @@ def test_budgeted_search_on_the_edgeless_graph_bounds_by_vertex_count():
 def test_budgeted_search_with_a_failed_certificate_exits_1(monkeypatch, capsys):
     # a budgeted search reports the certified weighted bound or fails; it
     # has no uncertified fallback
-    dual = weightopt._dual_solution
-    monkeypatch.setattr(weightopt, "_dual_solution", lambda *a: [yr + 1 for yr in dual(*a)])
+    shift_dual(monkeypatch, 1)
     code = cli.main(["search", "--n", "5", "--t", "2", "--node-budget", "1"])
     captured = capsys.readouterr()
     assert code == 1

@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from snspectra import weightopt
+from snspectra import spectrum, weightopt
+from snspectra.bounds import bound_report
 from snspectra.characters import class_size
 from snspectra.partitions import partitions_of
 from snspectra.spectrum import full_spectrum, generating_classes
 from snspectra.weightopt import (
-    ClassWeighting,
     LPError,
     optimize_bound,
     solve_linear,
@@ -19,17 +19,21 @@ from snspectra.weightopt import (
 )
 
 
-def uniform_weighting(n, t):
+def weighted_degree(weights):
+    return sum((w * class_size(c) for c, w in weights), Fraction(0))
+
+
+def uniform_weights(n, t):
     """Weight 1/degree on every generating class."""
     classes = generating_classes(n, t)
     degree = sum(size for _, size in classes)
-    return ClassWeighting(tuple((c, Fraction(1, degree)) for c, _ in classes))
+    return tuple((c, Fraction(1, degree)) for c, _ in classes)
 
 
 def test_uniform_weighting_recovers_spectrum():
     for n, t in [(5, 2), (6, 2), (6, 3)]:
-        uniform = uniform_weighting(n, t)
-        assert uniform.weighted_degree() == 1
+        uniform = uniform_weights(n, t)
+        assert weighted_degree(uniform) == 1
         spec = full_spectrum(n, t)
         by = {r.partition: r.eigenvalue for r in spec.rows}
         for alpha in partitions_of(n):
@@ -40,15 +44,15 @@ def test_uniform_weighting_recovers_spectrum():
 
 def test_trivial_component_sees_the_normalization():
     for n, t in [(5, 2), (7, 3)]:
-        uniform = uniform_weighting(n, t)
+        uniform = uniform_weights(n, t)
         assert weighted_eigenvalue((n,), uniform) == 1
 
 
 def test_single_class_weighting():
     n, t = 6, 2
     ctype, size = generating_classes(n, t)[0]
-    w = ClassWeighting(((ctype, Fraction(1, size)),))
-    assert w.weighted_degree() == 1
+    w = ((ctype, Fraction(1, size)),)
+    assert weighted_degree(w) == 1
     from snspectra.characters import mn_character
     from snspectra.partitions import dimension
 
@@ -72,11 +76,26 @@ def test_simplex_small_dictionary():
     assert y == [-1]
 
 
+def test_lp_without_rows():
+    # the reduced-cost row is sized by the cost, not by a tableau row
+    assert solve_lp_min([Fraction(1)], [], []) == ([0], [], 0)
+    with pytest.raises(LPError, match="unbounded"):
+        solve_lp_min([Fraction(-1)], [], [])
+
+
+def test_dual_of_a_negated_row_keeps_its_sign():
+    # min 2x + y st -x - y = -3: the row is negated to put 3 on the right,
+    # and the dual of the original row is y = -1 (x = 0, y = 3, objective 3)
+    x, y, objective = solve_lp_min([2, 1], [[-1, -1]], [-3])
+    assert (x, y, objective) == ([0, 3], [-1], 3)
+    assert (x, y, objective) == certified_oracle([2, 1], [[-1, -1]], [-3])
+
+
 def certified_oracle(cost, a_eq, b_eq):
     """The dense oracle's optimum in the shape ``solve_lp_min`` returns: x,
     the dual of the oracle's final basis, and the objective."""
     x, objective, basis = oracles.solve_lp_min(cost, a_eq, b_eq)
-    return x, weightopt._dual_solution(cost, a_eq, basis), objective
+    return x, oracles.basis_dual(cost, a_eq, basis), objective
 
 
 # the LP of the solve_lp_min doctest: optimum x = (8/5, 6/5, 0, 0), with
@@ -93,10 +112,7 @@ DOCTEST_LP = ([-1, -1, 0, 0], [[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6])
     ],
 )
 def test_a_wrong_dual_is_refused(monkeypatch, shift, check):
-    dual = weightopt._dual_solution
-    monkeypatch.setattr(
-        weightopt, "_dual_solution", lambda *a: [yr + shift for yr in dual(*a)]
-    )
+    oracles.shift_dual(monkeypatch, shift)
     with pytest.raises(LPError, match=check):
         solve_lp_min(*DOCTEST_LP)
 
@@ -111,13 +127,6 @@ def test_solve_linear_vandermonde_and_singular():
     assert solve_linear(aug) == mults
     with pytest.raises(ArithmeticError, match="singular"):
         solve_linear([[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(6)]])
-
-
-def test_dual_of_a_singular_basis_is_an_lp_error():
-    cost = [Fraction(1), Fraction(1)]
-    a_eq = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-    with pytest.raises(LPError, match="singular basis"):
-        weightopt._dual_solution(cost, a_eq, [0, 1])
 
 
 def test_simplex_infeasible():
@@ -211,17 +220,26 @@ def test_optimized_bound_matches_dense_oracle(monkeypatch, n, t):
 def test_optimized_bound_is_certified_and_sound(n, t):
     result = optimize_bound(n, t)  # raises LPError unless certified
     assert result.least_eigenvalue < 0
-    assert result.bound <= result.uniform_bound
+    assert result.bound <= bound_report(n, t).hoffman_value
     # the t-coset is a verified independent family of size (n-t)!
     assert result.bound >= math.factorial(n - t)
 
 
 def test_uniform_bound_matches_unweighted_hoffman():
-    from snspectra.bounds import bound_report
+    from snspectra.reports import hoffman_report, wopt_report
 
     for n, t in [(6, 2), (7, 2), (8, 2)]:
-        result = optimize_bound(n, t)
-        assert result.uniform_bound == bound_report(n, t).hoffman_value
+        assert wopt_report(n, t)["uniform_bound"] == hoffman_report(n, t)["hoffman_value"]
+
+
+def test_the_lp_builds_no_spectrum(monkeypatch):
+    # the plain Hoffman bound is the reports' to compute, not the LP's
+    def refuse(n, t):
+        raise AssertionError("optimize_bound built a full spectrum")
+
+    monkeypatch.setattr(spectrum, "full_spectrum", refuse)
+    assert not hasattr(weightopt, "full_spectrum")
+    assert math.floor(optimize_bound(7, 2).bound) == 168
 
 
 def test_random_feasible_weightings_stay_sound():
@@ -238,10 +256,9 @@ def test_random_feasible_weightings_stay_sound():
             weights = tuple(
                 (c, r / scale) for r, (c, size) in zip(raw, classes)
             )
-            weighting = ClassWeighting(weights)
-            assert weighting.weighted_degree() == 1
+            assert weighted_degree(weights) == 1
             least = min(
-                weighted_eigenvalue(a, weighting)
+                weighted_eigenvalue(a, weights)
                 for a in partitions_of(n)
                 if a != (n,)
             )
@@ -259,13 +276,10 @@ def test_optimize_requires_generating_classes():
 def test_weight_support_stays_on_generating_classes():
     result = optimize_bound(7, 2)
     gen_types = {c for c, _ in generating_classes(7, 2)}
-    for ctype, weight in result.weighting.weights:
+    for ctype, weight in result.weights:
         assert ctype in gen_types
         assert weight >= 0
-    total = sum(
-        (w * class_size(c) for c, w in result.weighting.weights), Fraction(0)
-    )
-    assert total == 1
+    assert weighted_degree(result.weights) == 1
 
 
 def test_t3_bound_stalls_at_pair_scale():
