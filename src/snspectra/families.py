@@ -219,7 +219,10 @@ def verify(family: Family, t: int) -> VerificationResult:
     witness is the lexicographically smallest violating pair.
 
     The members are in lexicographic order, so the first violating pair in
-    row-major order is that smallest pair."""
+    row-major order is that smallest pair.  Members sharing their first t
+    entries agree at least t times and are never compared, yet
+    ``checked_pairs`` stays C(|A|, 2): every pair is covered, by a comparison
+    or by that argument."""
     if not 1 <= t <= family.n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={family.n}")
     if len(family) > PAIRWISE_CAP:
@@ -230,14 +233,21 @@ def verify(family: Family, t: int) -> VerificationResult:
 
 def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...] | None:
     """The first pair of rows (a, b), a before b, in row-major order that
-    agree on exactly t-1 points, or None.  The rows are scanned in 512-row
-    blocks, each against itself and the later rows only.  A count is at
-    most n <= ROW_DEGREE_CAP = 127, so it is summed as uint8."""
+    agree on exactly t-1 points, or None.  A run is a maximal block of
+    consecutive rows sharing their first t entries; two rows of one run agree
+    at least t times, so only pairs across runs can violate.  The rows are
+    scanned in 512-row blocks, each against the rows after the run of its
+    first row, keeping the pairs whose second row lies in a later run.  A
+    count is at most n <= ROW_DEGREE_CAP = 127, so it is summed as uint8."""
+    new = np.zeros(len(rows), dtype=bool)
+    new[1:] = (rows[1:, :t] != rows[:-1, :t]).any(axis=1)
+    run = np.cumsum(new)
+    run_end = np.searchsorted(run, run, "right")
     for start in range(0, len(rows), 512):
-        block = rows[start : start + 512]
-        hits = (block[:, None, :] == rows[None, start:, :]).sum(axis=2, dtype=np.uint8) == t - 1
-        hits &= np.arange(hits.shape[1]) > np.arange(len(block))[:, None]
+        block, later = rows[start : start + 512], run_end[start]
+        hits = (block[:, None, :] == rows[None, later:, :]).sum(axis=2, dtype=np.uint8) == t - 1
+        hits &= run[later:] > run[start : start + 512, None]
         if hits.any():
             i, j = np.argwhere(hits)[0]
-            return tuple(rows[start + i].tolist()), tuple(rows[start + j].tolist())
+            return tuple(rows[start + i].tolist()), tuple(rows[later + j].tolist())
     return None

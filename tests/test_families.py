@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -45,7 +46,7 @@ from snspectra.families import (
     t_coset,
     verify,
 )
-from snspectra.perms import identity
+from snspectra.perms import identity, perm_rows
 
 
 def test_t_coset_sizes_and_errors():
@@ -250,6 +251,80 @@ def test_verify_witness_is_the_least_violating_pair(seed):
     assert res.witness == least_agreeing_pair(fam.members, 7), (seed, len(members))
     assert res.ok == (res.witness is None)
     assert res.checked_pairs == math.comb(len(members), 2)
+
+
+def _runs_with_one_violation(n, t, rng):
+    """Members pinned to s(i) = i for i < t, in runs by s(t), and x, y: (x, y)
+    is the only pair agreeing on exactly t-1 points, x is the last row of
+    the run s(t) = n - 3 and y the first of the next run, s(t) = n - 2
+    (t <= n-3).  Each run keeps at most 110 rows, and 20 strays are drawn.
+
+    Members of two runs agree on exactly t-1 of the points 1..t.  The runs
+    are (parts of) prefix cosets that also fix n-1 and n; the strays fix n
+    but not always n-1; x fixes n but not n-1 and y fixes n-1 but not n, and
+    x and y agree nowhere past t-1.  So every other pair agrees once more,
+    on n or n-1, except a stray and y, which are kept apart by filtering."""
+    pins = [(i, i) for i in range(1, t)]
+    runs = [
+        perm_rows(n, [*pins, (t, v), (n - 1, n - 1), (n, n)])[:110].tolist()
+        for v in range(t, n - 1)
+    ]
+    x = perm_rows(n, [*pins, (t, n - 3), (t + 1, n - 1), (n, n)])[0].tolist()
+    y = next(
+        r
+        for r in perm_rows(n, [*pins, (t, n - 2), (n - 1, n - 1)]).tolist()
+        if r[-1] != n and agree_count(r, x) == t - 1
+    )
+    pool = perm_rows(n, [*pins, (n, n)]).tolist()
+    loose = [r for r in rng.sample(pool, min(20, len(pool))) if agree_count(r, y) != t - 1]
+    loose = [r for r in loose if r[:t] != x[:t] or r < x]
+    members = [r for r in [*itertools.chain(*runs), *loose] if r[:t] != y[:t] or r > y]
+    return [*members, x, y], tuple(x), tuple(y)
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_verify_finds_the_only_pair_across_runs(t):
+    # n = 9: at t = 1 and 2 the runs before x fill more than one 512-row
+    # block, so a later block starts inside a run
+    members, x, y = _runs_with_one_violation(9, t, random.Random(t))
+    fam = Family(9, "runs", members)
+    rows = fam.members.tolist()
+    assert [r for r in rows if agree_count(r, y) == t - 1] == [list(x)]
+    assert rows[rows.index(list(x)) + 1] == list(y)  # x ends its run, y starts the next
+    if t <= 2:
+        assert rows.index(list(x)) > 512 and rows[511][:t] == rows[512][:t]
+    res = verify(fam, t)
+    assert res.witness == least_agreeing_pair(rows, t) == (x, y)
+    assert res.checked_pairs == math.comb(len(rows), 2)
+
+
+@pytest.mark.parametrize("t", range(1, 8))
+def test_verify_witness_on_prefix_cosets_with_strays(t):
+    # three prefix cosets pinned on positions 1..t, up to 240 rows each, and
+    # strays between them in lexicographic order
+    rng = random.Random(t)
+    everything = perm_rows(7).tolist()
+    members = rng.sample(everything, 30)
+    for prefix in rng.sample(sorted({tuple(r[:t]) for r in everything}), 3):
+        members += perm_rows(7, list(enumerate(prefix, 1)))[:240].tolist()
+    fam = Family(7, "cosets", members)
+    res = verify(fam, t)
+    assert res.witness == least_agreeing_pair(fam.members.tolist(), t)
+    assert res.checked_pairs == math.comb(len(fam), 2)
+
+
+def test_verify_does_not_scan_within_a_run():
+    # the 2-coset of 1 and 2 at n = 9 is one run at t = 2: no pair is
+    # compared, where a full scan of its 5,040 rows peaks at about 26 MB
+    fam = t_coset([(1, 1), (2, 2)], 9)
+    tracemalloc.start()
+    try:
+        res = verify(fam, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == VerificationResult(True, math.comb(5040, 2))
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
