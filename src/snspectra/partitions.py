@@ -99,12 +99,8 @@ def dimension(alpha: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _dimension(alpha: Partition) -> int:
-    alpha = check_partition(alpha)
+    denom = math.prod(map(math.prod, hook_lengths(alpha)))  # validates alpha
     n = sum(alpha)
-    denom = 1
-    for row in hook_lengths(alpha):
-        for h in row:
-            denom *= h
     fact = math.factorial(n)
     if fact % denom:
         raise ArithmeticError(f"hook product does not divide {n}! for {alpha}")

@@ -23,8 +23,8 @@ from .spectrum import (
     TABLE_ROWS,
     TABLE_START,
     brute_force_spectrum,
+    class_eigenvalues,
     closed_form_eigenvalue,
-    eigenvalue,
     full_spectrum,
     generating_classes,
     table_row_partition,
@@ -144,7 +144,7 @@ def table_report(n_start: int, n_stop: int) -> dict:
         for label in TABLE_ROWS:
             alpha = table_row_partition(label, n)
             closed = closed_form_eigenvalue(label, n)
-            char_route = eigenvalue(alpha, classes)
+            char_route = sum(class_eigenvalues(alpha, classes))
             if closed != char_route:
                 raise ArithmeticError(
                     f"closed forms disagree with the character route: row {label} at n={n}"

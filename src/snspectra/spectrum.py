@@ -1,10 +1,32 @@
 """Spectra of forbidden-agreement Cayley graphs on S_n.
 
 The graph joins two permutations when they agree on exactly t-1 points; its
-generating set is the union of the conjugacy classes with exactly t-1 fixed
-points, so every isotypic component is an eigenspace and the eigenvalue for
-a partition alpha is (1/f^alpha) sum over generators of chi_alpha.  All
+generating set is the union of the conjugacy classes with exactly k = t-1
+fixed points, so every isotypic component is an eigenspace.  All
 eigenvalues here are exact integers.
+
+``eigenvalue`` needs no character values.  The permutations that fix a
+given j-set pointwise form a copy of S_{n-j}, over which chi_alpha sums to
+(n-j)! f^{alpha/(n-j)}, where f^{alpha/mu} counts the standard tableaux of
+the skew shape alpha/mu.  Inclusion-exclusion over the fixed points then
+gives, with n = |alpha|,
+
+    lambda_alpha = sum_{m=0}^{n-k} (-1)^(n-m-k) C(n-m, k) h*_m(alpha),
+
+where h*_m(alpha) = n↓m f^{alpha/(m)} / f^alpha is the shifted complete
+homogeneous function (Okounkov and Olshanski, "Shifted Schur functions",
+St. Petersburg Math. J. 9, 1998), n↓m = n (n-1) ... (n-m+1), and h*_m
+vanishes for m > alpha_1.  ``full_spectrum`` raises ArithmeticError unless
+four exact checks hold:
+
+* integrality: f^alpha h*_m(alpha) is divisible by n↓m for every m;
+* the first moment: sum f^2 lambda = 0, the trace of the adjacency matrix;
+* the degree: lambda_(n) = C(n, k) d_{n-k};
+* the deciding rows: every row holding lambda_min or lambda_second, which
+  decide the Hoffman bound and nu, equals its class sum
+  sum_c |c| chi_alpha(c) / f^alpha over Murnaghan-Nakayama characters;
+
+together with the trace identity sum f^2 lambda^2 = n! * degree.
 
 ``brute_force_spectrum`` is the independent oracle: it diagonalizes the
 explicit adjacency matrix numerically, rounds, and then *proves* the rounded
@@ -65,10 +87,49 @@ def class_eigenvalues(alpha: Partition, classes: Classes) -> tuple[int, ...]:
     return tuple(values)
 
 
-def eigenvalue(alpha: Partition, classes: Classes) -> int:
-    """Exact eigenvalue on the isotypic component of alpha: the sum of the
-    class eigenvalues."""
-    return sum(class_eigenvalues(alpha, classes))
+def _shifted_complete(alpha: Partition, top: int) -> list[int]:
+    """h*_0(alpha), ..., h*_top(alpha) up to the last that can be nonzero,
+    where h*_m(alpha) is the sum over i_1 >= ... >= i_m >= 1 of
+    prod_r (alpha_{i_r} - r + 1).  One suffix-sum pass per m:
+    dp_1[i] = alpha_i, dp_r[i] = (alpha_i - r + 1) sum_{i' >= i} dp_{r-1}[i']
+    and h*_r = sum_i dp_r[i].  A chain needs alpha_{i_1} > 0, so the zero
+    parts never enter; and h*_m(alpha) vanishes for m > alpha_1, where no
+    tableau of alpha/(m) exists, so the passes stop there."""
+    values = [1]
+    dp = list(alpha)
+    for r in range(1, min(top, alpha[0]) + 1):
+        if r > 1:
+            suffix = 0
+            for i in range(len(dp) - 1, -1, -1):
+                suffix += dp[i]
+                dp[i] = (alpha[i] - r + 1) * suffix
+        values.append(sum(dp))
+    return values
+
+
+def eigenvalue(alpha: Partition, t: int) -> int:
+    """Exact eigenvalue on the isotypic component of alpha of the graph
+    joining permutations that agree on exactly t-1 points: with k = t-1 and
+    n = |alpha|, sum_{m=0}^{n-k} (-1)^(n-m-k) C(n-m, k) h*_m(alpha).
+    ArithmeticError unless each f^alpha h*_m(alpha) is divisible by n↓m, as
+    the skew tableau count f^{alpha/(m)} is an integer."""
+    n = sum(alpha)
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}")
+    k = t - 1
+    f = dimension(alpha)
+    total = 0
+    falling = 1  # n↓m
+    for m, h in enumerate(_shifted_complete(alpha, n - k)):
+        if m:
+            falling *= n - m + 1
+        if f * h % falling:
+            raise ArithmeticError(
+                f"h*_{m} of {alpha} is not integral: f^alpha h*_m = {f} * {h}, n↓m = {falling}"
+            )
+        term = math.comb(n - m, k) * h
+        total += -term if (n - m - k) & 1 else term
+    return total
 
 
 @dataclass(frozen=True)
@@ -115,29 +176,50 @@ class Spectrum:
         return lhs == math.factorial(self.n) * self.degree
 
 
-# Largest degree of the full-spectrum commands: p(26) = 2,436 eigenvalues,
-# 3.3-3.6 s and 149 MB peak in a fresh process on a 2-core machine, and each
-# further 2 in n costs about 2.2 times more time.
-SPECTRUM_CAP = 26
+# Largest degree of the full-spectrum commands, set by ``reproduce``, which
+# builds every spectrum from 6 to n: in fresh processes on a 2-core machine,
+# ``reproduce --n-range 6..34`` takes 3.7 s (83 MB peak), the median of five
+# runs interleaved with the character route's ``spectrum --n 26``, also
+# 3.7 s; 6..35 takes 4.7 s.  ``spectrum --n 34`` (p(34) = 12,310
+# eigenvalues, 50 MB peak) takes 1.0-1.3 s and ``hoffman --n 34`` 0.7-1.3 s.
+SPECTRUM_CAP = 34
 
 
 @lru_cache(maxsize=None)
 def full_spectrum(n: int, t: int) -> Spectrum:
     """Every eigenvalue of the graph joining permutations that agree on
     exactly t-1 points, one row per partition of n (cached); ArithmeticError
-    unless the trace identity holds."""
+    unless integrality, the first moment, the degree, the deciding rows and
+    the trace identity all hold."""
     classes = generating_classes(n, t)
     rows = tuple(
         SpectrumRow(
             partition=a,
-            eigenvalue=eigenvalue(a, classes),
+            eigenvalue=eigenvalue(a, t),
             multiplicity=dimension(a) ** 2,
         )
         for a in partitions_of(n)
     )
-    spec = Spectrum(n=n, degree=sum(size for _, size in classes), rows=rows)
+    k = t - 1
+    spec = Spectrum(n=n, degree=math.comb(n, k) * derangement_count(n - k), rows=rows)
+    if rows[0].eigenvalue != spec.degree:
+        raise ArithmeticError(
+            f"spectrum degree check failed for n={n}, t={t}: "
+            f"{rows[0].eigenvalue} != C(n, t-1) d_(n-t+1) = {spec.degree}"
+        )
+    if sum(r.multiplicity * r.eigenvalue for r in rows):
+        raise ArithmeticError(f"spectrum first moment failed for n={n}, t={t}")
     if not spec.trace_identity_holds():
         raise ArithmeticError(f"spectrum trace identity failed for n={n}, t={t}")
+    deciding = (spec.lambda_min, spec.lambda_second)
+    for r in rows[1:]:
+        if r.eigenvalue in deciding:
+            by_classes = sum(class_eigenvalues(r.partition, classes))
+            if by_classes != r.eigenvalue:
+                raise ArithmeticError(
+                    f"deciding row {r.partition} failed for n={n}, t={t}: "
+                    f"{r.eigenvalue} != class sum {by_classes}"
+                )
     return spec
 
 
@@ -148,9 +230,9 @@ def full_spectrum(n: int, t: int) -> Spectrum:
 TABLE_START = 6
 
 # Largest degree of the closed-form table: ``table --n-range 6..40`` takes
-# about 4 s in a fresh process on a 2-core machine, about what a full
-# spectrum at SPECTRUM_CAP costs, while the single column n = 60 takes 23 s
-# (most of it enumerating the partitions of 60).
+# about 4 s in a fresh process on a 2-core machine, about what
+# ``reproduce`` at SPECTRUM_CAP costs, while the single column n = 60 takes
+# 23 s (most of it enumerating the partitions of 60).
 TABLE_CAP = 40
 
 # label -> (shape, closed form), in report order; each closed form is a
@@ -276,6 +358,37 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     return x, m
 
 
+def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan step on ``rows[row][col]``, in place: scale that row to a
+    unit entry and clear the column from every other row.  Only the nonzero
+    entries of the pivot row and the rows with a nonzero entry in the pivot
+    column are touched; every other entry would be unchanged."""
+    prow = rows[row]
+    inv = 1 / prow[col]
+    support = [j for j, a in enumerate(prow) if a]
+    for j in support:
+        prow[j] *= inv
+    for r, other in enumerate(rows):
+        factor = other[col]
+        if factor and r != row:
+            for j in support:
+                other[j] -= factor * prow[j]
+
+
+def solve_linear(aug: list[list[Fraction]]) -> list[Fraction]:
+    """Solve the square system [A | b], given as augmented rows and reduced in
+    place, exactly by Gauss-Jordan elimination with the first nonzero pivot
+    at or below the diagonal; ArithmeticError when A is singular."""
+    size = len(aug)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        _eliminate(aug, col, col)
+    return [row[size] for row in aug]
+
+
 @dataclass(frozen=True)
 class SpectrumCertificate:
     primes: tuple[int, ...]
@@ -350,8 +463,6 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
             walks[k].append(int(v[0]))
             v = np.remainder(adj @ v, p)
     traces = [nverts * _crt(residues, primes)[0] for residues in walks]
-
-    from .weightopt import solve_linear
 
     # Vandermonde system sum_i m_i distinct_i^k = traces_k, k = 0..r-1
     mults = solve_linear(

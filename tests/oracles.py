@@ -17,6 +17,9 @@ production routes against.  None of them is used by the package itself.
 * a fixed-point census of S_n by enumeration, checked against the
   rencontres numbers C(n, k) d_{n-k}, and the generating set of each
   agreement graph by enumeration;
+* the eigenvalue as a sum of class eigenvalues |c| chi_alpha(c) / f^alpha
+  over Murnaghan-Nakayama characters, the oracle for the shifted-Schur
+  route of ``spectrum.eigenvalue``;
 * the k-medium partitions, and the count of 2-point stabilizer members
   agreeing exactly once with a permutation, by enumeration;
 * pairwise agreement scans in pure Python: the t-intersecting check, and the
@@ -91,13 +94,16 @@ from snspectra.search import (
     max_independent_set,
 )
 from snspectra.spectrum import (
+    Classes,
     SpectrumCertificate,
     _crt,
     _dense,
     _primes_below,
     agreement_neighbours,
+    class_eigenvalues,
+    solve_linear,
 )
-from snspectra.weightopt import LPError, solve_linear
+from snspectra.weightopt import LPError
 
 CycleType = tuple[int, ...]
 
@@ -455,6 +461,12 @@ def derangement_count_recurrence(n: int) -> int:
     for m in range(2, n + 1):
         a, b = b, (m - 1) * (a + b)
     return b
+
+
+def class_sum_eigenvalue(alpha: Partition, classes: Classes) -> int:
+    """The eigenvalue of the classes ``classes`` on the isotypic component
+    of alpha: the sum of their class eigenvalues |c| chi_alpha(c) / f^alpha."""
+    return sum(class_eigenvalues(alpha, classes))
 
 
 def num_fixed_points(s: Sequence[int]) -> int:

@@ -50,7 +50,6 @@ from snspectra.spectrum import (
     closed_form_eigenvalue,
     eigenvalue,
     full_spectrum,
-    generating_classes,
     table_row_partition,
 )
 from snspectra.weightopt import optimize_bound
@@ -85,10 +84,9 @@ def test_criterion_02_spectrum_oracle_equivalence():
 
 def test_criterion_03_closed_form_table():
     for n in range(6, 13):
-        classes = generating_classes(n, 2)
         for row in TABLE_ROWS:
             alpha = table_row_partition(row, n)
-            assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, classes), (n, row)
+            assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, 2), (n, row)
     _report(3, "all 8 closed-form rows match the character route, n = 6..12")
 
 

@@ -296,7 +296,7 @@ def _break_reproduce_hoffman(monkeypatch):
 # id -> (argv, the fault injected, or None for a real input, the check named)
 FAILED_CHECKS = {
     "oracle": ("spectrum --n 4 --verify", _break_oracle, "does not commute with left translation"),
-    "class_integrality": ("spectrum --n 5", _break_class_integrality, "(4, 1) is not integral"),
+    "class_integrality": ("spectrum --n 6", _break_class_integrality, "(3, 3) is not integral"),
     "character_table": ("chartable --n 4", _break_character_table, "['regular_character']"),
     "closed_form": ("table --n-range 6", _break_closed_form, "character route: row n-2,2 at n=6"),
     "size_formula": ("families --family B --n 7", _break_size_formula, "family B size does not"),
@@ -371,16 +371,16 @@ def forbid_reports(monkeypatch, *names):
         ("search --n 6 --t 3 --exact", "t = 3 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
         ("search --n 6 --t 4 --slow", "t = 4 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
         ("search --n 8 --node-budget 10", "capped at 7 by GRAPH_CAP"),
-        ("spectrum --n 40", "capped at 26 by SPECTRUM_CAP"),
+        ("spectrum --n 35", "capped at 34 by SPECTRUM_CAP"),
         # used to compute the spectrum, then fail classing its rows 2-fat
         ("spectrum --n 2", "spectrum: need n >= 3"),
         ("spectrum --n 1", "spectrum: need n >= 3"),
-        ("hoffman --n 27", "capped at 26 by SPECTRUM_CAP"),
+        ("hoffman --n 35", "capped at 34 by SPECTRUM_CAP"),
         # t = n: used to compute the spectrum, then fail on its least eigenvalue 0
         ("hoffman --n 2", "the generating set is empty"),
         ("hoffman --n 3 --t 3", "the generating set is empty"),
         ("hoffman --n 4 --t 4", "no permutation of degree 4 has exactly 3 fixed points"),
-        ("reproduce --n-range 6..27", "capped at 26 by SPECTRUM_CAP"),
+        ("reproduce --n-range 6..35", "capped at 34 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first
         ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),
         # about 41 s of exact simplex
@@ -432,6 +432,9 @@ def test_oversized_input_is_refused_before_any_work(capsys, monkeypatch, argv, m
         ("table --n-range 1..8", "table_report", (1, 8)),
         # the tree finishes in about 10 s
         ("search --n 6 --t 5 --exact", "search_report", (6, 5, None)),
+        ("spectrum --n 34", "spectrum_report", (34, 2, False)),
+        ("hoffman --n 34", "hoffman_report", (34, 2)),
+        ("reproduce --n-range 6..34", "reproduce_report", (6, 34)),
     ],
 )
 def test_inputs_at_a_cap_are_let_through(capsys, monkeypatch, argv, builder, args):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from oracles import (
     agreement_bitsets,
     agreement_matrix,
     annihilation_holds_matrix,
+    class_sum_eigenvalue,
     cycle_type,
     dense_brute_force_spectrum,
     exact_traces_matrix,
@@ -19,7 +21,7 @@ from oracles import (
     mn_character as tuple_mn_character,
 )
 from snspectra import spectrum
-from snspectra.partitions import classify, dimension, partitions_of
+from snspectra.partitions import classify, dimension, partitions_of, transpose
 from snspectra.perms import derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
@@ -53,7 +55,82 @@ def test_degree_eigenvalue_is_trivial_row():
     for n in range(3, 10):
         classes = generating_classes(n, 2)
         degree = sum(size for _, size in classes)
-        assert eigenvalue((n,), classes) == degree == n * derangement_count(n - 1)
+        assert eigenvalue((n,), 2) == degree == n * derangement_count(n - 1)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_rencontres_degree_equals_the_class_sizes(n):
+    for t in range(1, n + 1):
+        degree = sum(size for _, size in generating_classes(n, t))
+        assert math.comb(n, t - 1) * derangement_count(n - t + 1) == degree, t
+        assert full_spectrum(n, t).degree == degree, t
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 14])
+def test_shifted_schur_eigenvalue_equals_the_class_sum_oracle(n):
+    for t in (2, 3) if n == 14 else range(1, n + 1):
+        classes = generating_classes(n, t)
+        for alpha in partitions_of(n):
+            assert eigenvalue(alpha, t) == class_sum_eigenvalue(alpha, classes), (t, alpha)
+
+
+def test_eigenvalue_refuses_t_outside_1_to_n():
+    for t in (0, 5):
+        with pytest.raises(ValueError, match="1 <= t <= n"):
+            eigenvalue((2, 2), t)
+
+
+def test_a_perturbed_shifted_complete_is_refused(monkeypatch):
+    # h*_1 += C(n-2, k) and h*_2 += C(n-1, k) leave every eigenvalue, and so
+    # every moment and row check, unchanged; only integrality sees it
+    n, t = 7, 2
+    k = t - 1
+    complete = spectrum._shifted_complete
+
+    def perturbed(alpha, top):
+        h = complete(alpha, top)
+        if len(h) > 2:
+            h[1] += math.comb(n - 2, k)
+            h[2] += math.comb(n - 1, k)
+        return h
+
+    def combined(h):
+        return sum((-1) ** (n - m - k) * math.comb(n - m, k) * x for m, x in enumerate(h))
+
+    for alpha in partitions_of(n):
+        assert combined(perturbed(alpha, n - k)) == combined(complete(alpha, n - k)), alpha
+    monkeypatch.setattr(spectrum, "_shifted_complete", perturbed)
+    with pytest.raises(ArithmeticError, match="not integral"):
+        full_spectrum.__wrapped__(n, t)  # past the cache
+
+
+def test_a_swapped_deciding_row_is_refused(monkeypatch):
+    # the least eigenvalue moved onto the conjugate row, of the same
+    # dimension: integrality, both moments and the degree still hold, but
+    # the row now holding lambda_min disagrees with its class sum
+    n, t = 7, 2
+    low = full_spectrum(n, t).argmin[0]
+    swap = {low: transpose(low), transpose(low): low}
+    assert eigenvalue(low, t) != eigenvalue(transpose(low), t)
+    original = spectrum.eigenvalue
+    monkeypatch.setattr(spectrum, "eigenvalue", lambda alpha, t: original(swap.get(alpha, alpha), t))
+    with pytest.raises(ArithmeticError, match=re.escape(f"deciding row {transpose(low)}")):
+        full_spectrum.__wrapped__(n, t)
+
+
+@pytest.mark.parametrize(
+    "target,check",
+    [("derangement_count", "degree check"), ("eigenvalue", "first moment")],
+)
+def test_a_wrong_degree_or_first_moment_is_refused(monkeypatch, target, check):
+    # d_{n-k} + 1, or every nontrivial eigenvalue + 1
+    original = getattr(spectrum, target)
+    if target == "derangement_count":
+        monkeypatch.setattr(spectrum, target, lambda m: original(m) + 1)
+    else:
+        monkeypatch.setattr(spectrum, target, lambda a, t: original(a, t) + (len(a) > 1))
+    with pytest.raises(ArithmeticError, match=check):
+        full_spectrum.__wrapped__(7, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -85,9 +162,8 @@ def test_k33_spectrum():
 
 def test_zero_rows():
     for n in range(4, 11):
-        classes = generating_classes(n, 2)
-        assert eigenvalue((n - 1, 1), classes) == 0
-        assert eigenvalue((2,) + (1,) * (n - 2), classes) == 0
+        assert eigenvalue((n - 1, 1), 2) == 0
+        assert eigenvalue((2,) + (1,) * (n - 2), 2) == 0
 
 
 def test_closed_form_examples():
@@ -105,17 +181,15 @@ def test_closed_form_examples():
 def test_sign_eigenvalue_is_parity_difference():
     # the alternating-component eigenvalue equals n (e_{n-1} - o_{n-1})
     for n in range(4, 11):
-        classes = generating_classes(n, 2)
         counts = derangement_counts(n - 1)
-        assert eigenvalue((1,) * n, classes) == n * (counts.e - counts.o)
+        assert eigenvalue((1,) * n, 2) == n * (counts.e - counts.o)
 
 
 @pytest.mark.parametrize("n", range(6, 13))
 def test_closed_forms_match_character_route(n):
-    classes = generating_classes(n, 2)
     for row in TABLE_ROWS:
         alpha = table_row_partition(row, n)
-        assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, classes)
+        assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, 2)
 
 
 def test_collision_regime_consistency_at_n5():
@@ -125,8 +199,7 @@ def test_collision_regime_consistency_at_n5():
     via_fat = -5 * (d4 - (-1) ** 5 * 3) // (4 * 3)
     via_tall = (-1) ** 5 * 5 * 1
     assert via_fat == via_tall == -5
-    classes = generating_classes(5, 2)
-    assert eigenvalue((3, 1, 1), classes) == -5
+    assert eigenvalue((3, 1, 1), 2) == -5
 
 
 @pytest.mark.parametrize("n", range(4, 13))

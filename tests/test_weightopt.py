@@ -9,11 +9,10 @@ from snspectra import spectrum, weightopt
 from snspectra.bounds import bound_report
 from snspectra.characters import class_size
 from snspectra.partitions import partitions_of
-from snspectra.spectrum import full_spectrum, generating_classes
+from snspectra.spectrum import full_spectrum, generating_classes, solve_linear
 from snspectra.weightopt import (
     LPError,
     optimize_bound,
-    solve_linear,
     solve_lp_min,
     weighted_eigenvalue,
 )
