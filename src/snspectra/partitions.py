@@ -25,17 +25,21 @@ def integer_parts(parts: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"not a partition: {tuple(parts)!r} has a non-integer part") from None
 
 
+def _ordered(p: Partition) -> bool:
+    """Whether the int tuple p has positive, non-increasing parts."""
+    return not p or (p[-1] >= 1 and all(map(operator.ge, p, p[1:])))
+
+
 def is_partition(parts: Sequence[int]) -> bool:
     try:
-        p = integer_parts(parts)
+        return _ordered(integer_parts(parts))
     except ValueError:
         return False
-    return all(x >= 1 for x in p) and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
     p = integer_parts(parts)
-    if not is_partition(p):
+    if not _ordered(p):
         raise ValueError(f"not a partition: {p!r}")
     return p
 
@@ -66,28 +70,6 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return out
 
 
-def transpose(alpha: Sequence[int]) -> Partition:
-    """Transpose (conjugate) of the Young diagram: column heights.
-
-    >>> transpose((3, 2, 2))
-    (3, 3, 1)
-    """
-    alpha = check_partition(alpha)
-    if not alpha:
-        return ()
-    return tuple(sum(1 for a in alpha if a >= i) for i in range(1, alpha[0] + 1))
-
-
-def hook_lengths(alpha: Sequence[int]) -> list[list[int]]:
-    """Hook length of every cell of the diagram of alpha."""
-    alpha = check_partition(alpha)
-    cols = transpose(alpha)
-    return [
-        [(alpha[i] - j - 1) + (cols[j] - i - 1) + 1 for j in range(alpha[i])]
-        for i in range(len(alpha))
-    ]
-
-
 def dimension(alpha: Sequence[int]) -> int:
     """Dimension f^alpha of the irreducible labelled by alpha, via the hook
     length product n! / prod(hooks).  Equals the number of standard Young
@@ -99,7 +81,17 @@ def dimension(alpha: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def _dimension(alpha: Partition) -> int:
-    denom = math.prod(map(math.prod, hook_lengths(alpha)))  # validates alpha
+    if not _ordered(alpha):
+        raise ValueError(f"not a partition: {alpha!r}")
+    # heights[j] is the height of column j, counted from the bottom row up
+    heights: list[int] = []
+    for i in range(len(alpha) - 1, -1, -1):
+        heights.extend([i + 1] * (alpha[i] - len(heights)))
+    # cell (i, j) has hook (alpha_i - j - 1) + (heights_j - i - 1) + 1
+    offsets = [h - j - 1 for j, h in enumerate(heights)]
+    denom = 1
+    for i, a in enumerate(alpha):
+        denom *= math.prod([a - i + x for x in offsets[:a]])
     n = sum(alpha)
     fact = math.factorial(n)
     if fact % denom:

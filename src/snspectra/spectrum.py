@@ -34,8 +34,9 @@ multiset exact.  The graph is a Cayley graph, so A commutes with left
 translation; once that is checked, the column of the identity stands for
 the whole matrix: (a) prod(A - lambda I) vanishes on it, modulo enough
 primes to cover the entry bound, and (b) its closed-walk counts give the
-exact power traces, from which a Vandermonde solve recovers the
-multiplicities.
+exact power traces, and each multiplicity is the trace of its spectral
+idempotent prod_{mu != lambda} (A - mu I) / (lambda - mu), a combination of
+those traces.
 """
 
 from __future__ import annotations
@@ -358,37 +359,6 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     return x, m
 
 
-def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
-    """Gauss-Jordan step on ``rows[row][col]``, in place: scale that row to a
-    unit entry and clear the column from every other row.  Only the nonzero
-    entries of the pivot row and the rows with a nonzero entry in the pivot
-    column are touched; every other entry would be unchanged."""
-    prow = rows[row]
-    inv = 1 / prow[col]
-    support = [j for j, a in enumerate(prow) if a]
-    for j in support:
-        prow[j] *= inv
-    for r, other in enumerate(rows):
-        factor = other[col]
-        if factor and r != row:
-            for j in support:
-                other[j] -= factor * prow[j]
-
-
-def solve_linear(aug: list[list[Fraction]]) -> list[Fraction]:
-    """Solve the square system [A | b], given as augmented rows and reduced in
-    place, exactly by Gauss-Jordan elimination with the first nonzero pivot
-    at or below the diagonal; ArithmeticError when A is singular."""
-    size = len(aug)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular linear system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        _eliminate(aug, col, col)
-    return [row[size] for row in aug]
-
-
 @dataclass(frozen=True)
 class SpectrumCertificate:
     primes: tuple[int, ...]
@@ -421,8 +391,10 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
     A^k equals the one at the identity.  The rounded eigenvalues are then
     proved by prod(A - lam I) e_id = 0 modulo primes whose product exceeds
     twice the entry bound, and their multiplicities by the exact traces
-    Tr(A^k) = n! (A^k)[id, id] through a Vandermonde solve, with one extra
-    moment as a check.  A failed check raises ``ArithmeticError``.
+    Tr(A^k) = n! (A^k)[id, id]: the multiplicity of lam is the trace of the
+    spectral idempotent prod_{mu != lam} (A - mu I) / (lam - mu), an exact
+    integer quotient, with one extra moment as a check.  A failed check
+    raises ``ArithmeticError``.
     """
     nbrs = agreement_neighbours(n, t)
     if not _left_translation_invariant(nbrs, n):
@@ -464,13 +436,18 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
             v = np.remainder(adj @ v, p)
     traces = [nverts * _crt(residues, primes)[0] for residues in walks]
 
-    # Vandermonde system sum_i m_i distinct_i^k = traces_k, k = 0..r-1
-    mults = solve_linear(
-        [[Fraction(lam) ** k for lam in distinct] + [Fraction(traces[k])] for k in range(r)]
-    )
-    if any(m.denominator != 1 or m < 0 for m in mults):
-        raise ArithmeticError(f"non-integral multiplicities: {mults}")
-    counts = [int(m) for m in mults]
+    # m_lam = Tr(E_lam) = sum_k c_k Tr(A^k) / prod_{mu != lam} (lam - mu)
+    counts = []
+    for lam in distinct:
+        others = [mu for mu in distinct if mu != lam]
+        coeffs = [1]  # of prod_{mu != lam} (x - mu), constant term first
+        for mu in others:
+            coeffs = [a - mu * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        numerator = sum(c * trace for c, trace in zip(coeffs, traces))
+        m, rest = divmod(numerator, math.prod(lam - mu for mu in others))
+        if rest or m < 0:
+            raise ArithmeticError(f"multiplicity of {lam} is not a nonnegative integer")
+        counts.append(m)
     if sum(counts) != nverts:
         raise ArithmeticError("multiplicities do not sum to the vertex count")
     if sum(c * lam**r for c, lam in zip(counts, distinct)) != traces[r]:

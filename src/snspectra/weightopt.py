@@ -24,7 +24,7 @@ from typing import Sequence
 from .bounds import hoffman_bound
 from .characters import CycleType, class_size
 from .partitions import Partition, partitions_of
-from .spectrum import _eliminate, class_eigenvalues, generating_classes
+from .spectrum import class_eigenvalues, generating_classes
 
 
 def weighted_eigenvalue(
@@ -44,6 +44,23 @@ def weighted_eigenvalue(
 
 class LPError(ArithmeticError):
     """An infeasible or unbounded LP, or an optimum that fails a check."""
+
+
+def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan step on ``rows[row][col]``, in place: scale that row to a
+    unit entry and clear the column from every other row.  Only the nonzero
+    entries of the pivot row and the rows with a nonzero entry in the pivot
+    column are touched; every other entry would be unchanged."""
+    prow = rows[row]
+    inv = 1 / prow[col]
+    support = [j for j, a in enumerate(prow) if a]
+    for j in support:
+        prow[j] *= inv
+    for r, other in enumerate(rows):
+        factor = other[col]
+        if factor and r != row:
+            for j in support:
+                other[j] -= factor * prow[j]
 
 
 def _simplex_phase(

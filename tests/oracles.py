@@ -11,7 +11,9 @@ production routes against.  None of them is used by the package itself.
   every recursive call, the oracle for the bitmask kernel of
   ``characters.mn_character`` (largest cycle first, one memo entry per
   partition and remaining cycle type);
-* a standard-tableau count, the oracle for hook-length dimensions;
+* a standard-tableau count, and the hook table from the transposed
+  diagram, the oracles for the one-pass hook product of
+  ``partitions.dimension``;
 * the two-term derangement recurrence and inclusion-exclusion, the oracles
   for the one-term recurrence of ``perms.derangement_count``;
 * a fixed-point census of S_n by enumeration, checked against the
@@ -37,7 +39,9 @@ production routes against.  None of them is used by the package itself.
   ``search.verify_certificate``;
 * the dense two-phase Bland simplex that recomputes every reduced cost on
   each iteration and pivots across whole rows, the oracle for the sparse
-  carried-row kernel of ``weightopt.solve_lp_min``;
+  carried-row kernel of ``weightopt.solve_lp_min``, and dense Gauss-Jordan
+  solves, for the dual of a basis and for the Vandermonde system of the
+  dense spectrum oracle;
 * the spectrum certificate on the whole adjacency matrix (modular matrix
   products for the annihilator and the power traces), the oracle for the
   one-column certificate of ``spectrum.brute_force_spectrum``;
@@ -77,7 +81,6 @@ from snspectra.partitions import (
     classify,
     dimension,
     partitions_of,
-    transpose,
 )
 from snspectra.perms import (
     DEFAULT_ENUMERATION_CAP,
@@ -101,7 +104,6 @@ from snspectra.spectrum import (
     _primes_below,
     agreement_neighbours,
     class_eigenvalues,
-    solve_linear,
 )
 from snspectra.weightopt import LPError
 
@@ -417,6 +419,29 @@ def mn_character(alpha: Partition, ctype: CycleType) -> int:
 
 # ---------------------------------------------------------------------------
 # Counting oracles.
+
+
+def transpose(alpha: Sequence[int]) -> Partition:
+    """Transpose (conjugate) of the Young diagram: column heights.
+
+    >>> transpose((3, 2, 2))
+    (3, 3, 1)
+    """
+    alpha = check_partition(alpha)
+    if not alpha:
+        return ()
+    return tuple(sum(1 for a in alpha if a >= i) for i in range(1, alpha[0] + 1))
+
+
+def hook_lengths(alpha: Sequence[int]) -> list[list[int]]:
+    """Hook length of every cell of the diagram of alpha, from the column
+    heights of ``transpose``."""
+    alpha = check_partition(alpha)
+    cols = transpose(alpha)
+    return [
+        [(alpha[i] - j - 1) + (cols[j] - i - 1) + 1 for j in range(alpha[i])]
+        for i in range(len(alpha))
+    ]
 
 
 def count_standard_tableaux(alpha: Sequence[int]) -> int:
@@ -790,17 +815,32 @@ def verify_certificate_by_pairs(result: SearchResult) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact simplex (minimization, equality form, x >= 0).
+# Dense exact simplex (minimization, equality form, x >= 0), and dense
+# Gauss-Jordan solves.
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = 1 / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            factor = tableau[r][col]
-            tableau[r] = [a - factor * b for a, b in zip(tableau[r], tableau[row])]
-    basis[row] = col
+def _eliminate(rows: list[list[Fraction]], row: int, col: int) -> None:
+    """Gauss-Jordan step on ``rows[row][col]`` across whole rows, in place."""
+    inv = 1 / rows[row][col]
+    rows[row] = [x * inv for x in rows[row]]
+    for r in range(len(rows)):
+        if r != row and rows[r][col] != 0:
+            factor = rows[r][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[row])]
+
+
+def solve_linear(aug: list[list[Fraction]]) -> list[Fraction]:
+    """Solve the square system [A | b], given as augmented rows and reduced in
+    place, exactly by Gauss-Jordan elimination with the first nonzero pivot
+    at or below the diagonal; ArithmeticError when A is singular."""
+    size = len(aug)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("singular linear system")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        _eliminate(aug, col, col)
+    return [row[size] for row in aug]
 
 
 def _simplex_phase(
@@ -832,7 +872,8 @@ def _simplex_phase(
         if not ratios:
             raise LPError("unbounded linear program")
         _, _, leaving_row = min(ratios)  # min ratio, ties by basis index
-        _pivot(tableau, basis, leaving_row, entering)
+        _eliminate(tableau, leaving_row, entering)
+        basis[leaving_row] = entering
 
 
 def solve_lp_min(
@@ -869,7 +910,8 @@ def solve_lp_min(
         if basis[r] >= ncols:
             col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
             if col is not None:
-                _pivot(tableau, basis, r, col)
+                _eliminate(tableau, r, col)
+                basis[r] = col
     # any remaining artificial rows are redundant zero rows; freeze them
     phase2_cost = [Fraction(x) for x in cost] + [Fraction(0)] * nrows
     objective = _simplex_phase(tableau, basis, phase2_cost, ncols)
@@ -970,8 +1012,9 @@ def dense_brute_force_spectrum(
 ) -> tuple[tuple[tuple[int, int], ...], SpectrumCertificate]:
     """The brute-force spectrum with its certificate checked on the whole
     matrix: prod(A - lam I) = 0 mod each prime by matrix products, and the
-    multiplicities from the traces of the matrix powers.  Same primes, same
-    rounding and the same Vandermonde system as the production oracle."""
+    multiplicities from the traces of the matrix powers by a rational
+    Vandermonde solve, where the production oracle takes the traces of the
+    spectral idempotents.  Same primes and the same rounding."""
     adj = adjacency_matrix(n, t)
     nverts = adj.shape[0]
     degree = int(adj[0].sum())

@@ -87,7 +87,7 @@ def test_criterion_03_closed_form_table():
         for row in TABLE_ROWS:
             alpha = table_row_partition(row, n)
             assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, 2), (n, row)
-    _report(3, "all 8 closed-form rows match the character route, n = 6..12")
+    _report(3, "all 8 closed-form rows match the shifted-Schur eigenvalue, n = 6..12")
 
 
 def test_criterion_04_trace_identity():

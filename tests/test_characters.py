@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from oracles import irreducible_character, permutation_character, sign_of_type, sign_twist_check
+from oracles import (
+    irreducible_character,
+    permutation_character,
+    sign_of_type,
+    sign_twist_check,
+    transpose,
+)
 from snspectra import characters
 from snspectra.characters import (
     CharacterTable,
     class_size,
     mn_character,
 )
-from snspectra.partitions import dimension, partitions_of, transpose
+from snspectra.partitions import dimension, partitions_of
 from snspectra.spectrum import class_eigenvalues, generating_classes
 
 # the full S_4 table, rows by partition, columns by class in canonical order

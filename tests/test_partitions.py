@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_standard_tableaux, medium_partitions, parse_partition
+from oracles import (
+    count_standard_tableaux,
+    hook_lengths,
+    medium_partitions,
+    parse_partition,
+    transpose,
+)
 from snspectra.characters import mn_character
 from snspectra.partitions import (
     check_partition,
     classify,
     dimension,
     format_partition,
-    hook_lengths,
     is_partition,
     partitions_of,
-    transpose,
 )
 
 
@@ -92,6 +96,19 @@ def test_squared_dimensions_sum_to_factorial(n):
 def test_hook_lengths_shape():
     hooks = hook_lengths((3, 2))
     assert hooks == [[4, 3, 1], [2, 1]]
+
+
+@pytest.mark.parametrize("n", range(0, 19))
+def test_dimension_equals_the_hook_table_oracle(n):
+    for alpha in partitions_of(n):
+        hooks = math.prod(map(math.prod, hook_lengths(alpha)))
+        assert dimension(alpha) * hooks == math.factorial(n), alpha
+
+
+@pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, -1), (0,)])
+def test_dimension_refuses_parts_out_of_order_or_not_positive(parts):
+    with pytest.raises(ValueError, match="not a partition"):
+        dimension(parts)
 
 
 def test_classify_examples():

@@ -14,6 +14,9 @@ top-level function is passed by some call in the package or in
 ``bench/library_steps.py``: an option that only tests set is a second mode
 with no production user, and it goes to the oracles too.
 
+No package module imports an underscore name from another: a helper that
+two modules share is public, or it lives with its one user.
+
 No check in the package is an ``assert`` statement, which ``python -O``
 strips: a failed check raises ArithmeticError, which the CLI maps to exit 1."""
 
@@ -163,3 +166,20 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def private_imports() -> list[str]:
+    """"module: name" of each underscore name that a package module imports
+    from another package module; a name another module needs is not private."""
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("snspectra")
+            ):
+                found += [f"{module}: {a.name}" for a in node.names if a.name.startswith("_")]
+    return found
+
+
+def test_no_package_module_imports_a_private_name():
+    assert private_imports() == []

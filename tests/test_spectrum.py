@@ -19,9 +19,10 @@ from oracles import (
     exact_traces_matrix,
     generating_set,
     mn_character as tuple_mn_character,
+    transpose,
 )
 from snspectra import spectrum
-from snspectra.partitions import classify, dimension, partitions_of, transpose
+from snspectra.partitions import classify, dimension, partitions_of
 from snspectra.perms import derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
@@ -186,7 +187,7 @@ def test_sign_eigenvalue_is_parity_difference():
 
 
 @pytest.mark.parametrize("n", range(6, 13))
-def test_closed_forms_match_character_route(n):
+def test_closed_forms_match_the_shifted_schur_eigenvalue(n):
     for row in TABLE_ROWS:
         alpha = table_row_partition(row, n)
         assert closed_form_eigenvalue(row, n) == eigenvalue(alpha, 2)
@@ -347,6 +348,53 @@ def test_oracle_refuses_a_graph_that_is_not_cayley(n, t, monkeypatch):
     monkeypatch.setattr(spectrum, "agreement_neighbours", lambda n, t: moved)
     with pytest.raises(ArithmeticError, match="left translation"):
         brute_force_spectrum(n, t)
+
+
+def test_oracle_refuses_eigenvalues_far_from_integers(monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a) + 0.5)
+    with pytest.raises(ArithmeticError, match="too far from integers"):
+        brute_force_spectrum(4, 2)
+
+
+def test_oracle_refuses_a_spectrum_missing_an_eigenvalue(monkeypatch):
+    # every copy of the least eigenvalue read as the greatest
+    eigvalsh = np.linalg.eigvalsh
+
+    def dropped(a):
+        values = eigvalsh(a)
+        return np.where(np.isclose(values, values[0]), values[-1], values)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", dropped)
+    with pytest.raises(ArithmeticError, match="annihilator nonzero"):
+        brute_force_spectrum(4, 2)
+
+
+@pytest.mark.parametrize(
+    "k,check",
+    [
+        (0, "do not sum to the vertex count"),
+        (1, "multiplicity of -15 is not a nonnegative integer"),
+        (-1, "extra moment"),
+    ],
+)
+def test_oracle_refuses_a_wrong_power_trace(monkeypatch, k, check):
+    # one closed-walk count off by one, so Tr(A^k) off by n!: at n = 5 the
+    # idempotents still divide exactly with Tr(A^0) off, not with Tr(A^1)
+    # off, and the last trace enters only the extra moment
+    n, t = 5, 2
+    moments = len(full_spectrum(n, t).multiset()) + 1
+    crt, calls = spectrum._crt, []
+
+    def perturbed(residues, moduli):
+        value, modulus = crt(residues, moduli)
+        calls.append(value)
+        return value + (len(calls) - 1 == k % moments), modulus
+
+    monkeypatch.setattr(spectrum, "_crt", perturbed)
+    with pytest.raises(ArithmeticError, match=check):
+        brute_force_spectrum(n, t)
+    assert len(calls) == moments
 
 
 def test_spectrum_properties_at_n6():
