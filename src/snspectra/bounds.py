@@ -1,4 +1,4 @@
-"""Hoffman-type eigenvalue bounds and exact projection masses.
+"""Hoffman-type eigenvalue bounds and exact distances to isotypic components.
 
 All bound arithmetic is exact rational; square roots are avoided by
 comparing squares.  Inner products follow the group-average normalization
@@ -188,14 +188,6 @@ def _mass(alpha: Partition, n: int, sums: PairSums) -> Fraction:
         total = sums.sign
     fact = math.factorial(n)
     return Fraction(dimension(alpha) * total, fact * fact)
-
-
-def projection_mass(
-    members: Sequence[Sequence[int]], alpha: Sequence[int], n: int
-) -> Fraction:
-    """||P_alpha chi_A||^2 for a served component alpha, exact."""
-    alpha = _served(alpha, n)
-    return _mass(alpha, n, _pair_sums(members, n))
 
 
 def exact_distance_sq_to_span(

@@ -113,8 +113,8 @@ class CharacterTable:
     """Exact character table of S_n: rows are partitions, columns are cycle
     types, both in canonical (reverse-lexicographic) order.
 
-    Tables are cached per n; values are mathematical constants so the cache
-    is never invalidated.
+    Each instance fills every entry on construction through the memoised
+    ``mn_character``; tables themselves are not cached or shared.
     """
 
     def __init__(self, n: int):

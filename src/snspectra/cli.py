@@ -16,7 +16,7 @@ import sys
 
 from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
-from .perms import DEFAULT_ENUMERATION_CAP, DERANGEMENT_CAP, ROW_DEGREE_CAP
+from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP
 from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T
 from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP, TABLE_START
 from .weightopt import WOPT_CAP
@@ -62,7 +62,7 @@ def derangements(args: argparse.Namespace) -> dict:
 
 
 def chartable(args: argparse.Namespace) -> dict | str:
-    _cap("chartable: n is", args.n, args.cap, "--cap")
+    _cap("chartable: n is", args.n, ENUMERATION_CAP, "ENUMERATION_CAP")
     report, csv_text = reports.chartable_report(args.n)
     return csv_text if args.format == "csv" else {**report, "csv": csv_text}
 
@@ -103,7 +103,7 @@ def families(args: argparse.Namespace) -> dict | str:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
     if free < spec.min_free:
         raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
-    _cap(f"family {name}: unpinned points are", free, args.cap, "--cap")
+    _cap(f"family {name}: unpinned points are", free, ENUMERATION_CAP, "ENUMERATION_CAP")
     if args.members:
         return reports.family_members_text(name, n, t)
     if args.verify_independence:
@@ -113,9 +113,8 @@ def families(args: argparse.Namespace) -> dict | str:
 
 
 def search(args: argparse.Namespace) -> dict:
-    n, budget = args.n, args.node_budget
-    if budget is None and n >= EXHAUSTIVE_CAP and not args.exact:
-        budget = DEFAULT_NODE_BUDGET
+    n = args.n
+    budget = None if args.exact or n < EXHAUSTIVE_CAP else DEFAULT_NODE_BUDGET
     _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
     if budget is None:
         _cap("search without a node budget: n is", n, EXHAUSTIVE_CAP, "EXHAUSTIVE_CAP")
@@ -150,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the report to a file instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_ENUMERATION_CAP,
-        help="chartable: the largest n; families: the most unpinned points, n - 2 (n - t for HM)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="snspectra",
@@ -193,14 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the member list (cycle notation, one per line) instead of the manifest",
     )
 
-    budget = _n_t(command(search, "exact maximum independent set")).add_mutually_exclusive_group()
-    budget.add_argument(
+    _n_t(command(search, "exact maximum independent set")).add_argument(
         "--exact",
         "--slow",
         action="store_true",
         help=f"no node budget (the default below n = {EXHAUSTIVE_CAP})",
     )
-    budget.add_argument("--node-budget", type=int, default=None)
 
     _n_t(command(wopt, "optimal conjugation-invariant weighted bound"))
     command(reproduce, "bundle of table, bounds and family checks").add_argument(
@@ -210,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> str:
-    """Run the command and echo ``--seed`` and ``--cap`` into its json
-    report, if it returns one."""
+    """Run the command and echo ``--seed`` and ``perms.ENUMERATION_CAP``
+    (as ``cap``) into its json report, if it returns one."""
     report = args.run(args)
     if isinstance(report, str):
         return report
-    report["config"].update(seed=args.seed, cap=args.cap)
+    report["config"].update(seed=args.seed, cap=ENUMERATION_CAP)
     return reports.to_json(report)
 
 

@@ -181,13 +181,12 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes at t = 2, 4.1-4.8 s fresh on a 2-core machine); from n = 6 on
-# the CLI sets this budget unless told not to.
+# (99,591 nodes at t = 2, 4.3 s fresh on a 2-core machine, 4.1-5.0 s across
+# sittings); from n = 6 on the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
 # running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
-# 0.5-0.7, 4.1-4.8, 3.7-5.0 and 0.3-0.4 s (the medians of three sets of
-# runs).
+# 0.5, 4.3, 3.9 and 0.4 s (medians of three runs in one sitting).
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 

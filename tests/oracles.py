@@ -47,7 +47,7 @@ production routes against.  None of them is used by the package itself.
   one-column certificate of ``spectrum.brute_force_spectrum``;
 * isotypic projection matrices (n <= 5) and the projection mass as a sum of
   chi(s u^-1) over every ordered pair of a family, the oracles for the
-  count-tensor masses of ``bounds.projection_mass``.
+  count-tensor distances of ``bounds.exact_distance_sq_to_span``.
 
 It also holds helpers that only the tests read: member sets of families,
 fixed points, agreement counts, cycle types, signs, a permutation check and
@@ -83,7 +83,7 @@ from snspectra.partitions import (
     partitions_of,
 )
 from snspectra.perms import (
-    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP,
     DegreeMismatchError,
     compose,
     derangement_count,
@@ -114,7 +114,7 @@ CycleType = tuple[int, ...]
 # family constructors, and member sets for comparing families.
 
 
-def all_perms(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+def all_perms(n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
     """All of S_n in lexicographic one-line order; refuses n above the cap."""
     if n > cap:
         raise ValueError(f"refusing to enumerate S_{n} (cap {cap})")
@@ -507,7 +507,7 @@ def fixed_point_census(n: int) -> dict[int, int]:
     return census
 
 
-def generating_set(n: int, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[tuple[int, ...]]:
+def generating_set(n: int, t: int, cap: int = ENUMERATION_CAP) -> frozenset[tuple[int, ...]]:
     """Permutations of S_n with exactly t-1 fixed points, by enumeration: the
     generators of the graph joining permutations that agree at exactly t-1
     points.  ``t - 1 = n - 1`` is impossible (one misplaced point forces

@@ -22,7 +22,6 @@ from snspectra.bounds import (
     exact_distance_sq_to_span,
     hoffman_bound,
     paper_tail_split,
-    projection_mass,
     served_components,
     stability_gap_bound,
 )
@@ -117,7 +116,8 @@ def test_projection_cap():
 
 
 def test_projection_mass_matches_matrix_route():
-    # the pairwise oracle on every component, the count tensor on the served ones
+    # the pairwise oracle on every component, the count tensor on the served
+    # ones: a mass is the squared norm |A|/n! less the distance to its component
     n = 4
     members = list(perms_fixing([(1, 1), (2, 2)], n))
     perms = list(all_perms(n))
@@ -136,7 +136,8 @@ def test_projection_mass_matches_matrix_route():
         ) / fact
         assert pairwise[alpha] == direct
         if alpha in served_components(n):
-            assert projection_mass(members, alpha, n) == direct
+            distance = exact_distance_sq_to_span(members, [alpha], n)
+            assert Fraction(len(members), fact) - distance == direct
 
 
 def test_masses_resolve_norm():
@@ -148,11 +149,10 @@ def test_masses_resolve_norm():
 
 
 def _assert_tensor_matches_pairs(members, n):
+    # the one-component spans check each mass on its own
     pairwise = pair_masses(members, n)
     served = served_components(n)
     norm_sq = Fraction(len(members), math.factorial(n))
-    for alpha in served:
-        assert projection_mass(members, alpha, n) == pairwise[alpha], alpha
     for size in range(1, len(served) + 1):
         for span in itertools.combinations(served, size):
             expected = norm_sq - sum((pairwise[a] for a in span), Fraction(0))
@@ -191,15 +191,13 @@ def test_unserved_component_refused_before_the_tensor(monkeypatch):
     for span in [(2, 2, 1)], [(5,), (2, 2, 1)], [(4, 2)], [(3.0, 2.0)]:
         with pytest.raises(ValueError):
             exact_distance_sq_to_span(members, span, 5)
-        with pytest.raises(ValueError):
-            projection_mass(members, span[-1], 5)
 
 
 def test_members_must_be_permutations_of_the_degree():
     with pytest.raises(ValueError, match="degree"):
-        projection_mass([(1, 2, 3)], (4,), 4)
+        exact_distance_sq_to_span([(1, 2, 3)], [(4,)], 4)
     with pytest.raises(ValueError, match="not a permutation"):
-        projection_mass([(1, 1, 3, 4)], (4,), 4)
+        exact_distance_sq_to_span([(1, 1, 3, 4)], [(4,)], 4)
 
 
 @pytest.mark.parametrize(
@@ -216,8 +214,6 @@ def test_repeated_members_are_refused(members, repeated):
     match = rf"member {re.escape(repeated)} is repeated"
     with pytest.raises(ValueError, match=match):
         exact_distance_sq_to_span(members, [(4,)], 4)
-    with pytest.raises(ValueError, match=match):
-        projection_mass(members, (4,), 4)
 
 
 def test_B9_distance_to_the_paper_span():

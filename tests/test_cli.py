@@ -112,33 +112,26 @@ def test_search(capsys):
     assert data["witness_verified"] is True
 
 
-def test_search_on_the_edgeless_n7_graph_runs_without_recursion(capsys):
+def test_search_on_the_edgeless_n7_graph_runs_without_recursion():
     # at t = n the include chain runs 5,040 deep; the recursive search died
     # with RecursionError from a budget of about 1,000 nodes on
-    code, out, err = run_cli(capsys, ["search", "--n", "7", "--t", "7", "--node-budget", "2000"])
-    assert code == 0, err
-    data = json.loads(out)
-    assert (data["nodes"], data["independence_number"], data["upper_bound"]) == (
-        "2000",
-        "2000",
-        "5040",
+    report = reports.search_report(7, 7, 2000)
+    assert (report["nodes"], report["independence_number"], report["upper_bound"]) == (
+        2000,
+        2000,
+        5040,
     )
 
 
-def test_budgeted_search_passes_verification(capsys):
+def test_budgeted_search_passes_verification():
     # a search cut short by its budget claims independence, not maximality
-    code, out, err = run_cli(capsys, ["search", "--n", "6", "--node-budget", "10"])
-    assert code == 0, err
-    data = json.loads(out)
-    assert data["exact"] is False
-    assert data["witness_verified"] is True
-    assert int(data["upper_bound"]) >= int(data["independence_number"])
+    report = reports.search_report(6, 2, 10)
+    assert report["exact"] is False
+    assert report["witness_verified"] is True
+    assert report["upper_bound"] >= report["independence_number"]
 
 
-@pytest.mark.parametrize(
-    "flags,budget",
-    [([], 500_000), (["--exact"], None), (["--slow"], None), (["--node-budget", "7"], 7)],
-)
+@pytest.mark.parametrize("flags,budget", [([], 500_000), (["--exact"], None), (["--slow"], None)])
 def test_search_node_budget_from_flags(capsys, monkeypatch, flags, budget):
     seen = []
 
@@ -153,28 +146,11 @@ def test_search_node_budget_from_flags(capsys, monkeypatch, flags, budget):
 
 
 @pytest.mark.parametrize("budget", ["-5", "0"])
-def test_search_refuses_a_node_budget_below_one(capsys, budget):
-    # used to exit 0 with independence_number 0, an empty witness and
+def test_search_refuses_a_node_budget_below_one(budget):
+    # used to report independence_number 0, an empty witness and
     # witness_verified true
-    code, out, err = run_cli(capsys, ["search", "--n", "4", "--node-budget", budget])
-    assert code == 2
-    assert out == ""
-    assert f"node budget must be at least 1 (got {budget})" in err
-
-
-def test_search_exact_with_node_budget_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "4", "--exact", "--node-budget", "10"])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
-
-
-def test_search_slow_with_node_budget_is_usage_error(capsys):
-    # --slow is a second spelling of --exact; it used to run a 7-node search
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "6", "--slow", "--node-budget", "7"])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"node budget must be at least 1 \\(got {budget}\\)"):
+        reports.search_report(4, 2, int(budget))
 
 
 @pytest.mark.parametrize("t", ["0", "5"])
@@ -360,7 +336,7 @@ def forbid_reports(monkeypatch, *names):
         # used to build a family labelled HM(t=-1)
         ("families --family HM --n 6 --t -1", "1 <= t <= n"),
         # HM pins t = 1 point, so it enumerates 11! permutations
-        ("families --family HM --n 12 --t 1", "capped at 10 by --cap (got 11)"),
+        ("families --family HM --n 12 --t 1", "capped at 10 by ENUMERATION_CAP (got 11)"),
         # used to build G4, then fail in its size formula
         ("families --family G4 --n 4", "family G4 needs n >= 5"),
         # used to build 40,320 permutations before the pairwise cap refused
@@ -370,7 +346,7 @@ def forbid_reports(monkeypatch, *names):
         # still running after 45 s (t = 3 after about 9 minutes)
         ("search --n 6 --t 3 --exact", "t = 3 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
         ("search --n 6 --t 4 --slow", "t = 4 at n = 6 is refused by EXHAUSTIVE_CAP_SLOW_T"),
-        ("search --n 8 --node-budget 10", "capped at 7 by GRAPH_CAP"),
+        ("search --n 8", "capped at 7 by GRAPH_CAP"),
         ("spectrum --n 35", "capped at 34 by SPECTRUM_CAP"),
         # used to compute the spectrum, then fail classing its rows 2-fat
         ("spectrum --n 2", "spectrum: need n >= 3"),
@@ -513,10 +489,10 @@ def test_derangements_capped_when_the_digit_limit_is_off(capsys, monkeypatch, n)
 
 @pytest.mark.parametrize("family", ["2coset", "HM"])
 def test_families_refuses_a_degree_past_the_int8_rows(capsys, monkeypatch, family):
-    # with --cap raised past n, the family was sized first and failed inside
+    # the degree is refused first: sized first, the family failed inside
     # math.factorial, reported as a verification failure with exit 1
     forbid_reports(monkeypatch, "family_report", "family_members_text")
-    argv = ["families", "--family", family, "--n", str(10**21), "--cap", str(10**22)]
+    argv = ["families", "--family", family, "--n", str(10**21)]
     code, out, err = run_cli(capsys, [*argv, "--verify-independence"])
     assert code == 2
     assert out == ""
@@ -576,7 +552,6 @@ COMMON = [
     (("-h", "--help"), "help", argparse.SUPPRESS, None, False, None, None),
     (("--out",), "out", None, None, False, None, None),
     (("--seed",), "seed", 0, None, False, int, None),
-    (("--cap",), "cap", 10, None, False, int, None),
 ]
 JSON = (("--format",), "format", "json", ("json",), False, None, None)
 N = (("--n",), "n", None, None, True, int, None)
@@ -603,8 +578,7 @@ PARSER = {
         JSON,
         N,
         T,
-        (("--exact", "--slow"), "exact", False, None, False, None, 0),
-        (("--node-budget",), "node_budget", None, None, False, int, 0),
+        (("--exact", "--slow"), "exact", False, None, False, None, None),
     ],
     "wopt": [JSON, N, T],
     "reproduce": [JSON, N_RANGE],

@@ -17,26 +17,41 @@ with no production user, and it goes to the oracles too.
 No package module imports an underscore name from another: a helper that
 two modules share is public, or it lives with its one user.
 
+Every option of the CLI is set by a README ``snspectra`` command or by a
+CLI step of ``bench/workloads.py``: a flag that only tests pass is a mode
+with no user, and a limit belongs in a constant beside its route.
+
 No check in the package is an ``assert`` statement, which ``python -O``
 strips: a failed check raises ArithmeticError, which the CLI maps to exit 1."""
 
+import argparse
 import ast
+import runpy
 from pathlib import Path
+
+from snspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "snspectra"
 LIBRARY_STEPS = ROOT / "bench" / "library_steps.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
+README = ROOT / "README.md"
 
 # paper content that no report reads yet
 ALLOWED_UNREAD = {
     "bounds.paper_tail_split": "read by item 4's `stability` command (ROADMAP.md)",
     "bounds.stability_gap_bound": "read by item 4's `stability` command (ROADMAP.md)",
-    "bounds.projection_mass": "read by item 4's `stability` command (ROADMAP.md)",
 }
 
 # optional parameters that only the tests set
 ALLOWED_UNPASSED = {
     "cli.main.argv": "the tests' entry point; the console script passes none",
+}
+
+# CLI options that no README command or benchmark step sets
+ALLOWED_UNSET_OPTIONS = {
+    "--out": "a deployment path, which no fixed command can name",
+    "--seed": "only echoed; bench/run.py and tests/test_golden.py pass it to every step",
 }
 
 DEFS = (ast.FunctionDef, ast.ClassDef)
@@ -183,3 +198,29 @@ def private_imports() -> list[str]:
 
 def test_no_package_module_imports_a_private_name():
     assert private_imports() == []
+
+
+def parser_options() -> set[str]:
+    """Every option string of every subcommand, help aside."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in sub.choices.values() for a in p._actions for o in a.option_strings}
+    return options - {"-h", "--help"}
+
+
+def set_options() -> set[str]:
+    """The options that a README ``snspectra`` command or a CLI step of the
+    benchmark passes."""
+    readme = [
+        line.split("#")[0].split()
+        for line in README.read_text().splitlines()
+        if line.startswith("snspectra ")
+    ]
+    steps = runpy.run_path(str(WORKLOADS))["all_steps"]().values()
+    words = [w for line in readme for w in line] + [
+        w for step in steps if not step.library for w in step.args
+    ]
+    return {w.split("=")[0] for w in words if w.startswith("--")}
+
+
+def test_every_cli_option_is_set_by_a_readme_command_or_a_benchmark_step():
+    assert parser_options() - set_options() == set(ALLOWED_UNSET_OPTIONS)

@@ -234,7 +234,8 @@ def test_budgeted_search_with_a_failed_certificate_exits_1(monkeypatch, capsys):
     # a budgeted search reports the certified weighted bound or fails; it
     # has no uncertified fallback
     shift_dual(monkeypatch, 1)
-    code = cli.main(["search", "--n", "5", "--t", "2", "--node-budget", "1"])
+    monkeypatch.setattr(cli, "DEFAULT_NODE_BUDGET", 1)
+    code = cli.main(["search", "--n", "6", "--t", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
