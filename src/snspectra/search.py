@@ -20,6 +20,14 @@ lex order, so the tree, its node count and its witness are those of the
 bottom-up search.  It is cheaper: one ``bit_length`` finds the top bit with
 no negation, a precomputed single-bit mask clears it, and the masks shorten
 as their top bits are consumed.
+
+The tree is mostly long chains of exclude children, each pool its parent's
+less the branch vertex v, so such a child reuses its parent's work, as
+bit-parallel clique solvers reuse a parent's colouring (San Segundo,
+Nikolaev and Batsyn, Comput. Oper. Res. 2015): the cliques of the greedy
+cover before the one that held v, and every candidate's count of candidate
+neighbours less its adjacency to v.  Both are exact (see ``_solve``), so the
+tree is the one a search from scratch at every node visits.
 """
 
 from __future__ import annotations
@@ -73,39 +81,86 @@ class SearchResult:
     upper_bound: int | None = None  # spectral bound, reported when inexact
 
 
-def _greedy_clique_cover_bound(
-    candidates: int, adj: tuple[int, ...], bits: tuple[int, ...], room: int
-) -> int:
-    """Upper bound on the independent set inside ``candidates``: number of
-    cliques in a greedy clique partition (an independent set meets each
-    clique at most once), each clique grown from the highest candidate left
-    by the highest common neighbour; ``bits[v]`` is ``1 << v``.  The caller
-    only asks whether the count is at most ``room``, so the count stops as
-    soon as it exceeds ``room``."""
-    cliques = 0
-    rest = candidates
+def _greedy_clique_cover(
+    rest: int,
+    cliques: int,
+    snapshots: list[int],
+    adj: tuple[int, ...],
+    bits: tuple[int, ...],
+    room: int,
+) -> tuple[int, int]:
+    """Continue a greedy clique partition of the candidates left in
+    ``rest`` after ``cliques`` cliques: each clique is grown from the
+    highest candidate left by the highest common neighbour.  The count
+    bounds the independent set (which meets each clique at most once), and
+    the caller only asks whether it is at most ``room``, so the cover stops
+    as soon as the count exceeds ``room``.  ``rest`` at the start of each
+    clique is appended to ``snapshots``; returns the final (rest, cliques).
+    The tables are 1-based: ``adj[b + 1]`` and ``bits[b + 1] = 1 << b`` for
+    bit b, so ``bit_length`` indexes them directly."""
+    bit_length = int.bit_length
+    append = snapshots.append
     while rest and cliques <= room:
-        v = rest.bit_length() - 1
+        append(rest)
+        v = bit_length(rest)
         rest ^= bits[v]
         common = rest & adj[v]
         while common:
-            u = common.bit_length() - 1
+            u = bit_length(common)
             rest ^= bits[u]
             common &= adj[u]
         cliques += 1
-    return cliques
+    return rest, cliques
 
 
-def _branch_vertex(pool: int, words: np.ndarray) -> int:
-    """The candidate with the most candidate neighbours, ties to the highest
-    vertex index: one exact popcount per word of each candidate's row."""
+def _resume_cover(
+    snapshots: list[int], rest: int, cliques: int, bit: int, pool: int
+) -> tuple[int, int]:
+    """The start (rest, cliques) of the cover of an exclude child's ``pool``,
+    its parent's less the branch vertex ``bit``, from the parent's cover
+    (``snapshots``, then a final ``rest`` and ``cliques``): the snapshot of
+    the clique that held the vertex, or the final state if the parent
+    stopped before it, restricted to ``pool``.  ``snapshots`` is cut to
+    match."""
+    if not rest & bit:
+        lo, hi = 0, len(snapshots)  # snapshots[lo] holds the vertex, [hi:] do not
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if snapshots[mid] & bit:
+                lo = mid
+            else:
+                hi = mid
+        rest, cliques = snapshots[lo], lo
+        del snapshots[lo:]
+    return rest & pool, cliques
+
+
+def _pool_degrees(pool: int, words: np.ndarray) -> np.ndarray:
+    """Each candidate's number of candidate neighbours, one exact popcount
+    per word of its row, and -1 for every vertex outside ``pool``."""
     pool_bytes = np.frombuffer(pool.to_bytes(words.shape[1] * 8, "little"), dtype=np.uint8)
     members = np.unpackbits(pool_bytes, bitorder="little").nonzero()[0]
     rows = words.take(members, axis=0)
     np.bitwise_and(rows, pool_bytes.view("<u8"), out=rows)
-    degrees = np.bitwise_count(rows).sum(axis=1, dtype=np.int32)
-    # argmax takes the first of equal degrees, so reversed, the highest index
-    return int(members[len(members) - 1 - degrees[::-1].argmax()])
+    degrees = np.full(len(words), -1, dtype=np.int32)
+    degrees[members] = np.bitwise_count(rows).sum(axis=1, dtype=np.int32)
+    return degrees
+
+
+def _drop_vertex(degrees: np.ndarray, words: np.ndarray, v: int) -> None:
+    """Take vertex v out of the pool of ``degrees`` in place: subtract its
+    adjacency row, unpacked from its words, and mark v -1.  Vertices
+    outside the pool only fall further below 0."""
+    row = np.unpackbits(words[v].view(np.uint8), count=len(degrees), bitorder="little")
+    np.subtract(degrees, row, out=degrees)
+    degrees[v] = -1
+
+
+def _branch_vertex(degrees: np.ndarray) -> int:
+    """The candidate with the most candidate neighbours, ties to the highest
+    vertex index: argmax takes the first of equal degrees, so reversed, the
+    highest index."""
+    return len(degrees) - 1 - int(degrees[::-1].argmax())
 
 
 def _spectral_upper_bound(n: int, t: int) -> int:
@@ -127,15 +182,34 @@ def _solve(
     *,
     node_budget: int | None,
 ) -> SearchResult:
-    """Depth first over an explicit stack of (chosen, chosen size, pool)
-    nodes: a branching node pushes its exclude child, then its include
-    child, so the include subtree is searched first.  Each node is pruned
-    when its pool is empty, by popcount, then by the clique cover.  Bit
-    size-1-i stands for vertex i (see the module docstring), so the root,
-    which holds the top bit, holds the identity."""
+    """Depth first over an explicit stack of (chosen, chosen size, pool,
+    parent) nodes: a branching node pushes its exclude child, then its
+    include child, so the include subtree is searched first.  Each node is
+    pruned when its pool is empty, by popcount, then by the clique cover.
+    Bit size-1-i stands for vertex i (see the module docstring), so the
+    root, which holds the top bit, holds the identity.
+
+    Only the last branching node keeps its work, as ``state`` = (serial,
+    branch vertex v, cover snapshots, final rest, cliques, degrees); stack
+    entries hold ints only.  Its exclude child (``parent`` is the serial,
+    so the include child pruned at once) starts from that work, and every
+    other node from scratch.  The child's pool is the parent's less v:
+
+    * **Cover.**  A clique without v is grown the same way with v gone: its
+      first vertex is the top of its start state, not v, and each
+      common-neighbour set only loses v, which is never the next pick.  So
+      the cliques before the one that held v are the parent's, and the
+      child resumes at that clique's snapshot less v, or at the parent's
+      final state if its cover stopped before v.  A ``best_size`` raised by
+      the include child only lets the resumed cover run further, as a
+      cover from scratch would.
+    * **Degrees.**  A candidate's count of candidate neighbours drops by
+      one exactly when it is adjacent to v, and v leaves the pool (-1)."""
     size = len(verts)
     full = (1 << size) - 1
     bits = tuple(1 << v for v in range(size))
+    adj1 = (0, *adj)
+    bits1 = (0, *bits)
     n = len(verts[0])
 
     best_size = 0
@@ -143,12 +217,13 @@ def _solve(
     nodes = 0
     exhausted = True
     top = bits[-1]
-    stack = [(top, 1, (full ^ top) & ~adj[-1])]
+    state = None
+    stack = [(top, 1, (full ^ top) & ~adj[-1], 0)]
     while stack:
         if node_budget is not None and nodes >= node_budget:
             exhausted = False
             break
-        chosen, chosen_size, pool = stack.pop()
+        chosen, chosen_size, pool, parent = stack.pop()
         nodes += 1
         if chosen_size > best_size:
             best_size = chosen_size
@@ -158,12 +233,23 @@ def _solve(
         room = best_size - chosen_size
         if pool.bit_count() <= room:
             continue
-        if _greedy_clique_cover_bound(pool, adj, bits, room) <= room:
+        if state is not None and state[0] == parent:
+            _, v, snapshots, rest, cliques, degrees = state
+            rest, cliques = _resume_cover(snapshots, rest, cliques, bits[v], pool)
+        else:
+            snapshots, rest, cliques, degrees = [], pool, 0, None
+        rest, cliques = _greedy_clique_cover(rest, cliques, snapshots, adj1, bits1, room)
+        if cliques <= room:
             continue
-        v = _branch_vertex(pool, words)
-        rest = pool ^ bits[v]
-        stack.append((chosen, chosen_size, rest))
-        stack.append((chosen | bits[v], chosen_size + 1, rest & ~adj[v]))
+        if degrees is None:
+            degrees = _pool_degrees(pool, words)
+        else:
+            _drop_vertex(degrees, words, v)
+        v = _branch_vertex(degrees)
+        state = (nodes, v, snapshots, rest, cliques, degrees)
+        pool ^= bits[v]
+        stack.append((chosen, chosen_size, pool, nodes))
+        stack.append((chosen | bits[v], chosen_size + 1, pool & ~adj[v], 0))
 
     witness = tuple(
         tuple(map(int, verts[i])) for i in range(size) if best_mask >> (size - 1 - i) & 1
@@ -181,14 +267,17 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes at t = 2, 4.3 s fresh on a 2-core machine, 4.1-5.0 s across
-# sittings); from n = 6 on the CLI sets this budget unless told not to.
+# (99,591 nodes at t = 2, 2.5 s fresh on a 2-core machine, 2.2-3.0 s across
+# runs); from n = 6 on the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
 # running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
-# 0.5, 4.3, 3.9 and 0.4 s (medians of three runs in one sitting).
+# 0.5, 2.5, 3.7 and 0.3 s (medians of three runs in one sitting).
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
+# Witness members per agreement-count array of the maximality check: 5,040
+# vertices by 256 members is 1.3 MB at n = 7.
+CERTIFICATE_CHUNK = 256
 
 
 def max_independent_set(n: int, t: int, *, node_budget: int | None = None) -> SearchResult:
@@ -218,6 +307,15 @@ def verify_certificate(result: SearchResult) -> bool:
         return False
     if not result.exact:
         return True
-    # every vertex is a member (n agreements) or a neighbour of one
-    counts = (perm_rows(result.n)[:, None, :] == witness.members[None]).sum(axis=2)
-    return bool(((counts == result.n) | (counts == result.t - 1)).any(axis=1).all())
+    # every vertex is a member (n agreements) or a neighbour of one; the
+    # agreement counts are summed point by point, for a chunk of members at
+    # a time, so they take n! * CERTIFICATE_CHUNK bytes
+    verts = perm_rows(result.n)
+    covered = np.zeros(len(verts), dtype=bool)
+    for start in range(0, len(witness), CERTIFICATE_CHUNK):
+        chunk = witness.members[start : start + CERTIFICATE_CHUNK]
+        counts = np.zeros((len(verts), len(chunk)), dtype=np.int8)
+        for point in range(result.n):
+            counts += verts[:, point, None] == chunk[None, :, point]
+        covered |= ((counts == result.n) | (counts == result.t - 1)).any(axis=1)
+    return bool(covered.all())

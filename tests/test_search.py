@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,9 +18,9 @@ from oracles import (
     shift_dual,
     verify_certificate_by_pairs,
 )
-from snspectra import cli, search
+from snspectra import cli, reports, search
 from snspectra.bounds import bound_report
-from snspectra.perms import compose, identity, inverse
+from snspectra.perms import compose, identity, inverse, perm_rows
 from snspectra.search import (
     SearchResult,
     graph_bitsets,
@@ -109,12 +111,13 @@ def test_independence_number_n6():
 
 
 @pytest.mark.slow
-def test_search_keeps_the_recursive_tree_at_n6():
-    # the full 99,591-node tree, against the recursive bottom-up scan
-    verts, adj, _ = graph_bitsets(6, 2)
+@pytest.mark.parametrize("t,alpha,tree", [(2, 48, 99_591), (5, 360, 109_903)])
+def test_search_keeps_the_recursive_tree_at_n6(t, alpha, tree):
+    # the full trees, against the recursive bottom-up scan
+    verts, adj, _ = graph_bitsets(6, t)
     size, nodes, mask, exhausted = recursive_search(adj, force_identity=True, node_budget=None)
-    result = max_independent_set(6, 2)
-    assert (size, nodes, exhausted) == (48, 99_591, True)
+    result = max_independent_set(6, t)
+    assert (size, nodes, exhausted) == (alpha, tree, True)
     assert (result.independence_number, result.nodes, result.exact) == (size, nodes, exhausted)
     assert result.witness == tuple(
         tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1
@@ -157,19 +160,73 @@ def test_mirror_is_an_automorphism(n, t):
     assert all(adj[size - 1 - b] == _mirror(adj[b], size) for b in range(size))
 
 
+def _cover_tables(adj):
+    """The 1-based adjacency and single-bit tables of the cover."""
+    return (0, *adj), (0, *(1 << v for v in range(len(adj))))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_clique_cover_early_exit_keeps_every_prune_decision(n):
     # the cover runs from the top bit down, the bottom-up oracle on the
     # mirrored pool
     _, adj, _ = graph_bitsets(n, 2)
-    bits = tuple(1 << v for v in range(len(adj)))
+    adj1, bits1 = _cover_tables(adj)
     rng = random.Random(n)
     for _ in range(40):
         pool = rng.getrandbits(len(adj))
         full = greedy_clique_count(_mirror(pool, len(adj)), adj)
         for room in range(pool.bit_count() + 1):
-            early = search._greedy_clique_cover_bound(pool, adj, bits, room)
+            snapshots = []
+            rest, early = search._greedy_clique_cover(pool, 0, snapshots, adj1, bits1, room)
             assert (early <= room) == (full <= room)
+            # one snapshot per clique, nested, the first the pool itself
+            chain = [*snapshots, rest]
+            assert len(snapshots) == early and chain[0] == pool
+            assert all(b & a == b for a, b in itertools.pairwise(chain))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_resumed_exclude_child_keeps_the_prune_decision_and_branch_vertex(n):
+    # the exclude child of a branching node resumes its parent's cover and
+    # degrees; at the parent's room, and at a room raised by an include
+    # subtree that found a larger set, its prune decision is the one of a
+    # cover from scratch, and its branch vertex that of the scan
+    _, adj, words = graph_bitsets(n, 2)
+    size = len(adj)
+    adj1, bits1 = _cover_tables(adj)
+    rng = random.Random(200 + n)
+    resumed_mid_cover = stopped_before = 0
+    for _ in range(60):
+        density = rng.random()
+        pool = sum(1 << v for v in range(size) if rng.random() < density)
+        full = greedy_clique_count(_mirror(pool, size), adj)
+        if full < 2:
+            continue
+        room = rng.randrange(full)  # the parent branches: its cover exceeds room
+        snapshots = []
+        rest, cliques = search._greedy_clique_cover(pool, 0, snapshots, adj1, bits1, room)
+        assert cliques > room
+        degrees = search._pool_degrees(pool, words)
+        v = search._branch_vertex(degrees)
+        child = pool ^ (1 << v)
+        if rest >> v & 1:
+            stopped_before += 1
+        else:
+            resumed_mid_cover += 1
+        scratch = greedy_clique_count(_mirror(child, size), adj)
+        for child_room in range(room, room + 4):
+            kept = list(snapshots)
+            start = search._resume_cover(kept, rest, cliques, 1 << v, child)
+            _, count = search._greedy_clique_cover(*start, kept, adj1, bits1, child_room)
+            assert (count <= child_room) == (scratch <= child_room)
+        search._drop_vertex(degrees, words, v)
+        # outside the pool only the sign counts
+        incremental = [max(d, -1) for d in degrees.tolist()]
+        assert incremental == search._pool_degrees(child, words).tolist()
+        if child:
+            mirrored = branch_vertex_by_scan(_mirror(child, size), adj)
+            assert search._branch_vertex(degrees) == size - 1 - mirrored
+    assert resumed_mid_cover and stopped_before
 
 
 def _oracle_cases():
@@ -178,6 +235,8 @@ def _oracle_cases():
         for t in range(1, n + 1):
             for force in (True, False):
                 yield n, t, force, None
+    yield 6, 1, True, None
+    yield 6, 6, True, None
     yield 6, 2, True, 20_000
     yield 7, 2, True, 5_000
     yield 7, 3, True, 5_000
@@ -212,7 +271,7 @@ def test_branch_vertex_matches_the_scan(n):
             pool = sum(1 << v for v in range(len(adj)) if rng.random() < density)
         # ties go to the highest index, the lowest of the mirrored scan
         mirrored = branch_vertex_by_scan(_mirror(pool, len(adj)), adj)
-        assert search._branch_vertex(pool, words) == len(adj) - 1 - mirrored
+        assert search._branch_vertex(search._pool_degrees(pool, words)) == len(adj) - 1 - mirrored
 
 
 def test_budgeted_search_reports_certified_weighted_bound():
@@ -299,9 +358,50 @@ def test_certificate_matches_the_pairwise_oracle():
 
 @pytest.mark.parametrize("budget", [-5, 0])
 def test_node_budget_below_one_is_refused_before_any_work(monkeypatch, budget):
+    # the report used to give independence_number 0, an empty witness and
+    # witness_verified true
     monkeypatch.setattr(search, "graph_bitsets", lambda n, t: pytest.fail("built the graph"))
-    with pytest.raises(ValueError, match=f"node budget must be at least 1 \\(got {budget}\\)"):
-        max_independent_set(4, 2, node_budget=budget)
+    for run in (
+        lambda: max_independent_set(4, 2, node_budget=budget),
+        lambda: reports.search_report(4, 2, budget),
+    ):
+        with pytest.raises(ValueError, match=f"node budget must be at least 1 \\(got {budget}\\)"):
+            run()
+
+
+def test_search_on_the_edgeless_n7_graph_runs_without_recursion():
+    # at t = n the include chain runs 5,040 deep; the recursive search died
+    # with RecursionError from a budget of about 1,000 nodes on
+    report = reports.search_report(7, 7, 2000)
+    assert (report["nodes"], report["independence_number"], report["upper_bound"]) == (
+        2000,
+        2000,
+        5040,
+    )
+
+
+def test_budgeted_search_passes_verification():
+    # a search cut short by its budget claims independence, not maximality
+    report = reports.search_report(6, 2, 10)
+    assert report["exact"] is False
+    assert report["witness_verified"] is True
+    assert report["upper_bound"] >= report["independence_number"]
+
+
+def test_exhausted_certificate_of_all_of_s7_stays_small():
+    # at t = n the graph is edgeless and every permutation is in the
+    # witness; one agreement-count array over all 5,040 members took 364 MB
+    witness = tuple(tuple(map(int, row)) for row in perm_rows(7))
+    result = SearchResult(
+        n=7, t=7, independence_number=len(witness), witness=witness, nodes=0, exact=True
+    )
+    tracemalloc.start()
+    try:
+        assert verify_certificate(result)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_budgeted_witness_needs_independence_only():
