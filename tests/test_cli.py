@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import shift_dual
-from snspectra import characters, cli, families, reports, spectrum
+from snspectra import characters, cli, families, reports, search, spectrum
 
 
 def run_cli(capsys, argv):
@@ -124,6 +124,15 @@ def test_search_node_budget_from_flags(capsys, monkeypatch, flags, budget):
     code, _, err = run_cli(capsys, ["search", "--n", "6", *flags])
     assert code == 0, err
     assert seen == [budget]
+
+
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_search_refuses_a_node_budget_below_one(monkeypatch, budget):
+    # used to report independence_number 0, an empty witness and
+    # witness_verified true
+    monkeypatch.setattr(search, "graph_bitsets", lambda n, t: pytest.fail("built the graph"))
+    with pytest.raises(ValueError, match=f"node budget must be at least 1 \\(got {budget}\\)"):
+        reports.search_report(4, 2, int(budget))
 
 
 @pytest.mark.parametrize("t", ["0", "5"])
