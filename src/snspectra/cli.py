@@ -6,6 +6,10 @@ builder, which raises ArithmeticError at any check that fails.
 Exit codes: 0 on success; 1 when a check fails, an ArithmeticError (the
 failed check is named on stderr); 2 when an input is refused, a ValueError
 or an argparse usage error, and when the ``--out`` file cannot be written.
+
+Each command imports the modules of its route, and the caps kept beside
+them, when it runs, so importing this module loads only ``reports`` and the
+family registry that the parser reads (with ``perms``, which it uses).
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ import sys
 from . import reports
 from .families import FAMILIES, PAIRWISE_CAP
 from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP
-from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T
-from .spectrum import GRAPH_CAP, SPECTRUM_CAP, TABLE_CAP, TABLE_START
-from .weightopt import WOPT_CAP
 
 
 def _cap(what: str, value: int, cap: int, by: str) -> None:
@@ -68,6 +69,8 @@ def chartable(args: argparse.Namespace) -> dict | str:
 
 
 def spectrum(args: argparse.Namespace) -> dict:
+    from .spectrum import GRAPH_CAP, SPECTRUM_CAP
+
     if args.n < 3:
         raise ValueError(
             f"spectrum: need n >= 3 to class each row 2-fat, 2-tall or 2-medium (got n={args.n})"
@@ -79,6 +82,8 @@ def spectrum(args: argparse.Namespace) -> dict:
 
 
 def table(args: argparse.Namespace) -> dict | str:
+    from .spectrum import TABLE_CAP, TABLE_START
+
     lo, hi = _parse_range(args.n_range, TABLE_START)
     _cap("table: the top of --n-range is", hi, TABLE_CAP, "TABLE_CAP")
     report = reports.table_report(lo, hi)
@@ -86,6 +91,8 @@ def table(args: argparse.Namespace) -> dict | str:
 
 
 def hoffman(args: argparse.Namespace) -> dict:
+    from .spectrum import SPECTRUM_CAP
+
     _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
     if args.t == args.n:
         raise ValueError(
@@ -113,6 +120,9 @@ def families(args: argparse.Namespace) -> dict | str:
 
 
 def search(args: argparse.Namespace) -> dict:
+    from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T
+    from .spectrum import GRAPH_CAP
+
     n = args.n
     budget = None if args.exact or n < EXHAUSTIVE_CAP else DEFAULT_NODE_BUDGET
     _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
@@ -127,11 +137,15 @@ def search(args: argparse.Namespace) -> dict:
 
 
 def wopt(args: argparse.Namespace) -> dict:
+    from .weightopt import WOPT_CAP
+
     _cap("wopt: n is", args.n, WOPT_CAP, "WOPT_CAP")
     return reports.wopt_report(args.n, args.t)
 
 
 def reproduce(args: argparse.Namespace) -> dict:
+    from .spectrum import SPECTRUM_CAP
+
     lo, hi = _parse_range(args.n_range, reports.REPRODUCE_START)
     _cap("full spectra: n is", hi, SPECTRUM_CAP, "SPECTRUM_CAP")
     return reports.reproduce_report(lo, hi)
@@ -143,6 +157,16 @@ def _n_t(p: argparse.ArgumentParser, t: bool = True) -> argparse.ArgumentParser:
     if t:
         p.add_argument("--t", type=int, default=2)
     return p
+
+
+class _SearchHelp(argparse.HelpFormatter):
+    """Writes ``EXHAUSTIVE_CAP`` into the search help when the help is
+    printed, so that building the parser imports no search module."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        from .search import EXHAUSTIVE_CAP
+
+        return action.help.replace("EXHAUSTIVE_CAP", str(EXHAUSTIVE_CAP))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,8 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(run, help: str, formats: tuple[str, ...] = ("json",)) -> argparse.ArgumentParser:
-        p = sub.add_parser(run.__name__, parents=[common], help=help)
+    def command(
+        run, help: str, formats: tuple[str, ...] = ("json",), **kw
+    ) -> argparse.ArgumentParser:
+        p = sub.add_parser(run.__name__, parents=[common], help=help, **kw)
         p.add_argument("--format", choices=formats, default="json")
         p.set_defaults(run=run)
         return p
@@ -186,11 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the member list (cycle notation, one per line) instead of the manifest",
     )
 
-    _n_t(command(search, "exact maximum independent set")).add_argument(
+    p = command(search, "exact maximum independent set", formatter_class=_SearchHelp)
+    _n_t(p).add_argument(
         "--exact",
         "--slow",
         action="store_true",
-        help=f"no node budget (the default below n = {EXHAUSTIVE_CAP})",
+        help="no node budget (the default below n = EXHAUSTIVE_CAP)",
     )
 
     _n_t(command(wopt, "optimal conjugation-invariant weighted bound"))

@@ -237,15 +237,19 @@ def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...
     consecutive rows sharing their first t entries; two rows of one run agree
     at least t times, so only pairs across runs can violate.  The rows are
     scanned in 512-row blocks, each against the rows after the run of its
-    first row, keeping the pairs whose second row lies in a later run.  A
-    count is at most n <= ROW_DEGREE_CAP = 127, so it is summed as uint8."""
+    first row, keeping the pairs whose second row lies in a later run.  The
+    agreements are summed point by point, so a block takes one byte per
+    pair: a count is at most n <= ROW_DEGREE_CAP = 127, so it is a uint8."""
     new = np.zeros(len(rows), dtype=bool)
     new[1:] = (rows[1:, :t] != rows[:-1, :t]).any(axis=1)
     run = np.cumsum(new)
     run_end = np.searchsorted(run, run, "right")
     for start in range(0, len(rows), 512):
         block, later = rows[start : start + 512], run_end[start]
-        hits = (block[:, None, :] == rows[None, later:, :]).sum(axis=2, dtype=np.uint8) == t - 1
+        counts = np.zeros((len(block), len(rows) - later), dtype=np.uint8)
+        for point in range(rows.shape[1]):
+            counts += block[:, point, None] == rows[None, later:, point]
+        hits = counts == t - 1
         hits &= run[later:] > run[start : start + 512, None]
         if hits.any():
             i, j = np.argwhere(hits)[0]

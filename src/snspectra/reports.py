@@ -4,6 +4,10 @@ Every report embeds the configuration that produced it and a schema
 version.  All integers and rationals are serialized as decimal strings
 (eigenvalue products overflow fixed-width integers well before n = 12), so
 identical configs produce byte-identical output.
+
+Each builder imports the compute modules it calls when it runs, so that a
+command loads only what it uses.  ``families`` and ``perms`` are the
+exception: the CLI parser reads the family registry, which loads both.
 """
 
 from __future__ import annotations
@@ -14,22 +18,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import families as fam_mod
-from .bounds import bound_report
-from .characters import CharacterTable
-from .partitions import classify, format_partition
 from .perms import derangement_counts, format_cycles
-from .search import max_independent_set, verify_certificate
-from .spectrum import (
-    TABLE_ROWS,
-    TABLE_START,
-    brute_force_spectrum,
-    class_eigenvalues,
-    closed_form_eigenvalue,
-    full_spectrum,
-    generating_classes,
-    table_row_partition,
-)
-from .weightopt import optimize_bound
 
 SCHEMA_VERSION = "1"
 
@@ -74,6 +63,8 @@ def derangements_report(n: int) -> dict:
 
 
 def chartable_report(n: int) -> tuple[dict, str]:
+    from .characters import CharacterTable
+
     table = CharacterTable(n)
     checks = {
         "row_orthogonality": table.verify_row_orthogonality(),
@@ -90,6 +81,9 @@ def chartable_report(n: int) -> tuple[dict, str]:
 
 
 def spectrum_report(n: int, t: int, verify: bool) -> dict:
+    from .partitions import classify, format_partition
+    from .spectrum import brute_force_spectrum, full_spectrum
+
     spec = full_spectrum(n, t)
     rows = [
         {
@@ -133,6 +127,16 @@ def spectrum_report(n: int, t: int, verify: bool) -> dict:
 def table_report(n_start: int, n_stop: int) -> dict:
     """Closed-form eigenvalues of the eight fat/tall rows, cross-checked
     against the character route, for a range of degrees."""
+    from .partitions import format_partition
+    from .spectrum import (
+        TABLE_ROWS,
+        TABLE_START,
+        class_eigenvalues,
+        closed_form_eigenvalue,
+        generating_classes,
+        table_row_partition,
+    )
+
     columns = []
     for n in range(n_start, n_stop + 1):
         if n < TABLE_START:
@@ -166,6 +170,8 @@ def table_report(n_start: int, n_stop: int) -> dict:
 
 def table_text(report: dict) -> str:
     """Aligned text rendering of the closed-form table, one column per n."""
+    from .spectrum import TABLE_ROWS
+
     ns = [c["n"] for c in report["columns"] if "rows" in c]
     lines = []
     header = ["row".ljust(14)] + [str(n).rjust(14) for n in ns]
@@ -184,6 +190,8 @@ def table_text(report: dict) -> str:
 
 
 def hoffman_report(n: int, t: int) -> dict:
+    from .bounds import bound_report
+
     br = bound_report(n, t)
     report = _base("hoffman", {"n": n, "t": t})
     report.update(
@@ -244,6 +252,8 @@ def family_members_text(name: str, n: int, t: int) -> str:
 
 
 def search_report(n: int, t: int, node_budget: int | None) -> dict:
+    from .search import max_independent_set, verify_certificate
+
     result = max_independent_set(n, t, node_budget=node_budget)
     if not verify_certificate(result):
         raise ArithmeticError("search witness failed re-verification")
@@ -268,6 +278,10 @@ def search_report(n: int, t: int, node_budget: int | None) -> dict:
 
 
 def wopt_report(n: int, t: int) -> dict:
+    from .bounds import bound_report
+    from .partitions import format_partition
+    from .weightopt import optimize_bound
+
     result = optimize_bound(n, t)
     report = _base("wopt", {"n": n, "t": t})
     report.update(
@@ -300,6 +314,10 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
     the spectrum, Hoffman ratios, and family size formula checks.  Each
     check raises ArithmeticError where it is made; ``checks_run`` counts
     them."""
+    from .bounds import bound_report
+    from .partitions import format_partition
+    from .spectrum import full_spectrum
+
     sections: dict[str, Any] = {}
 
     sections["eigenvalue_table"] = table_report(n_start, n_stop)

@@ -40,7 +40,6 @@ from .families import Family, verify
 from .lazy import np
 from .perms import perm_rows
 from .spectrum import agreement_neighbours, generating_classes
-from .weightopt import optimize_bound
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +167,10 @@ def _spectral_upper_bound(n: int, t: int) -> int:
     than the plain Hoffman bound (uniform weights are feasible for its LP);
     an optimum that fails its certificate raises LPError.  At t = n no class
     has t-1 fixed points, the graph has no edges and no eigenvalue bound
-    applies, so the bound is the vertex count n!."""
+    applies, so the bound is the vertex count n!.  The LP module is imported
+    here, so that a search that exhausts its tree never loads it."""
+    from .weightopt import optimize_bound
+
     if not generating_classes(n, t):
         return math.factorial(n)
     return math.floor(optimize_bound(n, t).bound)

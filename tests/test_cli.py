@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import shift_dual
-from snspectra import characters, cli, families, reports, search, spectrum
+from snspectra import bounds, characters, cli, families, reports, search, spectrum
 
 
 def run_cli(capsys, argv):
@@ -227,9 +227,9 @@ def _break_character_table(monkeypatch):
 
 
 def _break_closed_form(monkeypatch):
-    closed = reports.closed_form_eigenvalue
+    closed = spectrum.closed_form_eigenvalue
     monkeypatch.setattr(
-        reports, "closed_form_eigenvalue", lambda row, n: closed(row, n) + (row == "n-2,2")
+        spectrum, "closed_form_eigenvalue", lambda row, n: closed(row, n) + (row == "n-2,2")
     )
 
 
@@ -239,13 +239,13 @@ def _break_size_formula(monkeypatch):
 
 
 def _break_search_certificate(monkeypatch):
-    monkeypatch.setattr(reports, "verify_certificate", lambda result: False)
+    monkeypatch.setattr(search, "verify_certificate", lambda result: False)
 
 
 def _break_reproduce_hoffman(monkeypatch):
-    bound = reports.bound_report
+    bound = bounds.bound_report
     monkeypatch.setattr(
-        reports,
+        bounds,
         "bound_report",
         lambda n, t: dataclasses.replace(bound(n, t), hoffman_value=Fraction(1)),
     )

@@ -313,18 +313,31 @@ def test_verify_witness_on_prefix_cosets_with_strays(t):
     assert res.checked_pairs == math.comb(len(fam), 2)
 
 
-def test_verify_does_not_scan_within_a_run():
-    # the 2-coset of 1 and 2 at n = 9 is one run at t = 2: no pair is
-    # compared, where a full scan of its 5,040 rows peaks at about 26 MB
-    fam = t_coset([(1, 1), (2, 2)], 9)
+def _verify_traced(fam, t):
+    """``verify(fam, t)`` and the peak of the memory it allocates."""
     tracemalloc.start()
     try:
-        res = verify(fam, 2)
-        peak = tracemalloc.get_traced_memory()[1]
+        res = verify(fam, t)
+        return res, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_verify_does_not_scan_within_a_run():
+    # the 2-coset of 1 and 2 at n = 9 is one run at t = 2: no pair is
+    # compared, where a full scan of its 5,040 rows peaks at about 8 MB
+    res, peak = _verify_traced(t_coset([(1, 1), (2, 2)], 9), 2)
     assert res == VerificationResult(True, math.comb(5040, 2))
     assert peak < 1_000_000
+
+
+def test_verify_sums_agreements_point_by_point():
+    # at t = n every row of S_7 is its own run, so all 5,040 rows are
+    # scanned; a 512 x 5,040 x 7 boolean array per block peaked at about
+    # 20 MB, where one uint8 count per pair and two masks take under 8 MB
+    res, peak = _verify_traced(Family(7, "S_7", perm_rows(7)), 7)
+    assert res == VerificationResult(True, math.comb(5040, 2))
+    assert peak < 10_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""numpy loads when a command first uses it, not when the package is imported.
+"""numpy loads when a command first uses it, not when the package is imported,
+and a command imports only the package modules it runs.
 
-The character-route commands never touch it, so they start without it.
+The character-route commands never touch numpy, so they start without it.
 Each case runs in a fresh interpreter (this one has numpy loaded already)
 and reports whether numpy's compiled core, ``numpy._core.multiarray``, is
-in ``sys.modules`` once the command has finished."""
+in ``sys.modules`` once the command has finished, and which ``snspectra``
+modules are.  With no bytecode written, each module a command imports is
+compiled from source at every run."""
 
 import os
 import subprocess
@@ -23,7 +26,34 @@ if sys.argv[1:]:
     if code != 0:
         sys.exit(f"exit code {code}")
 print("numpy._core.multiarray" in sys.modules)
+print(*sorted(m.removeprefix("snspectra.") for m in sys.modules if m.startswith("snspectra.")))
 """
+
+# what importing the CLI loads: the parser reads the family registry
+START = {"cli", "families", "lazy", "perms", "reports"}
+CHARACTERS = START | {"characters", "partitions"}
+SPECTRUM = CHARACTERS | {"spectrum"}
+BOUNDS = SPECTRUM | {"bounds"}
+
+# command -> the package modules loaded once it has run
+LOADS = {
+    "": START,
+    "derangements --n 8": START,
+    "chartable --n 6": CHARACTERS,
+    "table --n-range 6..8": SPECTRUM,
+    "hoffman --n 6 --t 2": BOUNDS,
+    "spectrum --n 6 --t 2": SPECTRUM,
+    "wopt --n 6 --t 2": BOUNDS | {"weightopt"},
+    # the tree is exhausted, so no weighted bound and no LP is needed
+    "search --n 4 --t 2 --exact": SPECTRUM | {"search"},
+    "spectrum --n 4 --t 2 --verify": SPECTRUM,
+}
+
+
+def _probe(command: str) -> tuple[str, set[str]]:
+    """Whether ``command`` loaded numpy, and the package modules it loaded."""
+    numpy_loaded, modules = _fresh(PROBE, *command.split()).split("\n")
+    return numpy_loaded, set(modules.split())
 
 
 def _fresh(code: str, *argv: str) -> str:
@@ -53,12 +83,12 @@ def _fresh(code: str, *argv: str) -> str:
     ],
 )
 def test_character_routes_start_without_numpy(command):
-    assert _fresh(PROBE, *command.split()) == "False"
+    assert _probe(command) == ("False", LOADS[command])
 
 
 @pytest.mark.parametrize("command", ["search --n 4 --t 2 --exact", "spectrum --n 4 --t 2 --verify"])
 def test_explicit_graph_commands_load_numpy(command):
-    assert _fresh(PROBE, *command.split()) == "True"
+    assert _probe(command) == ("True", LOADS[command])
 
 
 @pytest.mark.parametrize("order", ["numpy, snspectra.lazy", "snspectra.lazy, numpy"])

@@ -293,7 +293,7 @@ def test_budgeted_search_with_a_failed_certificate_exits_1(monkeypatch, capsys):
     # a budgeted search reports the certified weighted bound or fails; it
     # has no uncertified fallback
     shift_dual(monkeypatch, 1)
-    monkeypatch.setattr(cli, "DEFAULT_NODE_BUDGET", 1)
+    monkeypatch.setattr(search, "DEFAULT_NODE_BUDGET", 1)
     code = cli.main(["search", "--n", "6", "--t", "2"])
     captured = capsys.readouterr()
     assert code == 1
