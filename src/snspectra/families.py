@@ -19,6 +19,7 @@ from .lazy import np
 from .perms import derangement_count, identity, perm_rows
 
 PAIRWISE_CAP = 12000
+AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,26 +232,32 @@ def verify(family: Family, t: int) -> VerificationResult:
     return VerificationResult(witness is None, math.comb(len(family), 2), witness)
 
 
+def agreement_counts(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entry (i, j) counts the points where ``block[i]`` and ``rows[j]``
+    agree, summed point by point in one byte per pair: a count is at most
+    n <= ROW_DEGREE_CAP = 127, so it is a uint8."""
+    counts = np.zeros((len(block), len(rows)), dtype=np.uint8)
+    for point in range(rows.shape[1]):
+        counts += block[:, point, None] == rows[None, :, point]
+    return counts
+
+
 def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...] | None:
     """The first pair of rows (a, b), a before b, in row-major order that
     agree on exactly t-1 points, or None.  A run is a maximal block of
     consecutive rows sharing their first t entries; two rows of one run agree
     at least t times, so only pairs across runs can violate.  The rows are
-    scanned in 512-row blocks, each against the rows after the run of its
-    first row, keeping the pairs whose second row lies in a later run.  The
-    agreements are summed point by point, so a block takes one byte per
-    pair: a count is at most n <= ROW_DEGREE_CAP = 127, so it is a uint8."""
+    scanned in blocks of AGREEMENT_BLOCK, each against the rows after the run
+    of its first row, keeping the pairs whose second row lies in a later
+    run."""
     new = np.zeros(len(rows), dtype=bool)
     new[1:] = (rows[1:, :t] != rows[:-1, :t]).any(axis=1)
     run = np.cumsum(new)
     run_end = np.searchsorted(run, run, "right")
-    for start in range(0, len(rows), 512):
-        block, later = rows[start : start + 512], run_end[start]
-        counts = np.zeros((len(block), len(rows) - later), dtype=np.uint8)
-        for point in range(rows.shape[1]):
-            counts += block[:, point, None] == rows[None, later:, point]
-        hits = counts == t - 1
-        hits &= run[later:] > run[start : start + 512, None]
+    for start in range(0, len(rows), AGREEMENT_BLOCK):
+        stop, later = start + AGREEMENT_BLOCK, run_end[start]
+        hits = agreement_counts(rows[start:stop], rows[later:]) == t - 1
+        hits &= run[later:] > run[start:stop, None]
         if hits.any():
             i, j = np.argwhere(hits)[0]
             return tuple(rows[start + i].tolist()), tuple(rows[later + j].tolist())

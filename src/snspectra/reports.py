@@ -335,8 +335,7 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
             "argmin": [format_partition(a) for a in spec.argmin],
             "trace_check": "pass",
             "hoffman_value": hoff.hoffman_value,
-            "hoffman_ratio_to_pair_stabilizer": hoff.hoffman_value
-            / math.factorial(n - 2),
+            "hoffman_ratio_to_pair_stabilizer": hoff.ratio_to_target,
         }
         if n >= 5:
             if hoff.hoffman_value < math.factorial(n - 2):
@@ -352,15 +351,10 @@ def reproduce_report(n_start: int, n_stop: int) -> dict:
     sizes = []
     for n in range(max(n_start, 7), min(n_stop, 9) + 1):
         for name in ("B", "F1", "F2", "F3", "F4"):
-            spec = fam_mod.FAMILIES[name]
-            family = spec.build(n, 2)
-            formula = spec.size_formula(n)
-            if len(family) != formula:
-                raise ArithmeticError(f"family {name} size does not match its formula at n={n}")
+            sized = family_report(name, n, 2, False)  # raises unless the size matches
             checks_run += 1
-            sizes.append(
-                {"n": n, "family": name, "size": len(family), "formula": formula, "match": True}
-            )
+            size, formula = sized["size"], sized["size_formula"]
+            sizes.append({"n": n, "family": name, "size": size, "formula": formula, "match": True})
     sections["family_sizes"] = sizes
 
     report = _base("reproduce", {"n_start": n_start, "n_stop": n_stop})

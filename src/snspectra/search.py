@@ -34,39 +34,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .families import Family, verify
+from .families import AGREEMENT_BLOCK, Family, agreement_counts, verify
 from .lazy import np
 from .perms import perm_rows
 from .spectrum import agreement_neighbours, generating_classes
 
 
-@lru_cache(maxsize=None)
 def graph_bitsets(n: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """(vertex rows in lex order, adjacency bitmasks, adjacency words); bit j
     of mask i, and of row i of the words, is set when vertices i and j are
-    adjacent.  The cached arrays are read-only."""
+    adjacent."""
     nbrs = agreement_neighbours(n, t)
     size = len(nbrs)
     rows = np.zeros((size, size), dtype=bool)
     np.put_along_axis(rows, nbrs, True, axis=1)
     adj, words = _adjacency_bitsets(rows)
-    verts = perm_rows(n)
-    verts.flags.writeable = False
-    return verts, adj, words
+    return perm_rows(n), adj, words
 
 
 def _adjacency_bitsets(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    """A boolean adjacency matrix as Python-int bitmasks and as a read-only
-    matrix of little-endian uint64 words, each row padded to whole words."""
+    """A boolean adjacency matrix as Python-int bitmasks and as a matrix of
+    little-endian uint64 words, each row padded to whole words."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     adj = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     padded = np.zeros((len(rows), -(-len(rows) // 64) * 8), dtype=np.uint8)
     padded[:, : packed.shape[1]] = packed
-    words = padded.view("<u8")
-    words.flags.writeable = False
-    return adj, words
+    return adj, padded.view("<u8")
 
 
 @dataclass(frozen=True)
@@ -277,9 +271,6 @@ EXHAUSTIVE_CAP = 6
 # 0.5, 2.5, 3.7 and 0.3 s (medians of three runs in one sitting).
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
-# Witness members per agreement-count array of the maximality check: 5,040
-# vertices by 256 members is 1.3 MB at n = 7.
-CERTIFICATE_CHUNK = 256
 
 
 def max_independent_set(n: int, t: int, *, node_budget: int | None = None) -> SearchResult:
@@ -296,28 +287,25 @@ def max_independent_set(n: int, t: int, *, node_budget: int | None = None) -> Se
 
 
 def verify_certificate(result: SearchResult) -> bool:
-    """Re-check the witness: distinct members, pairwise independent, and,
-    when the search was exhausted, no single vertex extends it.  A search
-    cut short by its node budget claims no maximality, so its witness is
-    checked for independence only.  Maximality-by-extension does not by
-    itself prove the independence number; that comes from the exhausted
-    search tree."""
+    """Re-check the witness: every member a permutation of 1..n, distinct
+    members, pairwise independent, and, when the search was exhausted, no
+    single vertex extends it.  A search cut short by its node budget claims
+    no maximality, so its witness is checked for independence only.
+    Maximality-by-extension does not by itself prove the independence
+    number; that comes from the exhausted search tree."""
     witness = Family(result.n, "witness", result.witness)
     if len(result.witness) != result.independence_number or len(witness) != len(result.witness):
+        return False
+    if not (np.sort(witness.members, axis=1) == np.arange(1, result.n + 1)).all():
         return False
     if not verify(witness, result.t).ok:
         return False
     if not result.exact:
         return True
-    # every vertex is a member (n agreements) or a neighbour of one; the
-    # agreement counts are summed point by point, for a chunk of members at
-    # a time, so they take n! * CERTIFICATE_CHUNK bytes
+    # every vertex is a member (n agreements) or a neighbour of one
     verts = perm_rows(result.n)
-    covered = np.zeros(len(verts), dtype=bool)
-    for start in range(0, len(witness), CERTIFICATE_CHUNK):
-        chunk = witness.members[start : start + CERTIFICATE_CHUNK]
-        counts = np.zeros((len(verts), len(chunk)), dtype=np.int8)
-        for point in range(result.n):
-            counts += verts[:, point, None] == chunk[None, :, point]
-        covered |= ((counts == result.n) | (counts == result.t - 1)).any(axis=1)
-    return bool(covered.all())
+    for start in range(0, len(verts), AGREEMENT_BLOCK):
+        counts = agreement_counts(verts[start : start + AGREEMENT_BLOCK], witness.members)
+        if not ((counts == result.n) | (counts == result.t - 1)).any(axis=1).all():
+            return False
+    return True

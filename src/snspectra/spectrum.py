@@ -366,6 +366,14 @@ class SpectrumCertificate:
     moments_checked: int
 
 
+def _poly_from_roots(roots: Sequence[int]) -> list[int]:
+    """The coefficients of prod (x - root), constant term first."""
+    coeffs = [1]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+    return coeffs
+
+
 def _left_translation_invariant(nbrs: np.ndarray, n: int) -> bool:
     """Whether the adjacency listed by ``nbrs`` commutes with the left
     translation h -> g∘h for g = (1 2) and g = (1 2 ... n).  Those two
@@ -414,36 +422,33 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
 
     # Every entry of prod(A - lam I) and every closed-walk count (A^k)[id, id]
     # with k <= r lies below ``bound``; float64 matvecs stay exact under
-    # nverts * p^2 < 2^53.
+    # nverts * p^2 < 2^53, and so the int64 sum of r + 1 terms below p^2.
     bound = 1
     for lam in distinct:
         bound *= degree + abs(lam) + 1
     primes = _primes_below(math.isqrt(2**53 // nverts), 2 * bound)
     identity = np.zeros(nverts)
     identity[0] = 1.0  # the identity permutation has rank 0
+    annihilator = _poly_from_roots(distinct)
     walks: list[list[int]] = [[] for _ in range(r + 1)]
     for p in primes:
-        v = identity
-        for lam in distinct:
-            v = np.remainder(adj @ v - lam * v, p)
-        if v.any():
-            raise ArithmeticError(
-                f"rounded spectrum rejected: annihilator nonzero mod {p}"
-            )
-        v = identity
-        for k in range(r + 1):
+        # one Krylov sequence v_k = A^k e_id mod p, k = 0..r, gives the walk
+        # counts v_k[id] and prod(A - lam I) e_id = sum_k c_k v_k
+        v, total = identity, np.zeros(nverts, dtype=np.int64)
+        for k, c in enumerate(annihilator):
+            if k:
+                v = np.remainder(adj @ v, p)
             walks[k].append(int(v[0]))
-            v = np.remainder(adj @ v, p)
+            total += c % p * v.astype(np.int64)
+        if np.remainder(total, p).any():
+            raise ArithmeticError(f"rounded spectrum rejected: annihilator nonzero mod {p}")
     traces = [nverts * _crt(residues, primes)[0] for residues in walks]
 
     # m_lam = Tr(E_lam) = sum_k c_k Tr(A^k) / prod_{mu != lam} (lam - mu)
     counts = []
     for lam in distinct:
         others = [mu for mu in distinct if mu != lam]
-        coeffs = [1]  # of prod_{mu != lam} (x - mu), constant term first
-        for mu in others:
-            coeffs = [a - mu * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
-        numerator = sum(c * trace for c, trace in zip(coeffs, traces))
+        numerator = sum(c * trace for c, trace in zip(_poly_from_roots(others), traces))
         m, rest = divmod(numerator, math.prod(lam - mu for mu in others))
         if rest or m < 0:
             raise ArithmeticError(f"multiplicity of {lam} is not a nonnegative integer")

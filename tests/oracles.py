@@ -791,13 +791,16 @@ def recursive_search(
 
 
 def verify_certificate_by_pairs(result: SearchResult) -> bool:
-    """Re-check the witness: pairwise independent, and, when the search was
-    exhausted, no single vertex extends it.  A search cut short by its node
-    budget claims no maximality, so its witness is checked for independence
-    only.  Maximality-by-extension does not by itself prove the independence
-    number; that comes from the exhausted search tree."""
+    """Re-check the witness: every member a permutation of 1..n, pairwise
+    independent, and, when the search was exhausted, no single vertex
+    extends it.  A search cut short by its node budget claims no maximality,
+    so its witness is checked for independence only.  Maximality-by-extension
+    does not by itself prove the independence number; that comes from the
+    exhausted search tree."""
     members = result.witness
     if len(members) != result.independence_number:
+        return False
+    if any(sorted(m) != list(range(1, result.n + 1)) for m in members):
         return False
     for i in range(len(members)):
         for j in range(i + 1, len(members)):

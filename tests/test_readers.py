@@ -9,6 +9,10 @@ The package root imports nothing, so no re-export can pass for a reader,
 and a definition that only an unread one names is itself unread.  Whatever
 no report needs lives in ``tests/oracles.py`` or is deleted.
 
+Every module-level constant of the package is read, by package code or by
+``bench/library_steps.py``: a constant that a change replaced does not
+linger.
+
 Likewise every optional parameter (defaulted or keyword-only) of a read
 top-level function is passed by some call in the package or in
 ``bench/library_steps.py``: an option that only tests set is a second mode
@@ -41,6 +45,11 @@ README = ROOT / "README.md"
 ALLOWED_UNREAD = {
     "bounds.paper_tail_split": "read by item 4's `stability` command (ROADMAP.md)",
     "bounds.stability_gap_bound": "read by item 4's `stability` command (ROADMAP.md)",
+}
+
+# module-level constants that no package code reads
+ALLOWED_UNREAD_CONSTANTS = {
+    "__init__.__version__": "package metadata, read by tools from outside",
 }
 
 # optional parameters that only the tests set
@@ -131,6 +140,27 @@ def unread_definitions() -> set[str]:
     return BODIES.keys() - live
 
 
+def unread_constants() -> set[str]:
+    """"module.name" of each module-level assignment of the package that no
+    load of a name in the package or in ``bench/library_steps.py`` reads,
+    in its own module or through an import or a module attribute."""
+    constants = {
+        f"{m}.{target.id}"
+        for m, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    read = set()
+    for module, tree in [*TREES.items(), ("library_steps", STEPS)]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(f"{module}.{node.id}")
+            read.add(_named(module, node))
+    return constants - read
+
+
 def unpassed_parameters() -> set[str]:
     """"module.function.parameter" of each defaulted or keyword-only
     parameter of a read top-level function that no call in the package or
@@ -157,6 +187,10 @@ def unpassed_parameters() -> set[str]:
 
 def test_every_definition_has_a_reader():
     assert unread_definitions() == set(ALLOWED_UNREAD)
+
+
+def test_every_module_constant_is_read():
+    assert unread_constants() == set(ALLOWED_UNREAD_CONSTANTS)
 
 
 def test_every_optional_parameter_is_passed_by_the_package():

@@ -32,7 +32,6 @@ from snspectra.search import (
 def test_gamma3_is_k33():
     verts, adj, _ = graph_bitsets(3, 2)
     assert len(verts) == 6
-    assert not verts.flags.writeable  # the cached rows cannot be changed
     assert all(mask.bit_count() == 3 for mask in adj)
     result = max_independent_set(3, 2)
     assert result.independence_number == 3
@@ -329,8 +328,8 @@ def test_repeated_witness_member_fails():
 def _certificate_cases():
     """Search results for n = 2..5 at every t, the package's and one from
     the oracle's free search, with the exact flag as found and flipped, and
-    with the witness replaced by prefixes of it and by seeded random sets of
-    distinct vertices."""
+    with the witness replaced by prefixes of it, by seeded random sets of
+    distinct vertices, and by itself plus a row that is not a vertex."""
     rng = random.Random(2026)
     for n in range(2, 6):
         verts = list(all_perms(n))
@@ -341,12 +340,38 @@ def _certificate_cases():
                 witnesses += [
                     tuple(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(6)
                 ]
+                witnesses += [result.witness + (row,) for row in _non_vertices(n)]
                 for witness in witnesses:
                     for size in {len(witness), len(result.witness)}:
                         for exact in (True, False):
                             yield dataclasses.replace(
                                 result, witness=witness, independence_number=size, exact=exact
                             )
+
+
+def _non_vertices(n):
+    """Rows of degree n that are not permutations of 1..n: a constant row,
+    the zero row, and the identity with one entry repeated or out of range."""
+    ident = tuple(range(1, n + 1))
+    return [(n + 1,) * n, (0,) * n, (ident[1],) + ident[1:], ident[:-1] + (n + 1,)]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_witness_row_that_is_not_a_permutation_fails(n, exact):
+    # (4, 4, 4) and (0, 0, 0, 0, 0) agree with no member anywhere, never on
+    # exactly t - 1 = 1 point, so they passed as a fourth and a fourteenth
+    # member: alpha 4 and 14 against the true 3 and 13
+    result = dataclasses.replace(max_independent_set(n, 2), exact=exact)
+    assert verify_certificate(result)
+    for row in _non_vertices(n):
+        extended = dataclasses.replace(
+            result,
+            witness=result.witness + (row,),
+            independence_number=result.independence_number + 1,
+        )
+        assert not verify_certificate(extended), row
+        assert not verify_certificate_by_pairs(extended), row
 
 
 def test_certificate_matches_the_pairwise_oracle():
