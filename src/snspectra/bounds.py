@@ -148,10 +148,14 @@ def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
     """The pair sums of a family, a set of distinct permutations of 1..n
     (rows), from its count tensor (one bincount of the codes of
     (i, j, s(i), s(j)))."""
-    arr = np.asarray(members, dtype=np.int64)
+    arr = np.asarray(members)
+    if arr.dtype.kind not in "iu":  # an int64 cast would truncate 2.5 to 2
+        for member in members:
+            if not all(isinstance(v, (int, np.integer)) for v in member):
+                raise ValueError(f"member {tuple(member)} is not a row of integers")
     if arr.size and arr.shape[1:] != (n,):
         raise ValueError("member degree mismatch")
-    arr = arr.reshape(len(arr), n) - 1
+    arr = arr.reshape(len(arr), n).astype(np.int64) - 1
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
         raise ValueError(f"a member is not a permutation of 1..{n}")
     rows, copies = np.unique(arr, axis=0, return_counts=True)

@@ -28,15 +28,15 @@ four exact checks hold:
 
 together with the trace identity sum f^2 lambda^2 = n! * degree.
 
-``brute_force_spectrum`` is the independent oracle: it diagonalizes the
-explicit adjacency matrix numerically, rounds, and then *proves* the rounded
-multiset exact.  The graph is a Cayley graph, so A commutes with left
-translation; once that is checked, the column of the identity stands for
-the whole matrix: (a) prod(A - lambda I) vanishes on it, modulo enough
-primes to cover the entry bound, and (b) its closed-walk counts give the
-exact power traces, and each multiplicity is the trace of its spectral
-idempotent prod_{mu != lambda} (A - mu I) / (lambda - mu), a combination of
-those traces.
+``agreement_graph`` builds the explicit graph from agreement counts, the one
+definition of an edge; ``brute_force_spectrum``, the independent oracle,
+diagonalizes it numerically, rounds, and then *proves* the rounded multiset
+exact.  The graph is a Cayley graph, so A commutes with left translation;
+once that is checked, the column of the identity stands for the whole
+matrix: (a) prod(A - lambda I) vanishes on it, modulo enough primes to cover
+the entry bound, and (b) its closed-walk counts give the exact power traces,
+and each multiplicity is the trace of its spectral idempotent
+prod_{mu != lambda} (A - mu I) / (lambda - mu), a combination of those traces.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .characters import CycleType, class_size, mn_character
+from .families import AGREEMENT_BLOCK, agreement_counts
 from .lazy import np
 from .partitions import Partition, dimension, partitions_of
 from .perms import derangement_count, perm_rows
@@ -286,42 +287,20 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
 GRAPH_CAP = 7
 
 
-def _lex_perms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """S_n in lexicographic order as 0-based int8 rows, the base-n place
-    values, and each row's code (its base-n number): the codes increase with
-    the rank and stay below 7^7 < 2^31 under the cap."""
-    perms = perm_rows(n) - 1
-    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
-    return perms, place, perms @ place
-
-
-def agreement_neighbours(n: int, t: int) -> np.ndarray:
-    """Neighbour ranks of the graph joining permutations that agree on
-    exactly t-1 points, vertices in lexicographic order: row g lists the
-    ranks of g∘s for the generators s with exactly t-1 fixed points (shape
-    n! x degree, int32).  A generator is never the identity, so no vertex
-    lists itself."""
+def agreement_graph(n: int, t: int) -> np.ndarray:
+    """The n! x n! boolean adjacency matrix, vertices in lexicographic
+    order, of the graph joining permutations that agree on exactly t-1
+    points: ``agreement_counts == t - 1``, AGREEMENT_BLOCK rows at a time."""
     if n > GRAPH_CAP:
         raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    perms, place, codes = _lex_perms(n)
-    gens = perms[(perms == np.arange(n)).sum(axis=1) == t - 1]
-    # code(g∘s) = sum_i g[s[i]] place[i] = sum_j g[j] place[s^-1[j]]
-    weights = place[np.argsort(gens, axis=1)].T
-    nbrs = np.empty((len(perms), len(gens)), dtype=np.int32)
-    block = 1024
-    for start in range(0, len(perms), block):
-        nbrs[start : start + block] = np.searchsorted(codes, perms[start : start + block] @ weights)
-    return nbrs
-
-
-def _dense(nbrs: np.ndarray) -> np.ndarray:
-    """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
-    the neighbour lists ``nbrs``."""
-    adj = np.zeros((len(nbrs), len(nbrs)), dtype=np.float64)
-    np.put_along_axis(adj, nbrs, 1.0, axis=1)
-    return adj
+    verts = perm_rows(n)
+    graph = np.empty((len(verts), len(verts)), dtype=bool)
+    for start in range(0, len(verts), AGREEMENT_BLOCK):
+        stop = start + AGREEMENT_BLOCK
+        np.equal(agreement_counts(verts[start:stop], verts), t - 1, out=graph[start:stop])
+    return graph
 
 
 def _is_prime(m: int) -> bool:
@@ -374,16 +353,17 @@ def _poly_from_roots(roots: Sequence[int]) -> list[int]:
     return coeffs
 
 
-def _left_translation_invariant(nbrs: np.ndarray, n: int) -> bool:
-    """Whether the adjacency listed by ``nbrs`` commutes with the left
-    translation h -> g∘h for g = (1 2) and g = (1 2 ... n).  Those two
-    generate S_n, so then it commutes with every left translation: row
-    g∘h lists g∘(the neighbours of h), as sets."""
-    perms, place, codes = _lex_perms(n)
+def _left_translation_invariant(graph: np.ndarray, n: int) -> bool:
+    """Whether entry (g∘h, g∘h') of ``graph`` equals entry (h, h') for
+    g = (1 2) and g = (1 2 ... n), which generate S_n; ranks come from the
+    base-n codes of the rows, below 7^7 < 2^31 under the cap."""
+    perms = perm_rows(n) - 1
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    codes = perms @ place
     generators = (np.roll(np.arange(n), -1), np.r_[1, 0, 2:n]) if n > 1 else ()
     for g in generators:
         shift = np.searchsorted(codes, g[perms] @ place)  # rank of g∘h
-        if not np.array_equal(np.sort(nbrs[shift], axis=1), np.sort(shift[nbrs], axis=1)):
+        if not np.array_equal(graph[np.ix_(shift, shift)], graph):
             return False
     return True
 
@@ -404,10 +384,10 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
     integer quotient, with one extra moment as a check.  A failed check
     raises ``ArithmeticError``.
     """
-    nbrs = agreement_neighbours(n, t)
-    if not _left_translation_invariant(nbrs, n):
+    adj = agreement_graph(n, t)
+    if not _left_translation_invariant(adj, n):
         raise ArithmeticError("adjacency does not commute with left translation")
-    adj = _dense(nbrs)
+    adj = adj.astype(np.float64)  # exact small-int BLAS work; the bool copy goes
     nverts = adj.shape[0]
     degree = int(adj[0].sum())
     numeric = np.linalg.eigvalsh(adj)

@@ -27,8 +27,10 @@ production routes against.  None of them is used by the package itself.
 * pairwise agreement scans in pure Python: the t-intersecting check, and the
   lexicographically least pair agreeing on exactly t-1 points, the oracle
   for ``families.verify``;
-* agreement-graph adjacency by direct agreement counting, the oracle for the
-  rank-based Cayley builder;
+* agreement-graph adjacency by direct agreement counting, and by ranking
+  g∘s over the generators s with t-1 fixed points (``generator_rank_graph``,
+  the one construction that counts no agreements), the oracles for
+  ``spectrum.agreement_graph``;
 * unpruned independent-set scans and a relabelled search, the oracles for
   the branch-and-bound; the recursive branch-and-bound with a pure-Python
   degree scan, the oracle for the tree, node count and witness of the
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -88,6 +91,7 @@ from snspectra.perms import (
     compose,
     derangement_count,
     inverse,
+    perm_rows,
 )
 from snspectra.search import (
     SearchResult,
@@ -100,9 +104,7 @@ from snspectra.spectrum import (
     Classes,
     SpectrumCertificate,
     _crt,
-    _dense,
     _primes_below,
-    agreement_neighbours,
     class_eigenvalues,
 )
 from snspectra.weightopt import LPError
@@ -654,6 +656,23 @@ def agreement_matrix(verts: Sequence[Sequence[int]], t: int) -> np.ndarray:
     return agree == t - 1
 
 
+def generator_rank_graph(n: int, t: int) -> np.ndarray:
+    """Boolean adjacency of the graph joining permutations that agree on
+    exactly t-1 points, vertices in lexicographic order, as a Cayley graph:
+    row g is set at the ranks of g∘s for the generators s with exactly t-1
+    fixed points, each rank found by binary search over the base-n codes of
+    the 0-based rows (7^7 < 2^31 under the explicit-graph cap)."""
+    perms = perm_rows(n) - 1
+    place = n ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    codes = perms @ place
+    gens = perms[(perms == np.arange(n)).sum(axis=1) == t - 1]
+    # code(g∘s) = sum_i g[s[i]] place[i] = sum_j g[j] place[s^-1[j]]
+    nbrs = np.searchsorted(codes, perms @ place[np.argsort(gens, axis=1)].T)
+    graph = np.zeros((len(perms), len(perms)), dtype=bool)
+    np.put_along_axis(graph, nbrs, True, axis=1)
+    return graph
+
+
 def agreement_bitsets(verts: Sequence[Sequence[int]], t: int) -> tuple[int, ...]:
     """``agreement_matrix`` as Python-int bitmasks, one per vertex."""
     return tuple(
@@ -800,7 +819,10 @@ def verify_certificate_by_pairs(result: SearchResult) -> bool:
     members = result.witness
     if len(members) != result.independence_number:
         return False
-    if any(sorted(m) != list(range(1, result.n + 1)) for m in members):
+    try:  # entries must be integers, as for a pin: 4.5 and 2.0 are refused
+        if any(sorted(map(operator.index, m)) != list(range(1, result.n + 1)) for m in members):
+            return False
+    except TypeError:
         return False
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -1006,8 +1028,8 @@ def exact_traces_matrix(adj: np.ndarray, count: int, degree: int) -> list[int]:
 def adjacency_matrix(n: int, t: int = 2) -> np.ndarray:
     """Dense 0/1 adjacency matrix (float64 for exact small-int BLAS work) of
     the graph joining permutations that agree on exactly t-1 points, rows
-    and columns in lexicographic vertex order."""
-    return _dense(agreement_neighbours(n, t))
+    and columns in lexicographic vertex order, from the generator ranks."""
+    return generator_rank_graph(n, t).astype(np.float64)
 
 
 def dense_brute_force_spectrum(

@@ -200,6 +200,14 @@ def test_members_must_be_permutations_of_the_degree():
         exact_distance_sq_to_span([(1, 1, 3, 4)], [(4,)], 4)
 
 
+@pytest.mark.parametrize("member", [(2.5, 1.5, 4, 3), (2.0, 1, 4, 3)])
+def test_members_must_be_rows_of_integers(member):
+    # the int64 cast truncated (2.5, 1.5, 4, 3) to (2, 1, 4, 3): 11/144
+    match = rf"member {re.escape(str(member))} is not a row of integers"
+    with pytest.raises(ValueError, match=match):
+        exact_distance_sq_to_span([(1, 2, 3, 4), member], [(4,)], 4)
+
+
 @pytest.mark.parametrize(
     "members, repeated",
     [

@@ -213,7 +213,7 @@ def test_verification_failure_maps_to_exit_1(capsys, monkeypatch):
 
 
 def _break_oracle(monkeypatch):
-    monkeypatch.setattr(spectrum, "_left_translation_invariant", lambda nbrs, n: False)
+    monkeypatch.setattr(spectrum, "_left_translation_invariant", lambda graph, n: False)
 
 
 def _break_class_integrality(monkeypatch):

@@ -329,7 +329,8 @@ def _certificate_cases():
     """Search results for n = 2..5 at every t, the package's and one from
     the oracle's free search, with the exact flag as found and flipped, and
     with the witness replaced by prefixes of it, by seeded random sets of
-    distinct vertices, and by itself plus a row that is not a vertex."""
+    distinct vertices, by itself plus a row that is not a vertex, and by
+    itself with its last row made fractional."""
     rng = random.Random(2026)
     for n in range(2, 6):
         verts = list(all_perms(n))
@@ -341,6 +342,7 @@ def _certificate_cases():
                     tuple(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(6)
                 ]
                 witnesses += [result.witness + (row,) for row in _non_vertices(n)]
+                witnesses += [_fractional_last_row(result.witness)]
                 for witness in witnesses:
                     for size in {len(witness), len(result.witness)}:
                         for exact in (True, False):
@@ -350,18 +352,33 @@ def _certificate_cases():
 
 
 def _non_vertices(n):
-    """Rows of degree n that are not permutations of 1..n: a constant row,
-    the zero row, and the identity with one entry repeated or out of range."""
+    """Rows that are not permutations of 1..n: a constant row, the zero row,
+    the identity with one entry repeated, out of range or out of the int8
+    range, and the identity less its last entry, of degree n - 1."""
     ident = tuple(range(1, n + 1))
-    return [(n + 1,) * n, (0,) * n, (ident[1],) + ident[1:], ident[:-1] + (n + 1,)]
+    return [
+        (n + 1,) * n,
+        (0,) * n,
+        (ident[1],) + ident[1:],
+        ident[:-1] + (n + 1,),
+        (300,) + ident[:-1],
+        ident[:-1],
+    ]
 
 
-@pytest.mark.parametrize("n", [3, 5])
+def _fractional_last_row(witness):
+    """The witness with 0.5 added to each entry of its last row, a row that
+    an int8 cast truncates back to the original."""
+    return witness[:-1] + (tuple(v + 0.5 for v in witness[-1]),)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("exact", [True, False])
 def test_a_witness_row_that_is_not_a_permutation_fails(n, exact):
     # (4, 4, 4) and (0, 0, 0, 0, 0) agree with no member anywhere, never on
     # exactly t - 1 = 1 point, so they passed as a fourth and a fourteenth
-    # member: alpha 4 and 14 against the true 3 and 13
+    # member: alpha 4 and 14 against the true 3 and 13; (300, 1, 2) raised
+    # OverflowError in the int8 cast and the short (1, 2) ValueError
     result = dataclasses.replace(max_independent_set(n, 2), exact=exact)
     assert verify_certificate(result)
     for row in _non_vertices(n):
@@ -372,6 +389,11 @@ def test_a_witness_row_that_is_not_a_permutation_fails(n, exact):
         )
         assert not verify_certificate(extended), row
         assert not verify_certificate_by_pairs(extended), row
+    # at n = 4 the last row becomes (4.5, 3.5, 2.5, 1.5), which the int8
+    # cast truncated to (4, 3, 2, 1) and so certified
+    fractional = dataclasses.replace(result, witness=_fractional_last_row(result.witness))
+    assert not verify_certificate(fractional)
+    assert not verify_certificate_by_pairs(fractional)
 
 
 def test_certificate_matches_the_pairwise_oracle():

@@ -18,6 +18,7 @@ from oracles import (
     dense_brute_force_spectrum,
     exact_traces_matrix,
     generating_set,
+    generator_rank_graph,
     mn_character as tuple_mn_character,
     transpose,
 )
@@ -26,7 +27,9 @@ from snspectra.partitions import classify, dimension, partitions_of
 from snspectra.perms import derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
+    GRAPH_CAP,
     TABLE_ROWS,
+    agreement_graph,
     brute_force_spectrum,
     class_eigenvalues,
     closed_form_eigenvalue,
@@ -269,10 +272,10 @@ def test_adjacency_matrix_structure():
 def test_builder_matches_direct_agreement_count(n):
     verts = list(all_perms(n))
     for t in range(1, n + 1):
-        direct = agreement_matrix(verts, t)
-        dense = adjacency_matrix(n, t)
-        assert dense.dtype == np.float64
-        assert np.array_equal(dense, direct.astype(np.float64)), t
+        graph = agreement_graph(n, t)
+        assert graph.dtype == bool
+        assert np.array_equal(graph, agreement_matrix(verts, t)), t
+        assert np.array_equal(graph, generator_rank_graph(n, t)), t
         rows, adj, words = graph_bitsets(n, t)
         assert rows.tolist() == [list(v) for v in verts], t
         assert adj == agreement_bitsets(verts, t), t
@@ -280,8 +283,16 @@ def test_builder_matches_direct_agreement_count(n):
         assert words.shape == (len(verts), -(-len(verts) // 64)), t
         assert adj == tuple(int.from_bytes(row.tobytes(), "little") for row in words), t
     for t in (0, n + 1):
-        with pytest.raises(ValueError):
-            adjacency_matrix(n, t)
+        with pytest.raises(ValueError, match="need 1 <= t <= n"):
+            agreement_graph(n, t)
+    with pytest.raises(ValueError, match="explicit graphs capped"):
+        agreement_graph(GRAPH_CAP + 1, 2)
+
+
+@pytest.mark.slow
+def test_builder_matches_the_generator_ranks_at_n7():
+    # ten AGREEMENT_BLOCK slices of rows, where n = 6 fills two and n <= 5 one
+    assert np.array_equal(agreement_graph(7, 2), generator_rank_graph(7, 2))
 
 
 @pytest.mark.parametrize("n,t", [(3, 2), (4, 2), (5, 2), (3, 3), (4, 3), (5, 3)])
@@ -340,35 +351,37 @@ def test_oracle_walks_one_krylov_sequence_per_prime(monkeypatch, n, t, products)
     # r products per prime for r distinct eigenvalues: v_k = A^k e_id for
     # k = 0..r gives both the annihilator and the walk counts (68 products
     # at (6, 2) when each prime took one walk for each)
-    dense = spectrum._dense
+    graph = spectrum.agreement_graph
     monkeypatch.setattr(_CountedMatrix, "products", 0)
-    monkeypatch.setattr(spectrum, "_dense", lambda nbrs: dense(nbrs).view(_CountedMatrix))
+    # astype keeps the subclass, so the float64 copy counts its products
+    monkeypatch.setattr(
+        spectrum, "agreement_graph", lambda n, t: graph(n, t).view(_CountedMatrix)
+    )
     pairs, cert = brute_force_spectrum(n, t)
     assert pairs == full_spectrum(n, t).multiset()
     assert _CountedMatrix.products == len(cert.primes) * len(pairs) == products
 
 
-def _swap_one_edge_pair(nbrs):
+def _swap_one_edge_pair(graph):
     """The edges {a, b} and {c, d} replaced by {a, d} and {c, b}: the graph
     stays symmetric and regular, but is no longer a Cayley graph."""
-    rows = [set(r) for r in nbrs.tolist()]
-    a, b = 0, int(nbrs[0, 0])
-    for c in range(len(rows)):
-        for d in rows[c]:
-            if len({a, b, c, d}) == 4 and d not in rows[a] and b not in rows[c]:
-                out = nbrs.copy()
-                for x, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
-                    out[x][out[x] == old] = new
-                return out
+    a, b = 0, int(np.flatnonzero(graph[0])[0])
+    for c, d in zip(*np.nonzero(graph)):
+        if len({a, b, c, d}) == 4 and not graph[a, d] and not graph[c, b]:
+            out = graph.copy()
+            out[[a, b, c, d], [b, a, d, c]] = False
+            out[[a, d, c, b], [d, a, b, c]] = True
+            return out
     raise AssertionError("no edge pair to swap")
 
 
 @pytest.mark.parametrize("n,t", [(4, 2), (5, 2), (5, 3)])
 def test_oracle_refuses_a_graph_that_is_not_cayley(n, t, monkeypatch):
-    moved = _swap_one_edge_pair(spectrum.agreement_neighbours(n, t))
-    dense = spectrum._dense(moved)
-    assert np.array_equal(dense, dense.T) and (dense.sum(axis=1) == moved.shape[1]).all()
-    monkeypatch.setattr(spectrum, "agreement_neighbours", lambda n, t: moved)
+    graph = spectrum.agreement_graph(n, t)
+    moved = _swap_one_edge_pair(graph)
+    assert np.array_equal(moved, moved.T) and (moved.sum(axis=1) == graph[0].sum()).all()
+    assert (moved != graph).sum() == 8
+    monkeypatch.setattr(spectrum, "agreement_graph", lambda n, t: moved)
     with pytest.raises(ArithmeticError, match="left translation"):
         brute_force_spectrum(n, t)
 
