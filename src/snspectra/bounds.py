@@ -155,7 +155,10 @@ def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
                 raise ValueError(f"member {tuple(member)} is not a row of integers")
     if arr.size and arr.shape[1:] != (n,):
         raise ValueError("member degree mismatch")
-    arr = arr.reshape(len(arr), n).astype(np.int64) - 1
+    try:
+        arr = arr.reshape(len(arr), n).astype(np.int64) - 1
+    except OverflowError:  # an entry beyond int64 is not in 1..n either
+        raise ValueError(f"a member is not a permutation of 1..{n}") from None
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
         raise ValueError(f"a member is not a permutation of 1..{n}")
     rows, copies = np.unique(arr, axis=0, return_counts=True)

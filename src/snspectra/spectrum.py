@@ -290,11 +290,15 @@ GRAPH_CAP = 7
 def agreement_graph(n: int, t: int) -> np.ndarray:
     """The n! x n! boolean adjacency matrix, vertices in lexicographic
     order, of the graph joining permutations that agree on exactly t-1
-    points: ``agreement_counts == t - 1``, AGREEMENT_BLOCK rows at a time."""
+    points: ``agreement_counts == t - 1``, AGREEMENT_BLOCK rows at a time.
+    At t = n it has no edges, as no two permutations agree on exactly n-1
+    points (``generating_classes`` is empty), and nothing is counted."""
     if n > GRAPH_CAP:
         raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+    if t == n:
+        return np.zeros((math.factorial(n),) * 2, dtype=bool)
     verts = perm_rows(n)
     graph = np.empty((len(verts), len(verts)), dtype=bool)
     for start in range(0, len(verts), AGREEMENT_BLOCK):

@@ -39,9 +39,10 @@ production routes against.  None of them is used by the package itself.
   clique count without its early exit; and
   the search certificate by pairwise ``agree_count`` loops, the oracle for
   ``search.verify_certificate``;
-* the dense two-phase Bland simplex that recomputes every reduced cost on
-  each iteration and pivots across whole rows, the oracle for the sparse
-  carried-row kernel of ``weightopt.solve_lp_min``, and dense Gauss-Jordan
+* the dense two-phase Bland simplex in ``Fraction`` arithmetic that
+  recomputes every reduced cost on each iteration and pivots across whole
+  rows, the oracle for the fraction-free carried-row kernel of
+  ``weightopt.solve_lp_min``, and dense Gauss-Jordan
   solves, for the dual of a basis and for the Vandermonde system of the
   dense spectrum oracle;
 * the spectrum certificate on the whole adjacency matrix (modular matrix
@@ -969,19 +970,15 @@ def basis_dual(
 
 
 def shift_dual(monkeypatch, shift: Fraction) -> None:
-    """Make ``weightopt.solve_lp_min`` read y_r + shift for every row r with
-    a nonnegative right-hand side: y_r is minus the final phase-2 reduced
-    cost of artificial column r, and phase 2 is the call whose ``allowed``
-    columns stop short of the priced ones."""
-    phase = weightopt._simplex_phase
+    """Make ``weightopt.solve_lp_min`` read y_r + shift for every row r, at
+    ``weightopt._dual``, where it reads the dual from the final reduced
+    costs."""
+    read = weightopt._dual
 
-    def shifted(tableau, basis, cost, allowed):
-        reduced = phase(tableau, basis, cost, allowed)
-        for j in range(allowed, len(cost)):
-            reduced[j] -= shift
-        return reduced
+    def shifted(*args):
+        return [yr + shift for yr in read(*args)]
 
-    monkeypatch.setattr(weightopt, "_simplex_phase", shifted)
+    monkeypatch.setattr(weightopt, "_dual", shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,13 @@ def test_members_must_be_permutations_of_the_degree():
         exact_distance_sq_to_span([(1, 1, 3, 4)], [(4,)], 4)
 
 
+@pytest.mark.parametrize("member", [(10**30, 1, 2, 3), (1, 2, 3, -(10**19))])
+def test_an_entry_beyond_int64_is_not_a_permutation(member):
+    # the int64 cast raised OverflowError: Python int too large to convert
+    with pytest.raises(ValueError, match="a member is not a permutation of 1..4"):
+        exact_distance_sq_to_span([member], [(4,)], 4)
+
+
 @pytest.mark.parametrize("member", [(2.5, 1.5, 4, 3), (2.0, 1, 4, 3)])
 def test_members_must_be_rows_of_integers(member):
     # the int64 cast truncated (2.5, 1.5, 4, 3) to (2, 1, 4, 3): 11/144

@@ -341,7 +341,7 @@ def forbid_reports(monkeypatch, *names):
         ("reproduce --n-range 6..35", "capped at 34 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first
         ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),
-        # about 41 s of exact simplex
+        # 6.7-12 s of exact simplex
         ("wopt --n 13", "capped at 12 by WOPT_CAP"),
         ("wopt --n 13 --t 3", "capped at 12 by WOPT_CAP"),
         # a single column at n = 60 took 23 s

@@ -289,6 +289,15 @@ def test_builder_matches_direct_agreement_count(n):
         agreement_graph(GRAPH_CAP + 1, 2)
 
 
+def test_edgeless_graph_counts_no_agreements(monkeypatch):
+    # at t = n no two permutations agree on exactly n-1 points; the 5040 x
+    # 5040 counts took 0.3 s to find no edge
+    monkeypatch.setattr(spectrum, "agreement_counts", lambda *a: pytest.fail("counted"))
+    graph = agreement_graph(7, 7)
+    assert graph.shape == (5040, 5040) and graph.dtype == bool
+    assert not graph.any()
+
+
 @pytest.mark.slow
 def test_builder_matches_the_generator_ranks_at_n7():
     # ten AGREEMENT_BLOCK slices of rows, where n = 6 fills two and n <= 5 one

@@ -90,6 +90,15 @@ def test_dual_of_a_negated_row_keeps_its_sign():
     assert (x, y, objective) == certified_oracle([2, 1], [[-1, -1]], [-3])
 
 
+def test_dual_of_a_row_with_a_fractional_rhs_is_scaled_back():
+    # the rows are scaled to integers by 3 and by -21 before the simplex;
+    # the duals of the scaled rows are scaled back by the same factors
+    lp = ([1, 2, 3], [[1, 1, 0], [0, Fraction(-1, 7), -1]], [Fraction(2, 3), Fraction(-1, 21)])
+    x, y, objective = solve_lp_min(*lp)
+    assert (x, y, objective) == ([Fraction(2, 3), 0, Fraction(1, 21)], [1, -3], Fraction(17, 21))
+    assert (x, y, objective) == certified_oracle(*lp)
+
+
 def certified_oracle(cost, a_eq, b_eq):
     """The dense oracle's optimum in the shape ``solve_lp_min`` returns: x,
     the dual of the oracle's final basis, and the objective."""
@@ -113,6 +122,20 @@ DOCTEST_LP = ([-1, -1, 0, 0], [[1, 2, 1, 0], [3, 1, 0, 1]], [4, 6])
 def test_a_wrong_dual_is_refused(monkeypatch, shift, check):
     oracles.shift_dual(monkeypatch, shift)
     with pytest.raises(LPError, match=check):
+        solve_lp_min(*DOCTEST_LP)
+
+
+def test_a_wrong_primal_is_refused(monkeypatch):
+    phase = weightopt._simplex_phase
+
+    def shifted(tableau, basis, cost, den, allowed):
+        reduced = phase(tableau, basis, cost, den, allowed)
+        if allowed < len(cost):  # phase 2 bars the artificial columns
+            tableau[0].nums[-1] += tableau[0].den  # the basic x of row 0, plus 1
+        return reduced
+
+    monkeypatch.setattr(weightopt, "_simplex_phase", shifted)
+    with pytest.raises(LPError, match="primal check failed"):
         solve_lp_min(*DOCTEST_LP)
 
 
@@ -154,10 +177,12 @@ def _outcome(solver, lp):
 def _random_lp(rng):
     nrows = rng.randint(1, 4)
     ncols = rng.randint(1, 6)
-    entries = [-2, -1, 0, 0, 0, Fraction(1, 2), 1, 2]
+    # denominators 2, 3 and 7 give rows of different LCMs to scale to integers
+    entries = [-2, -1, Fraction(-1, 3), 0, 0, 0, Fraction(1, 2), Fraction(2, 7), 1, 2]
     a_eq = [[Fraction(rng.choice(entries)) for _ in range(ncols)] for _ in range(nrows)]
-    # zero right-hand sides make degenerate vertices and ratio ties
-    b_eq = [Fraction(rng.choice([-1, 0, 0, 1, 2])) for _ in range(nrows)]
+    # zero right-hand sides make degenerate vertices and ratio ties; negative
+    # ones make rows that are negated before they are scaled
+    b_eq = [Fraction(rng.choice([-1, Fraction(-2, 3), 0, 0, 1, 2])) for _ in range(nrows)]
     if nrows > 1 and rng.random() < 0.25:
         # a redundant row leaves an artificial basic after phase 1
         a_eq[-1], b_eq[-1] = list(a_eq[0]), b_eq[0]
@@ -208,7 +233,12 @@ def test_simplex_matches_dense_oracle_on_beale_cycling_example():
 # The weighted bound.
 
 
-@pytest.mark.parametrize("n,t", [(n, t) for n in range(3, 9) for t in (2, 3) if t < n])
+@pytest.mark.parametrize(
+    "n,t",
+    [(n, t) for n in range(3, 9) for t in range(1, n)]
+    # each n = 9 case takes the dense oracle 0.7-1.8 s
+    + [pytest.param(9, t, marks=pytest.mark.slow) for t in range(1, 9)],
+)
 def test_optimized_bound_matches_dense_oracle(monkeypatch, n, t):
     result = optimize_bound(n, t)
     monkeypatch.setattr(weightopt, "solve_lp_min", certified_oracle)
@@ -264,6 +294,19 @@ def test_random_feasible_weightings_stay_sound():
             assert least < 0
             bound = Fraction(-least, 1 - least) * math.factorial(n)
             assert bound >= math.factorial(n - t)
+
+
+@pytest.mark.parametrize(
+    "name,fake,check",
+    [
+        ("class_size", lambda c: 0, "the weighted degree is not 1"),
+        ("weighted_eigenvalue", lambda alpha, weights: 1, "the least weighted eigenvalue is not m"),
+    ],
+)
+def test_a_failed_re_substitution_is_refused(monkeypatch, name, fake, check):
+    monkeypatch.setattr(weightopt, name, fake)
+    with pytest.raises(LPError, match=f"re-substitution failed: {check}"):
+        optimize_bound(6, 2)
 
 
 def test_optimize_requires_generating_classes():
