@@ -8,9 +8,8 @@ comparing squares.  Inner products follow the group-average normalization
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lazy import np
 from .partitions import (
@@ -115,8 +114,7 @@ def paper_tail_split(n: int, t: int) -> tuple[tuple[Partition, ...], int, int]:
 #   sum T = sum_{i<j, k,l} N[i,j,k,l] N[i,j,l,k].
 
 
-@dataclass(frozen=True)
-class PairSums:
+class PairSums(NamedTuple):
     """Sums over the ordered pairs (s, u) of a family: the pair count, and
     the sums of F, F^2 and T at s u^-1 and of sgn(s u^-1)."""
 
@@ -220,8 +218,7 @@ def exact_distance_sq_to_span(
 # Bound report for the agreement-at-exactly-(t-1)-points graph.
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     degree: int
     nverts: int
     lambda_min: int

@@ -11,9 +11,8 @@ checked against them in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .lazy import np
 from .perms import derangement_count, identity, perm_rows
@@ -22,25 +21,32 @@ PAIRWISE_CAP = 12000
 AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
 
 
-@dataclass(frozen=True, eq=False)
 class Family:
     """``members`` holds one-line rows of degree n (int8) in strictly
     increasing lexicographic order: any rows given are sorted and their
-    repeats dropped."""
+    repeats dropped.  A family is read-only, and equal only to itself."""
 
+    __slots__ = ("n", "label", "members")
     n: int
     label: str
     members: np.ndarray
 
-    def __post_init__(self) -> None:
-        rows = np.asarray(self.members, dtype=np.int8)
-        if rows.size and rows.shape[1:] != (self.n,):
+    def __init__(self, n: int, label: str, members: Sequence[Sequence[int]] | np.ndarray) -> None:
+        rows = np.asarray(members, dtype=np.int8)
+        if rows.size and rows.shape[1:] != (n,):
             raise ValueError("member degree mismatch")
-        rows = rows.reshape(len(rows), self.n)
+        rows = rows.reshape(len(rows), n)
         rows = rows[np.lexsort(rows.T[::-1])]
         repeat = np.zeros(len(rows), dtype=bool)
         repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-        object.__setattr__(self, "members", rows[~repeat])
+        for name, value in (("n", n), ("label", label), ("members", rows[~repeat])):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Family")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a Family")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -162,8 +168,7 @@ def hm_family(n: int, t: int) -> Family:
 # The registry of named families.
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """``build(n, t)`` constructs the family; ``size_formula(n)``, if any, is
     its exact size.  The constructor pins ``pinned(t)`` points, enumerates the
     permutations of the rest and needs at least ``min_free`` of those points."""
@@ -206,8 +211,7 @@ FAMILIES: dict[str, FamilySpec] = {
 # Pairwise independence.
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """``checked_pairs`` is C(|A|, 2), the pairs a passing check covers."""
 
     ok: bool

@@ -9,9 +9,8 @@ pure; permutations are never mutated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lazy import np
 
@@ -74,8 +73,7 @@ def format_cycles(s: Sequence[int]) -> str:
 # Derangement combinatorics.
 
 
-@dataclass(frozen=True)
-class DerangementCounts:
+class DerangementCounts(NamedTuple):
     """Exact derangement counts of S_n: total d, even e, odd o."""
 
     d: int

@@ -24,7 +24,9 @@ SCHEMA_VERSION = "1"
 
 
 def encode(value: Any) -> Any:
-    """Decimal-string encoding for exact values; containers recurse."""
+    """Decimal-string encoding for exact values; containers recurse.  A
+    record (a NamedTuple) is refused, not flattened into a list: a report
+    names its fields."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
@@ -36,6 +38,8 @@ def encode(value: Any) -> Any:
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
+        if hasattr(value, "_fields"):
+            raise TypeError(f"cannot encode a {type(value).__name__} record: report its fields")
         return [encode(v) for v in value]
     return value
 

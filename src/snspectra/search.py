@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import AGREEMENT_BLOCK, Family, agreement_counts, verify
 from .lazy import np
@@ -60,8 +60,7 @@ def _adjacency_bitsets(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     return adj, padded.view("<u8")
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     n: int
     t: int
     independence_number: int
@@ -184,18 +183,27 @@ def _solve(
 
     Only the last branching node keeps its work, as ``state`` = (serial,
     branch vertex v, cover snapshots, final rest, cliques, degrees); stack
-    entries hold ints only.  Its exclude child (``parent`` is the serial,
-    so the include child pruned at once) starts from that work, and every
-    other node from scratch.  The child's pool is the parent's less v:
+    entries hold ints only.  The child whose ``parent`` is the serial
+    starts from that work, and every other node from scratch.  That child
+    is the exclude child (so the work is still kept only if the include
+    child pruned at once), unless v has no candidate neighbour: then the
+    include child's pool is the exclude child's, the include child, popped
+    first, resumes instead, and the exclude sibling, which must not see
+    the state that child mutates, starts from scratch.  ``search --n 7
+    --t 7``, with no edges at all, is one chain of 5,040 such include
+    children.  The resuming child's pool is the parent's less v:
 
     * **Cover.**  A clique without v is grown the same way with v gone: its
       first vertex is the top of its start state, not v, and each
       common-neighbour set only loses v, which is never the next pick.  So
       the cliques before the one that held v are the parent's, and the
       child resumes at that clique's snapshot less v, or at the parent's
-      final state if its cover stopped before v.  A ``best_size`` raised by
-      the include child only lets the resumed cover run further, as a
-      cover from scratch would.
+      final state if its cover stopped before v.  The cliques do not depend
+      on the bound, which only says when a cover stops, so a cover that
+      stops later makes the same prune decision: a ``best_size`` raised by
+      the include child only lets the resumed cover run further, and a
+      resuming include child, whose room is one less than its parent's,
+      may start past the point where a cover from scratch would stop.
     * **Degrees.**  A candidate's count of candidate neighbours drops by
       one exactly when it is adjacent to v, and v leaves the pool (-1)."""
     size = len(verts)
@@ -241,8 +249,10 @@ def _solve(
         v = _branch_vertex(degrees)
         state = (nodes, v, snapshots, rest, cliques, degrees)
         pool ^= bits[v]
-        stack.append((chosen, chosen_size, pool, nodes))
-        stack.append((chosen | bits[v], chosen_size + 1, pool & ~adj[v], 0))
+        include = pool & ~adj[v]
+        isolated = include == pool  # v has no candidate neighbour
+        stack.append((chosen, chosen_size, pool, 0 if isolated else nodes))
+        stack.append((chosen | bits[v], chosen_size + 1, include, nodes if isolated else 0))
 
     witness = tuple(
         tuple(map(int, verts[i])) for i in range(size) if best_mask >> (size - 1 - i) & 1

@@ -42,10 +42,9 @@ prod_{mu != lambda} (A - mu I) / (lambda - mu), a combination of those traces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .characters import CycleType, class_size, mn_character
 from .families import AGREEMENT_BLOCK, agreement_counts
@@ -134,15 +133,13 @@ def eigenvalue(alpha: Partition, t: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     partition: Partition
     eigenvalue: int
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     n: int
     degree: int
     rows: tuple[SpectrumRow, ...]
@@ -342,8 +339,7 @@ def _crt(residues: Sequence[int], moduli: Sequence[int]) -> tuple[int, int]:
     return x, m
 
 
-@dataclass(frozen=True)
-class SpectrumCertificate:
+class SpectrumCertificate(NamedTuple):
     primes: tuple[int, ...]
     max_residual: float
     moments_checked: int

@@ -19,9 +19,8 @@ which together certify optimality, are re-verified exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bounds import hoffman_bound
 from .characters import CycleType, class_size
@@ -48,13 +47,15 @@ class LPError(ArithmeticError):
     """An infeasible or unbounded LP, or an optimum that fails a check."""
 
 
-@dataclass(slots=True)
 class _Row:
     """A tableau row as integers: the numerators of its entries, the
     right-hand side last, over one positive denominator."""
 
-    nums: list[int]
-    den: int
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: list[int], den: int) -> None:
+        self.nums = nums
+        self.den = den
 
 
 def _integral(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -223,8 +224,7 @@ def solve_lp_min(
 # The weighted-bound optimization.
 
 
-@dataclass(frozen=True)
-class WeightedBoundResult:
+class WeightedBoundResult(NamedTuple):
     weights: tuple[tuple[CycleType, Fraction], ...]
     least_eigenvalue: Fraction
     bound: Fraction

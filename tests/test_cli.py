@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -7,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import shift_dual
-from snspectra import bounds, characters, cli, families, reports, search, spectrum
+from snspectra import bounds, characters, cli, families, reports, search, spectrum, weightopt
 
 
 def run_cli(capsys, argv):
@@ -34,6 +33,34 @@ def test_output_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, ["spectrum", "--n", "5", "--t", "2"])
     _, second, _ = run_cli(capsys, ["spectrum", "--n", "5", "--t", "2"])
     assert first == second
+
+
+def test_encode_refuses_a_record():
+    # a NamedTuple is a tuple, which encode would flatten into a list
+    # without its field names; a report names each field itself
+    with pytest.raises(TypeError, match="cannot encode a SpectrumRow record"):
+        reports.to_json({"row": spectrum.SpectrumRow((2,), 1, 1)})
+    assert reports.encode([(1, Fraction(1, 2))]) == [["1", "1/2"]]
+
+
+# public record -> (a builder of one, a field of it)
+RECORDS = {
+    "Family": (lambda: families.t_coset([(1, 1), (2, 2)], 4), "members"),
+    "VerificationResult": (lambda: families.verify(families.family_B(7), 2), "ok"),
+    "SearchResult": (lambda: search.max_independent_set(3, 2), "nodes"),
+    "Spectrum": (lambda: spectrum.full_spectrum(5, 2), "rows"),
+    "BoundReport": (lambda: bounds.bound_report(5, 2), "hoffman_value"),
+    "WeightedBoundResult": (lambda: weightopt.optimize_bound(5, 2), "bound"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_read_only(name):
+    build, field = RECORDS[name]
+    record = build()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
 
 
 def test_integers_are_decimal_strings(capsys):
@@ -234,7 +261,7 @@ def _break_closed_form(monkeypatch):
 
 
 def _break_size_formula(monkeypatch):
-    spec = dataclasses.replace(families.FAMILIES["B"], size_formula=lambda n: 0)
+    spec = families.FAMILIES["B"]._replace(size_formula=lambda n: 0)
     monkeypatch.setitem(families.FAMILIES, "B", spec)
 
 
@@ -247,7 +274,7 @@ def _break_reproduce_hoffman(monkeypatch):
     monkeypatch.setattr(
         bounds,
         "bound_report",
-        lambda n, t: dataclasses.replace(bound(n, t), hoffman_value=Fraction(1)),
+        lambda n, t: bound(n, t)._replace(hoffman_value=Fraction(1)),
     )
 
 

@@ -1,13 +1,16 @@
 """numpy loads when a command first uses it, not when the package is imported,
 and a command imports only the package modules it runs.
 
-The character-route commands never touch numpy, so they start without it.
-Each case runs in a fresh interpreter (this one has numpy loaded already)
-and reports whether numpy's compiled core, ``numpy._core.multiarray``, is
-in ``sys.modules`` once the command has finished, and which ``snspectra``
-modules are.  With no bytecode written, each module a command imports is
-compiled from source at every run."""
+The character-route commands never touch numpy, so they start without it,
+and without ``dataclasses`` and the ``inspect`` it imports: the package's
+records are NamedTuples and ``__slots__`` classes.  Each case runs in a
+fresh interpreter (this one has numpy loaded already) and reports whether
+numpy's compiled core, ``numpy._core.multiarray``, is in ``sys.modules``
+once the command has finished, which ``snspectra`` modules are, and which
+of ``dataclasses`` and ``inspect``.  With no bytecode written, each module
+a command imports is compiled from source at every run."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,6 +30,7 @@ if sys.argv[1:]:
         sys.exit(f"exit code {code}")
 print("numpy._core.multiarray" in sys.modules)
 print(*sorted(m.removeprefix("snspectra.") for m in sys.modules if m.startswith("snspectra.")))
+print(*[m for m in ("dataclasses", "inspect") if m in sys.modules])
 """
 
 # what importing the CLI loads: the parser reads the family registry
@@ -50,10 +54,11 @@ LOADS = {
 }
 
 
-def _probe(command: str) -> tuple[str, set[str]]:
-    """Whether ``command`` loaded numpy, and the package modules it loaded."""
-    numpy_loaded, modules = _fresh(PROBE, *command.split()).split("\n")
-    return numpy_loaded, set(modules.split())
+def _probe(command: str) -> tuple[str, set[str], set[str]]:
+    """Whether ``command`` loaded numpy, the package modules it loaded, and
+    which of ``dataclasses`` and ``inspect`` it loaded."""
+    numpy_loaded, modules, stdlib = _fresh(PROBE, *command.split()).split("\n")
+    return numpy_loaded, set(modules.split()), set(stdlib.split())
 
 
 def _fresh(code: str, *argv: str) -> str:
@@ -67,7 +72,7 @@ def _fresh(code: str, *argv: str) -> str:
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.strip()
+    return done.stdout.removesuffix("\n")
 
 
 @pytest.mark.parametrize(
@@ -83,12 +88,24 @@ def _fresh(code: str, *argv: str) -> str:
     ],
 )
 def test_character_routes_start_without_numpy(command):
-    assert _probe(command) == ("False", LOADS[command])
+    assert _probe(command) == ("False", LOADS[command], set())
 
 
 @pytest.mark.parametrize("command", ["search --n 4 --t 2 --exact", "spectrum --n 4 --t 2 --verify"])
 def test_explicit_graph_commands_load_numpy(command):
-    assert _probe(command) == ("True", LOADS[command])
+    # numpy imports inspect itself
+    assert _probe(command)[:2] == ("True", LOADS[command])
+
+
+def test_no_package_module_imports_dataclasses():
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "snspectra").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert imports == []
 
 
 @pytest.mark.parametrize("order", ["numpy, snspectra.lazy", "snspectra.lazy, numpy"])

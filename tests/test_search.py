@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -187,9 +186,11 @@ def test_clique_cover_early_exit_keeps_every_prune_decision(n):
 @pytest.mark.parametrize("n", [5, 6])
 def test_resumed_exclude_child_keeps_the_prune_decision_and_branch_vertex(n):
     # the exclude child of a branching node resumes its parent's cover and
-    # degrees; at the parent's room, and at a room raised by an include
-    # subtree that found a larger set, its prune decision is the one of a
-    # cover from scratch, and its branch vertex that of the scan
+    # degrees; at the parent's room, at a room raised by an include subtree
+    # that found a larger set, and at the room one less of an include child
+    # that resumes when the branch vertex has no candidate neighbour, its
+    # prune decision is the one of a cover from scratch, and its branch
+    # vertex that of the scan
     _, adj, words = graph_bitsets(n, 2)
     size = len(adj)
     adj1, bits1 = _cover_tables(adj)
@@ -213,7 +214,7 @@ def test_resumed_exclude_child_keeps_the_prune_decision_and_branch_vertex(n):
         else:
             resumed_mid_cover += 1
         scratch = greedy_clique_count(_mirror(child, size), adj)
-        for child_room in range(room, room + 4):
+        for child_room in range(max(room - 1, 0), room + 4):
             kept = list(snapshots)
             start = search._resume_cover(kept, rest, cliques, 1 << v, child)
             _, count = search._greedy_clique_cover(*start, kept, adj1, bits1, child_room)
@@ -256,7 +257,7 @@ def test_search_keeps_the_recursive_tree(n, t, force, budget):
         back = inverse(oracle.witness[0])
         moved = tuple(sorted(compose(back, s) for s in oracle.witness))
         assert moved[0] == identity(n)
-        assert verify_certificate(dataclasses.replace(oracle, witness=moved))
+        assert verify_certificate(oracle._replace(witness=moved))
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -318,11 +319,11 @@ def test_repeated_witness_member_fails():
     # a repeat agrees with itself on n points, never on t-1, so it used to
     # pass as a third member
     result = max_independent_set(4, 2)
-    repeated = dataclasses.replace(
-        result, independence_number=3, witness=((1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 4, 3))
+    repeated = result._replace(
+        independence_number=3, witness=((1, 2, 3, 4), (1, 2, 3, 4), (2, 1, 4, 3))
     )
     assert not verify_certificate(repeated)
-    assert not verify_certificate(dataclasses.replace(repeated, exact=False))
+    assert not verify_certificate(repeated._replace(exact=False))
 
 
 def _certificate_cases():
@@ -346,8 +347,8 @@ def _certificate_cases():
                 for witness in witnesses:
                     for size in {len(witness), len(result.witness)}:
                         for exact in (True, False):
-                            yield dataclasses.replace(
-                                result, witness=witness, independence_number=size, exact=exact
+                            yield result._replace(
+                                witness=witness, independence_number=size, exact=exact
                             )
 
 
@@ -379,11 +380,10 @@ def test_a_witness_row_that_is_not_a_permutation_fails(n, exact):
     # exactly t - 1 = 1 point, so they passed as a fourth and a fourteenth
     # member: alpha 4 and 14 against the true 3 and 13; (300, 1, 2) raised
     # OverflowError in the int8 cast and the short (1, 2) ValueError
-    result = dataclasses.replace(max_independent_set(n, 2), exact=exact)
+    result = max_independent_set(n, 2)._replace(exact=exact)
     assert verify_certificate(result)
     for row in _non_vertices(n):
-        extended = dataclasses.replace(
-            result,
+        extended = result._replace(
             witness=result.witness + (row,),
             independence_number=result.independence_number + 1,
         )
@@ -391,7 +391,7 @@ def test_a_witness_row_that_is_not_a_permutation_fails(n, exact):
         assert not verify_certificate_by_pairs(extended), row
     # at n = 4 the last row becomes (4.5, 3.5, 2.5, 1.5), which the int8
     # cast truncated to (4, 3, 2, 1) and so certified
-    fractional = dataclasses.replace(result, witness=_fractional_last_row(result.witness))
+    fractional = result._replace(witness=_fractional_last_row(result.witness))
     assert not verify_certificate(fractional)
     assert not verify_certificate_by_pairs(fractional)
 
@@ -418,6 +418,22 @@ def test_search_on_the_edgeless_n7_graph_runs_without_recursion():
         2000,
         2000,
         5040,
+    )
+
+
+def test_the_edgeless_n7_include_chain_builds_its_degrees_once(monkeypatch):
+    # at t = n no branch vertex has a candidate neighbour, so each include
+    # child resumes its parent's cover and degrees; from scratch, 5,040
+    # include children each popcounted the rows of their whole pool
+    calls = []
+    pool_degrees = search._pool_degrees
+    monkeypatch.setattr(search, "_pool_degrees", lambda *a: calls.append(a) or pool_degrees(*a))
+    result = max_independent_set(7, 7)
+    assert (len(calls), result.nodes, result.independence_number, result.exact) == (
+        1,
+        10_079,
+        5_040,
+        True,
     )
 
 
@@ -454,7 +470,7 @@ def test_budgeted_witness_needs_independence_only():
         nodes=10, exact=False,
     )
     assert verify_certificate(partial)
-    assert not verify_certificate(dataclasses.replace(partial, exact=True))
+    assert not verify_certificate(partial._replace(exact=True))
 
 
 def test_maximality_flag_on_coset_witness():
@@ -468,7 +484,7 @@ def test_maximality_flag_on_coset_witness():
         nodes=0, exact=False,
     )
     assert verify_certificate(framed)
-    assert verify_certificate(dataclasses.replace(framed, exact=True))
+    assert verify_certificate(framed._replace(exact=True))
 
 
 def test_relabel_invariance():
