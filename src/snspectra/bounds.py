@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
+from .families import Family
 from .lazy import np
 from .partitions import (
     Partition,
@@ -144,25 +145,9 @@ def _served(alpha: Sequence[int], n: int) -> Partition:
 
 def _pair_sums(members: Sequence[Sequence[int]], n: int) -> PairSums:
     """The pair sums of a family, a set of distinct permutations of 1..n
-    (rows), from its count tensor (one bincount of the codes of
-    (i, j, s(i), s(j)))."""
-    arr = np.asarray(members)
-    if arr.dtype.kind not in "iu":  # an int64 cast would truncate 2.5 to 2
-        for member in members:
-            if not all(isinstance(v, (int, np.integer)) for v in member):
-                raise ValueError(f"member {tuple(member)} is not a row of integers")
-    if arr.size and arr.shape[1:] != (n,):
-        raise ValueError("member degree mismatch")
-    try:
-        arr = arr.reshape(len(arr), n).astype(np.int64) - 1
-    except OverflowError:  # an entry beyond int64 is not in 1..n either
-        raise ValueError(f"a member is not a permutation of 1..{n}") from None
-    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(np.arange(n), arr.shape)):
-        raise ValueError(f"a member is not a permutation of 1..{n}")
-    rows, copies = np.unique(arr, axis=0, return_counts=True)
-    if len(rows) < len(arr):
-        repeated = tuple(int(v) + 1 for v in rows[copies.argmax()])
-        raise ValueError(f"member {repeated} is repeated: a family is a set of permutations")
+    (rows, checked by ``Family``), from its count tensor (one bincount of the
+    codes of (i, j, s(i), s(j)))."""
+    arr = Family(n, "members", members).members.astype(np.int64) - 1
     i, j = np.indices((n, n)).reshape(2, -1)
     codes = ((i * n + j) * n + arr[:, i]) * n + arr[:, j]
     counts = np.bincount(codes.ravel(), minlength=n**4).reshape(n, n, n, n)

@@ -1,5 +1,7 @@
-"""Named extremal families of permutations: constructors, exact size
-formulas, and the pairwise independence check.
+"""Named extremal families of permutations: ``Family``, the package's one
+check of permutation rows (bounds and the search certificate take their
+rows through it), the constructors, exact size formulas, and the pairwise
+independence check.
 
 Throughout, "fixed points >= k" means fixed points that are *elements* at
 least k (so (1 2)(5 6) has the fixed points 3 and 4 below 5 and none above).
@@ -15,16 +17,17 @@ from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .lazy import np
-from .perms import derangement_count, identity, perm_rows
+from .perms import ROW_DEGREE_CAP, derangement_count, identity, perm_rows
 
 PAIRWISE_CAP = 12000
 AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
 
 
 class Family:
-    """``members`` holds one-line rows of degree n (int8) in strictly
-    increasing lexicographic order: any rows given are sorted and their
-    repeats dropped.  A family is read-only, and equal only to itself."""
+    """Rows of degree n, each a row of integers (2.0 is not) permuting 1..n
+    and none repeated, all checked before any cast: other rows are a
+    ``ValueError``.  ``members`` holds them as a read-only int8 array in
+    lexicographic order.  A family is read-only, and equal only to itself."""
 
     __slots__ = ("n", "label", "members")
     n: int
@@ -32,14 +35,29 @@ class Family:
     members: np.ndarray
 
     def __init__(self, n: int, label: str, members: Sequence[Sequence[int]] | np.ndarray) -> None:
-        rows = np.asarray(members, dtype=np.int8)
+        if not 1 <= n <= ROW_DEGREE_CAP:
+            raise ValueError(f"a family has degree 1..{ROW_DEGREE_CAP} (got n={n})")
+        try:
+            rows = np.asarray(members)
+        except ValueError:  # rows of different lengths
+            raise ValueError("member degree mismatch") from None
         if rows.size and rows.shape[1:] != (n,):
             raise ValueError("member degree mismatch")
+        if rows.dtype.kind not in "iu":  # an int cast would truncate 2.5 to 2
+            for member in members:
+                if not all(isinstance(v, (int, np.integer)) for v in member):
+                    raise ValueError(f"member {tuple(member)} is not a row of integers")
         rows = rows.reshape(len(rows), n)
+        if not (np.sort(rows, axis=1) == np.arange(1, n + 1)).all():  # 300 is never cast
+            raise ValueError(f"a member is not a permutation of 1..{n}")
+        rows = rows.astype(np.int8)
         rows = rows[np.lexsort(rows.T[::-1])]
-        repeat = np.zeros(len(rows), dtype=bool)
-        repeat[1:] = (rows[1:] == rows[:-1]).all(axis=1)
-        for name, value in (("n", n), ("label", label), ("members", rows[~repeat])):
+        repeat = (rows[1:] == rows[:-1]).all(axis=1)
+        if repeat.any():
+            repeated = tuple(rows[repeat.argmax()].tolist())
+            raise ValueError(f"member {repeated} is repeated: a family is a set of permutations")
+        rows.flags.writeable = False
+        for name, value in (("n", n), ("label", label), ("members", rows)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -153,12 +171,13 @@ def family_G(j: int, n: int) -> Family:
 
 def hm_family(n: int, t: int) -> Family:
     """Permutations fixing 1..t and some further point beyond t+1, together
-    with the t transpositions (i t+1)."""
+    with the t transpositions (i t+1).  Independent at t = 1 and from n = t + 3;
+    at n = t + 2, two swaps agree on the other n - 3 = t - 1 points."""
     if not 1 <= t <= n - 2:
         raise ValueError(f"need 1 <= t <= n - 2, got t={t}, n={n}")
     rows = perm_rows(n, [(i, i) for i in range(1, t + 1)])
     rows = rows[(rows[:, t + 1 :] == np.arange(t + 2, n + 1)).any(axis=1)]
-    swaps = np.tile(identity(n), (t, 1))  # row i - 1 becomes (i t+1)
+    swaps = np.tile(np.array(identity(n), dtype=np.int8), (t, 1))  # row i - 1 becomes (i t+1)
     swaps[:, t] = np.arange(1, t + 1)
     swaps[np.arange(t), np.arange(t)] = t + 1
     return Family(n, f"HM(t={t})", np.concatenate([rows, swaps]))

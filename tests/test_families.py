@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from oracles import (
     sign,
 )
 from snspectra import families, reports
+from snspectra.bounds import exact_distance_sq_to_span
 from snspectra.cli import build_parser
 from snspectra.families import (
     FAMILIES,
@@ -47,6 +49,59 @@ from snspectra.families import (
     verify,
 )
 from snspectra.perms import identity, perm_rows
+from snspectra.search import SearchResult, verify_certificate
+
+
+# ---------------------------------------------------------------------------
+# The one check of permutation rows.
+
+
+# rows of degree 3 that are not a set of permutations, and the ValueError
+# that names the fault; Family used to cast floats to int8 ((1.5, 2, 3)
+# became (1, 2, 3)), raise OverflowError on 300 and 10**30, keep (1, 1, 1)
+# and (0, 1, 2), refuse the short row only by numpy's message for a ragged
+# array, and drop the repeat without a word
+BAD_ROWS = {
+    "fractional": ([(1, 2, 3), (1.5, 2, 3)], "member (1.5, 2, 3) is not a row of integers"),
+    "integral float": ([(2.0, 1, 3)], "member (2.0, 1, 3) is not a row of integers"),
+    "constant": ([(1, 1, 1)], "a member is not a permutation of 1..3"),
+    "zero": ([(0, 1, 2)], "a member is not a permutation of 1..3"),
+    "past int8": ([(300, 1, 2)], "a member is not a permutation of 1..3"),
+    "past int64": ([(1, 2, 3), (10**30, 1, 2)], "a member is not a permutation of 1..3"),
+    "short": ([(1, 2, 3), (1, 2)], "member degree mismatch"),
+    "repeated": (
+        [(2, 1, 3), (1, 2, 3), (2, 1, 3)],
+        "member (2, 1, 3) is repeated: a family is a set of permutations",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS)
+def test_every_entry_point_refuses_the_same_rows(case):
+    rows, message = BAD_ROWS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Family(3, "bad", rows)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        exact_distance_sq_to_span(rows, [(3,)], 3)
+    witness = tuple(map(tuple, rows))
+    for exact in (True, False):
+        result = SearchResult(3, 2, len(witness), witness, nodes=1, exact=exact)
+        assert not verify_certificate(result), exact
+
+
+def test_family_members_are_read_only():
+    # a writeable array let two equal rows into a set, and verify still passed
+    fam = t_coset([(1, 1), (2, 2)], 4)
+    with pytest.raises(ValueError, match="read-only"):
+        fam.members[1] = fam.members[0]
+
+
+@pytest.mark.parametrize("n", [0, 128])
+def test_family_refuses_a_degree_outside_the_int8_rows(n):
+    # n = 0 raised TypeError from np.lexsort, which had no keys; n = 128
+    # raised OverflowError in the int8 cast
+    with pytest.raises(ValueError, match=r"a family has degree 1\.\.127 \(got n="):
+        Family(n, "x", [identity(n)])
 
 
 def test_t_coset_sizes_and_errors():
@@ -157,6 +212,18 @@ def test_hm_family_size_and_intersection():
     assert is_t_intersecting(fam2.members, 2)
     # constructor totality at the smallest degree
     assert len(hm_family(4, 2)) > 0
+
+
+@pytest.mark.parametrize("t", range(1, 6))
+def test_hm_family_is_independent_exactly_from_n_t_plus_3(t):
+    # the registry admits HM from n = t + 2, but there the transpositions
+    # (i t+1) and (i' t+1) agree on the n - 3 = t - 1 points outside
+    # {i, i', t+1}; at t = 1 there is one transposition and no such pair
+    for n in range(t + 2, t + 7):
+        assert verify(hm_family(n, t), t).ok == (t == 1 or n >= t + 3), (n, t)
+    if t > 1:  # the least pair: the two rows after the identity
+        swaps = (parse_cycles(f"({i} {t + 1})", t + 2) for i in (t, t - 1))
+        assert verify(hm_family(t + 2, t), t).witness == tuple(swaps)
 
 
 def test_family_H_bounds_and_disjointness():
@@ -279,6 +346,7 @@ def _runs_with_one_violation(n, t, rng):
     loose = [r for r in rng.sample(pool, min(20, len(pool))) if agree_count(r, y) != t - 1]
     loose = [r for r in loose if r[:t] != x[:t] or r < x]
     members = [r for r in [*itertools.chain(*runs), *loose] if r[:t] != y[:t] or r > y]
+    members = list(dict.fromkeys(map(tuple, members)))  # a stray may lie in a run
     return [*members, x, y], tuple(x), tuple(y)
 
 
@@ -307,6 +375,7 @@ def test_verify_witness_on_prefix_cosets_with_strays(t):
     members = rng.sample(everything, 30)
     for prefix in rng.sample(sorted({tuple(r[:t]) for r in everything}), 3):
         members += perm_rows(7, list(enumerate(prefix, 1)))[:240].tolist()
+    members = list(dict.fromkeys(map(tuple, members)))  # a stray may lie in a coset
     fam = Family(7, "cosets", members)
     res = verify(fam, t)
     assert res.witness == least_agreeing_pair(fam.members.tolist(), t)

@@ -26,7 +26,12 @@ CLI step of ``bench/workloads.py``: a flag that only tests pass is a mode
 with no user, and a limit belongs in a constant beside its route.
 
 No check in the package is an ``assert`` statement, which ``python -O``
-strips: a failed check raises ArithmeticError, which the CLI maps to exit 1."""
+strips: a failed check raises ArithmeticError, which the CLI maps to exit 1.
+
+Rows of permutations enter the package through one door: ``Family`` checks
+them, and no other package function hands an argument of its own to
+``np.asarray`` or ``np.array``, so a second hand-rolled row check fails here
+instead of landing."""
 
 import argparse
 import ast
@@ -232,6 +237,50 @@ def private_imports() -> list[str]:
 
 def test_no_package_module_imports_a_private_name():
     assert private_imports() == []
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each top-level function and method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _root_name(node: ast.AST) -> str | None:
+    """``x`` for ``x``, ``x.a``, ``x[i]`` and their chains; None otherwise."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def argument_casts() -> list[str]:
+    """"module.function" of each package function or method that passes one
+    of its parameters (or an attribute or item of one) to ``np.asarray`` or
+    ``np.array``."""
+    found = []
+    for module, tree in TREES.items():
+        for name, func in _functions(tree):
+            params = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+            for call in ast.walk(func):
+                if (
+                    isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id == "np"
+                    and call.func.attr in {"asarray", "array"}
+                    and call.args
+                    and _root_name(call.args[0]) in params
+                ):
+                    found.append(f"{module}.{name}")
+    return found
+
+
+def test_only_family_turns_arguments_into_rows():
+    assert argument_casts() == ["families.Family.__init__"]
 
 
 def parser_options() -> set[str]:
