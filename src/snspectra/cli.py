@@ -91,13 +91,13 @@ def table(args: argparse.Namespace) -> dict | str:
 
 
 def hoffman(args: argparse.Namespace) -> dict:
-    from .spectrum import SPECTRUM_CAP
+    from .spectrum import SPECTRUM_CAP, generating_classes
 
     _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
-    if args.t == args.n:
+    if not generating_classes(args.n, args.t):
         raise ValueError(
             f"hoffman: the generating set is empty (no permutation of degree {args.n} has "
-            f"exactly {args.n - 1} fixed points), so no eigenvalue bound applies"
+            f"exactly {args.t - 1} fixed points), so no eigenvalue bound applies"
         )
     return reports.hoffman_report(args.n, args.t)
 

@@ -20,7 +20,7 @@ ROW_DEGREE_CAP = 127
 # The largest character table, and the most unpinned points of a family, that
 # a command builds.  Fresh on a 2-core machine, chartable --n 10 takes 0.22 s
 # (a table at n = 14, 2.1 s); families --family 2coset --n 12, 10 free points,
-# takes 1.3 s and 209 MB, and an 11th free point multiplies both by about 11.
+# takes 1.1-1.25 s and 153 MB, and an 11th free point multiplies both by about 11.
 ENUMERATION_CAP = 10
 
 

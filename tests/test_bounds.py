@@ -33,9 +33,9 @@ from snspectra.spectrum import full_spectrum
 def test_hoffman_formula():
     assert hoffman_bound(4, -2, 12) == 4
     assert hoffman_bound(7, -7, 100) == 50  # bipartite-like extreme
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bound needs a negative least eigenvalue, got 0"):
         hoffman_bound(4, 0, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be positive"):
         hoffman_bound(0, -1, 12)
 
 
@@ -43,15 +43,21 @@ def test_cross_hoffman_formula():
     assert cross_hoffman_bound(4, 2, 12) == 4
     assert cross_hoffman_bound(4, 0, 12) == 0
     assert cross_hoffman_bound(4, 2, 12) ** 2 == 16
+    with pytest.raises(ValueError, match="nu must be nonnegative"):
+        cross_hoffman_bound(4, -1, 12)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        cross_hoffman_bound(0, 2, 12)
 
 
 def test_stability_formula():
     assert stability_gap_bound(4, -1, -2, Fraction(1, 3)) == 0
     assert stability_gap_bound(4, -1, -2, Fraction(1, 6)) == Fraction(1, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("split hypothesis violated: |lam_n|=2 <=")):
         stability_gap_bound(4, -2, -2, Fraction(1, 6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("split hypothesis violated: |lam_n|=2 <=")):
         stability_gap_bound(4, -3, -2, Fraction(1, 6))
+    with pytest.raises(ValueError, match="density out of range: 7/6"):
+        stability_gap_bound(4, -1, -2, Fraction(7, 6))
 
 
 def test_stability_zero_at_tight_density():
@@ -188,9 +194,12 @@ def test_unserved_component_refused_before_the_tensor(monkeypatch):
 
     monkeypatch.setattr(bounds, "_pair_sums", stub)
     members = list(perms_fixing([(1, 1), (2, 2)], 5))
-    for span in [(2, 2, 1)], [(5,), (2, 2, 1)], [(4, 2)], [(3.0, 2.0)]:
-        with pytest.raises(ValueError):
+    for span in [(2, 2, 1)], [(5,), (2, 2, 1)], [(4, 2)]:
+        message = f"component {span[-1]} is not served at n=5"
+        with pytest.raises(ValueError, match=re.escape(message)):
             exact_distance_sq_to_span(members, span, 5)
+    with pytest.raises(ValueError, match="has a non-integer part"):
+        exact_distance_sq_to_span(members, [(3.0, 2.0)], 5)
 
 
 def test_members_must_be_permutations_of_the_degree():
@@ -252,6 +261,16 @@ def test_distance_edge_cases():
     assert exact_distance_sq_to_span([], [(5,)], 5) == 0
     everyone = list(all_perms(4))
     assert exact_distance_sq_to_span(everyone, [(4,)], 4) == 0
+
+
+def test_a_mass_above_the_norm_is_refused(monkeypatch):
+    # the masses of disjoint components sum to at most the squared norm, so
+    # one raised past it must fail the check instead of passing as D^2 < 0
+    mass = bounds._mass
+    monkeypatch.setattr(bounds, "_mass", lambda alpha, n, sums: mass(alpha, n, sums) + 1)
+    members = list(perms_fixing([(1, 1), (2, 2)], 5))
+    with pytest.raises(ArithmeticError, match="negative squared distance; projection bug"):
+        exact_distance_sq_to_span(members, [(5,)], 5)
 
 
 def test_two_coset_lies_in_fat_span():

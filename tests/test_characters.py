@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from snspectra.characters import (
     class_size,
     mn_character,
 )
-from snspectra.partitions import dimension, partitions_of
+from snspectra.partitions import dimension, is_partition, partitions_of
 from snspectra.spectrum import class_eigenvalues, generating_classes
 
 # the full S_4 table, rows by partition, columns by class in canonical order
@@ -187,7 +188,11 @@ def test_kernel_memo_matches_the_oracle_memo():
     [((2, 3), (5,)), ((1, 0), (1,)), ((3,), (2, 3)), ((3,), (1, 0)), ((3, 1), (2, 1)), ((2,), ())],
 )
 def test_mn_character_rejects_non_partitions_and_mismatched_degrees(alpha, ctype):
-    with pytest.raises(ValueError):
+    if is_partition(alpha) and is_partition(ctype):
+        message = f"mismatched degrees: {alpha} vs {ctype}"
+    else:
+        message = f"not a partition: {alpha if not is_partition(alpha) else ctype}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         mn_character(alpha, ctype)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import shift_dual
-from snspectra import bounds, characters, cli, families, reports, search, spectrum, weightopt
+from snspectra import bounds, characters, cli, families, perms, reports, search, spectrum, weightopt
 
 
 def run_cli(capsys, argv):
@@ -167,7 +167,7 @@ def test_search_t_out_of_range_is_usage_error(capsys, t):
     code, out, err = run_cli(capsys, ["search", "--n", "4", "--t", t])
     assert code == 2
     assert out == ""
-    assert "1 <= t <= n" in err
+    assert f"need 1 <= t <= n, got t={t}, n=4" in err
 
 
 def test_wopt(capsys):
@@ -208,7 +208,7 @@ def test_reproduce_empty_range(capsys):
         code, out, err = run_cli(capsys, argv)
         assert code == 2, argv
         assert out == ""
-        assert "empty range" in err
+        assert "the upper end is below the lower end" in err
 
 
 def test_usage_error_exit_code(capsys):
@@ -265,6 +265,26 @@ def _break_size_formula(monkeypatch):
     monkeypatch.setitem(families.FAMILIES, "B", spec)
 
 
+def _move_an_oracle_eigenvalue(monkeypatch):
+    brute_force_spectrum = spectrum.brute_force_spectrum
+
+    def moved(n, t):
+        ((lam, m), *rest), cert = brute_force_spectrum(n, t)
+        return ((lam - 1, m), *rest), cert
+
+    monkeypatch.setattr(spectrum, "brute_force_spectrum", moved)
+
+
+def _break_derangement_count(monkeypatch):
+    count = perms.derangement_count
+    monkeypatch.setattr(perms, "derangement_count", lambda n: count(n) + 1)
+
+
+def _fractional_closed_form(monkeypatch):
+    shape, _ = spectrum.TABLE_ROWS["n-2,2"]
+    monkeypatch.setitem(spectrum.TABLE_ROWS, "n-2,2", (shape, lambda n, d1, s: Fraction(1, 2)))
+
+
 def _break_search_certificate(monkeypatch):
     monkeypatch.setattr(search, "verify_certificate", lambda result: False)
 
@@ -281,9 +301,24 @@ def _break_reproduce_hoffman(monkeypatch):
 # id -> (argv, the fault injected, or None for a real input, the check named)
 FAILED_CHECKS = {
     "oracle": ("spectrum --n 4 --verify", _break_oracle, "does not commute with left translation"),
-    "class_integrality": ("spectrum --n 6", _break_class_integrality, "(3, 3) is not integral"),
-    "character_table": ("chartable --n 4", _break_character_table, "['regular_character']"),
+    "oracle_comparison": (
+        "spectrum --n 4 --verify",
+        _move_an_oracle_eigenvalue,
+        "spectrum does not match the brute-force oracle",
+    ),
+    "class_integrality": ("spectrum --n 6", _break_class_integrality, "on (3, 3) is not integral"),
+    "character_table": (
+        "chartable --n 4",
+        _break_character_table,
+        "character table checks failed: ['regular_character']",
+    ),
     "closed_form": ("table --n-range 6", _break_closed_form, "character route: row n-2,2 at n=6"),
+    "closed_form_integrality": (
+        "table --n-range 6",
+        _fractional_closed_form,
+        "closed form for n-2,2 at n=6 is not integral",
+    ),
+    "parity": ("derangements --n 5", _break_derangement_count, "parity identity broken at n=5"),
     "size_formula": ("families --family B --n 7", _break_size_formula, "family B size does not"),
     "search_certificate": ("search --n 4 --exact", _break_search_certificate, "witness failed"),
     "reproduce": ("reproduce --n-range 5", _break_reproduce_hoffman, "Hoffman bound at n=5"),
@@ -340,8 +375,8 @@ def forbid_reports(monkeypatch, *names):
     "argv,message",
     [
         # vacuous passes: no pair agrees on exactly -1 or 8 points
-        ("families --family B --n 8 --t 0 --verify-independence", "1 <= t <= n"),
-        ("families --family B --n 8 --t 9 --verify-independence", "1 <= t <= n"),
+        ("families --family B --n 8 --t 0 --verify-independence", "need 1 <= t <= n, got t=0, n=8"),
+        ("families --family B --n 8 --t 9 --verify-independence", "need 1 <= t <= n, got t=9, n=8"),
         # used to build a family labelled HM(t=-1)
         ("families --family HM --n 6 --t -1", "1 <= t <= n"),
         # HM pins t = 1 point, so it enumerates 11! permutations
@@ -365,6 +400,12 @@ def forbid_reports(monkeypatch, *names):
         ("hoffman --n 2", "the generating set is empty"),
         ("hoffman --n 3 --t 3", "the generating set is empty"),
         ("hoffman --n 4 --t 4", "no permutation of degree 4 has exactly 3 fixed points"),
+        # t = n tested first: "no permutation of degree 0 has exactly -1 fixed points"
+        ("hoffman --n 0 --t 0", "need n >= 2"),
+        ("hoffman --n -3 --t -3", "need n >= 2"),
+        # refused by the library's own checks
+        ("derangements --n -1", "n must be nonnegative"),
+        ("chartable --n -1", "n must be nonnegative"),
         ("reproduce --n-range 6..35", "capped at 34 by SPECTRUM_CAP"),
         # used to compute the whole character spectrum first
         ("spectrum --n 8 --verify", "capped at 7 by GRAPH_CAP"),

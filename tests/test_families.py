@@ -96,6 +96,19 @@ def test_family_members_are_read_only():
         fam.members[1] = fam.members[0]
 
 
+def test_rows_in_any_order_come_out_sorted_and_a_repeat_is_found():
+    # rows in strict lex order skip the sort and its repeat check; equal
+    # neighbours, or a repeat anywhere among shuffled rows, still take both
+    rows = perm_rows(5).tolist()
+    assert Family(5, "in order", rows).members.tolist() == rows
+    shuffled = random.Random(5).sample(rows, len(rows))
+    assert Family(5, "shuffled", shuffled).members.tolist() == rows
+    with pytest.raises(ValueError, match=re.escape(f"member {tuple(rows[6])} is repeated")):
+        Family(5, "equal neighbours", rows[:7] + rows[6:])
+    with pytest.raises(ValueError, match=re.escape(f"member {tuple(shuffled[3])} is repeated")):
+        Family(5, "shuffled repeat", shuffled + [shuffled[3]])
+
+
 @pytest.mark.parametrize("n", [0, 128])
 def test_family_refuses_a_degree_outside_the_int8_rows(n):
     # n = 0 raised TypeError from np.lexsort, which had no keys; n = 128
@@ -129,6 +142,8 @@ def test_hilton_milner_tail_from_predicate():
     assert member_set(tail) == expected
     # the variant sometimes quoted instead fails the defining predicate
     assert parse_cycles("(1 4 3 2)", 8) not in member_set(tail)
+    with pytest.raises(ValueError, match="need n >= 4"):
+        hilton_milner_tail(3)
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -141,8 +156,11 @@ def test_family_B_spec_value():
 
 
 def test_family_B_requires_n7():
-    with pytest.raises(ValueError):
-        family_B(6)
+    for build in (family_B, lambda n: family_F(1, n)):
+        with pytest.raises(ValueError, match="need n >= 7"):
+            build(6)
+    with pytest.raises(ValueError, match="size formula needs n >= 7"):
+        family_B_size_formula(6)
 
 
 def test_family_B_not_in_any_two_coset():
@@ -174,8 +192,9 @@ def test_family_F_spec_values():
     assert family_F_size_formula(2, 8) == 309
     assert family_F_size_formula(3, 8) == 265
     assert family_F_size_formula(4, 8) == 256
-    with pytest.raises(ValueError):
-        family_F(5, 8)
+    for build in (family_F, family_G, family_F_size_formula):
+        with pytest.raises(ValueError, match="j must be 1..4, got 5"):
+            build(5, 8)
 
 
 def test_G_complements_F():

@@ -1,4 +1,6 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from oracles import (
     parse_partition,
     transpose,
 )
+from snspectra import partitions
 from snspectra.characters import mn_character
 from snspectra.partitions import (
     check_partition,
@@ -105,6 +108,15 @@ def test_dimension_equals_the_hook_table_oracle(n):
         assert dimension(alpha) * hooks == math.factorial(n), alpha
 
 
+def test_a_hook_product_that_does_not_divide_n_factorial_is_refused(monkeypatch):
+    # n! + 1 in place of n!: 7 is not a multiple of the hook product 3 of (2, 1)
+    fake = SimpleNamespace(prod=math.prod, factorial=lambda n: math.factorial(n) + 1)
+    monkeypatch.setattr(partitions, "math", fake)
+    message = "hook product does not divide 3! for (2, 1)"
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        partitions._dimension.__wrapped__((2, 1))  # past the cache
+
+
 @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, -1), (0,)])
 def test_dimension_refuses_parts_out_of_order_or_not_positive(parts):
     with pytest.raises(ValueError, match="not a partition"):
@@ -115,7 +127,7 @@ def test_classify_examples():
     assert classify((6,), 2) == "fat"
     assert classify((2, 2, 1, 1), 2) == "tall"
     assert classify((3, 3), 2) == "medium"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 0 <= k < n, got k=6, n=6"):
         classify((3, 3), 6)
 
 
@@ -165,7 +177,7 @@ def test_partition_text_roundtrip(alpha):
 @pytest.mark.parametrize("parts", [(2.5, 1.5), (2.0, 1.0), (3, 1.0), ("2", "1")])
 def test_non_integer_parts_are_not_partitions(parts):
     assert not is_partition(parts)
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(ValueError, match="has a non-integer part"):
         check_partition(parts)
 
 

@@ -285,5 +285,12 @@ def test_perm_rows_refuses_bad_pins(pins, message):
         perm_rows(4, pins)
 
 
+def test_perm_rows_refuses_a_point_or_a_degree_out_of_range():
+    with pytest.raises(ValueError, match=r"pinned point outside 1\.\.3"):
+        perm_rows(3, [(4, 1)])
+    with pytest.raises(ValueError, match=r"int8 rows hold degrees up to 127 \(got n=128\)"):
+        perm_rows(128)
+
+
 def test_fixed_points_listing():
     assert fixed_points((1, 3, 2, 4)) == (1, 4)

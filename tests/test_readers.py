@@ -31,12 +31,19 @@ strips: a failed check raises ArithmeticError, which the CLI maps to exit 1.
 Rows of permutations enter the package through one door: ``Family`` checks
 them, and no other package function hands an argument of its own to
 ``np.asarray`` or ``np.array``, so a second hand-rolled row check fails here
-instead of landing."""
+instead of landing.
+
+Every check (``raise ArithmeticError`` or ``LPError``) and every refusal
+(``raise ValueError``) in the package is named by a string of a test, so a
+check that no test makes fire cannot become ``pass`` unnoticed."""
 
 import argparse
 import ast
+import re
 import runpy
 from pathlib import Path
+
+import pytest
 
 from snspectra import cli
 
@@ -307,3 +314,139 @@ def set_options() -> set[str]:
 
 def test_every_cli_option_is_set_by_a_readme_command_or_a_benchmark_step():
     assert parser_options() - set_options() == set(ALLOWED_UNSET_OPTIONS)
+
+
+RAISED = {"ArithmeticError", "LPError", "ValueError"}
+# a string names a message when it covers this many characters of the
+# message's own text, or all of it when the text is shorter
+NAMING_LENGTH = 12
+
+Message = tuple[str | None, ...]
+
+
+def raise_sites(source: str) -> list[tuple[int, Message]]:
+    """(line, message) of each ``raise`` of an ArithmeticError, LPError or
+    ValueError in ``source``; a message is its text parts, with None for
+    each f-string field.  A message that is not a literal fails here."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id in RAISED
+        ):
+            message = node.exc.args[0]
+            assert isinstance(message, (ast.Constant, ast.JoinedStr)), ast.unparse(node)
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            text = tuple(p.value if isinstance(p, ast.Constant) else None for p in parts)
+            sites.append((node.lineno, text))
+    return sorted(sites)
+
+
+def text_covered(string: str, message: Message) -> int:
+    """The most characters of the message's text that ``string`` covers as a
+    fragment of an instance of the message, each field read as a wildcard;
+    -1 when it is no such fragment.  Over the message's characters, with
+    None for a field, best[j] is the most covered by a fragment of the
+    string so far that ends before character j; a fragment starts and ends
+    anywhere."""
+    pattern = [char for part in message for char in (part if part is not None else [None])]
+    best = [0] * (len(pattern) + 1)
+    for char in string:
+        nxt = [-1] * (len(pattern) + 1)
+        for j, token in enumerate(pattern):
+            if best[j] < 0:
+                continue
+            if token is None:  # the field takes the character
+                nxt[j] = max(nxt[j], best[j])
+            elif token == char:
+                nxt[j + 1] = max(nxt[j + 1], best[j] + 1)
+        for j, token in enumerate(pattern):  # a field may take nothing
+            if token is None:
+                nxt[j + 1] = max(nxt[j + 1], nxt[j])
+        best = nxt
+    return max(best)
+
+
+def named_messages(strings: set[str], messages: set[Message]) -> set[Message]:
+    """The messages that some string names.  A string names the message it
+    fits best, the one whose text it covers most and then the one whose text
+    it covers the largest share of, when no other fits as well and the
+    string covers NAMING_LENGTH characters of its text (all of it, if
+    shorter).  So "not integral" names only one of the three integrality
+    checks.  A message that shares no four characters in a row with a string
+    is taken to cover none of it."""
+    texts = {m: "".join(p for p in m if p) for m in messages}
+    grams = {m: {p[i : i + 4] for p in m if p for i in range(len(p) - 3)} for m in messages}
+    named = set()
+    for string in strings:
+        windows = {string[i : i + 4] for i in range(len(string) - 3)}
+        fit = {}
+        for m in messages:
+            if windows & grams[m] and (covered := text_covered(string, m)) >= 0:
+                fit[m] = (covered, covered / len(texts[m]))
+        best = max(fit.values(), default=None)
+        winners = [m for m, f in fit.items() if f == best]
+        if len(winners) == 1 and best[0] >= min(NAMING_LENGTH, len(texts[winners[0]])):
+            named.add(winners[0])
+    return named
+
+
+def unnamed_sites(sources: dict[str, str], strings: set[str]) -> list[str]:
+    """"module:line message" of each raise site of the ``sources`` (module
+    name -> text) whose message no string names, fields shown as {}; fails
+    when the sources hold no site at all, where the lint would pass
+    vacuously."""
+    sites = [(m, line, msg) for m, text in sources.items() for line, msg in raise_sites(text)]
+    assert sites, "no raise site found"
+    named = named_messages(strings, {msg for _, _, msg in sites})
+    return [
+        f"{m}:{line} " + "".join("{}" if part is None else part for part in msg)
+        for m, line, msg in sites
+        if msg not in named
+    ]
+
+
+def strings_of_the_tests() -> set[str]:
+    """Every string constant and f-string of the tests but this file, each
+    field of an f-string read as a NUL, which only a field of a message
+    covers; each string is also read as a regex with its escapes undone."""
+    strings = set()
+    for path in sorted(ROOT.glob("tests/test_*.py")):
+        if path.name == Path(__file__).name:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.JoinedStr):
+                parts = (p.value if isinstance(p, ast.Constant) else "\0" for p in node.values)
+                strings.add("".join(parts))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+    return strings | {re.sub(r"\\(.)", r"\1", s) for s in strings}
+
+
+def test_every_check_and_refusal_is_named_by_a_test():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unnamed_sites(sources, strings_of_the_tests()) == []
+
+
+SYNTHETIC = """
+def check(x):
+    if x < 0:
+        raise ValueError("a refusal that no test names")
+    if x > 9:
+        raise ArithmeticError(f"check of {x} failed beyond repair")
+"""
+
+
+def test_the_naming_lint_reports_only_the_unnamed_site():
+    # a field is a wildcard, but a string that fits inside one covers none
+    # of the text; 10 characters of it are too few
+    strings = {"check of 12 failed", "a string that fits in the field", "test names"}
+    assert unnamed_sites({"synthetic": SYNTHETIC}, strings) == [
+        "synthetic:4 a refusal that no test names"
+    ]
+    strings.add("refusal that no")
+    assert unnamed_sites({"synthetic": SYNTHETIC}, strings) == []
+    with pytest.raises(AssertionError, match="no raise site found"):
+        unnamed_sites({"empty": "def check(x):\n    return x\n"}, strings)
