@@ -2,9 +2,10 @@
 
 Vertices are the permutations of S_n in lexicographic one-line order,
 adjacency is agreement on exactly t-1 points, and candidate sets live in
-Python-int bitsets; the branching choice reads the adjacency as a matrix of
-uint64 words.  The branch-and-bound exhausts its tree (no first-found
-termination), so the result and witness are deterministic.
+Python-int bitsets; the branching choice counts degrees on the adjacency as
+a matrix of uint64 words, and updates them from the boolean matrix.  The
+branch-and-bound exhausts its tree (no first-found termination), so the
+result and witness are deterministic.
 
 Because agreement counts are translation invariant, the graph is
 vertex-transitive and any maximum independent set can be translated to one
@@ -25,8 +26,10 @@ The tree is mostly long chains of exclude children, each pool its parent's
 less the branch vertex v, so such a child reuses its parent's work, as
 bit-parallel clique solvers reuse a parent's colouring (San Segundo,
 Nikolaev and Batsyn, Comput. Oper. Res. 2015): the cliques of the greedy
-cover before the one that held v, and every candidate's count of candidate
-neighbours less its adjacency to v.  Both are exact (see ``_solve``), so the
+cover before the one that held v, every clique after it when that one
+regrows without v into the parent's next snapshot (a greedy cover goes on
+as a function of its rest alone), and every candidate's count of candidate
+neighbours less its adjacency to v.  All are exact (see ``_solve``), so the
 tree is the one a search from scratch at every node visits.
 """
 
@@ -41,12 +44,13 @@ from .perms import perm_rows
 from .spectrum import agreement_graph, generating_classes
 
 
-def graph_bitsets(n: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """(vertex rows in lex order, adjacency bitmasks, adjacency words); bit j
-    of mask i, and of row i of the words, is set when vertices i and j are
-    adjacent."""
-    adj, words = _adjacency_bitsets(agreement_graph(n, t))
-    return perm_rows(n), adj, words
+def graph_bitsets(n: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
+    """(vertex rows in lex order, adjacency bitmasks, adjacency words, the
+    boolean adjacency matrix); bit j of mask i, and of row i of the words,
+    is set when vertices i and j are adjacent."""
+    graph = agreement_graph(n, t)
+    adj, words = _adjacency_bitsets(graph)
+    return perm_rows(n), adj, words, graph
 
 
 def _adjacency_bitsets(rows: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
@@ -102,25 +106,40 @@ def _greedy_clique_cover(
 
 
 def _resume_cover(
-    snapshots: list[int], rest: int, cliques: int, bit: int, pool: int
+    snapshots: list[int],
+    rest: int,
+    cliques: int,
+    bit: int,
+    pool: int,
+    adj: tuple[int, ...],
+    bits: tuple[int, ...],
 ) -> tuple[int, int]:
-    """The start (rest, cliques) of the cover of an exclude child's ``pool``,
+    """The state (rest, cliques) of the cover of an exclude child's ``pool``,
     its parent's less the branch vertex ``bit``, from the parent's cover
-    (``snapshots``, then a final ``rest`` and ``cliques``): the snapshot of
-    the clique that held the vertex, or the final state if the parent
-    stopped before it, restricted to ``pool``.  ``snapshots`` is cut to
-    match."""
-    if not rest & bit:
-        lo, hi = 0, len(snapshots)  # snapshots[lo] holds the vertex, [hi:] do not
-        while hi - lo > 1:
-            mid = (lo + hi) >> 1
-            if snapshots[mid] & bit:
-                lo = mid
-            else:
-                hi = mid
-        rest, cliques = snapshots[lo], lo
-        del snapshots[lo:]
-    return rest & pool, cliques
+    (``snapshots``, then a final ``rest`` and ``cliques``), with
+    ``snapshots`` cut to match.  If the parent stopped before the vertex,
+    that is its final state restricted to ``pool``.  Otherwise only the
+    clique that held the vertex is regrown, from its snapshot restricted to
+    ``pool`` (an empty start grows none).  If the rest left equals the
+    parent's next snapshot, or its final rest, restricted to ``pool``, the
+    cover has rejoined the parent's: the state is the parent's final one,
+    and every snapshot is kept."""
+    if rest & bit:
+        return rest & pool, cliques
+    lo, hi = 0, cliques  # snapshots[lo] holds the vertex, [hi:] do not
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if snapshots[mid] & bit:
+            lo = mid
+        else:
+            hi = mid
+    after = snapshots[hi] if hi < cliques else rest
+    # a room of lo stops the cover after the one clique
+    regrown, grown = _greedy_clique_cover(snapshots[lo] & pool, lo, [], adj, bits, lo)
+    if grown > lo and regrown == after & pool:
+        return rest, cliques
+    del snapshots[grown:]
+    return regrown, grown
 
 
 def _pool_degrees(pool: int, words: np.ndarray) -> np.ndarray:
@@ -135,12 +154,11 @@ def _pool_degrees(pool: int, words: np.ndarray) -> np.ndarray:
     return degrees
 
 
-def _drop_vertex(degrees: np.ndarray, words: np.ndarray, v: int) -> None:
+def _drop_vertex(degrees: np.ndarray, graph: np.ndarray, v: int) -> None:
     """Take vertex v out of the pool of ``degrees`` in place: subtract its
-    adjacency row, unpacked from its words, and mark v -1.  Vertices
-    outside the pool only fall further below 0."""
-    row = np.unpackbits(words[v].view(np.uint8), count=len(degrees), bitorder="little")
-    np.subtract(degrees, row, out=degrees)
+    row of the boolean adjacency matrix and mark v -1.  Vertices outside
+    the pool only fall further below 0."""
+    np.subtract(degrees, graph[v], out=degrees)
     degrees[v] = -1
 
 
@@ -169,6 +187,7 @@ def _solve(
     verts: np.ndarray,
     adj: tuple[int, ...],
     words: np.ndarray,
+    graph: np.ndarray,
     t: int,
     *,
     node_budget: int | None,
@@ -195,16 +214,25 @@ def _solve(
     * **Cover.**  A clique without v is grown the same way with v gone: its
       first vertex is the top of its start state, not v, and each
       common-neighbour set only loses v, which is never the next pick.  So
-      the cliques before the one that held v are the parent's, and the
-      child resumes at that clique's snapshot less v, or at the parent's
-      final state if its cover stopped before v.  The cliques do not depend
-      on the bound, which only says when a cover stops, so a cover that
-      stops later makes the same prune decision: a ``best_size`` raised by
-      the include child only lets the resumed cover run further, and a
-      resuming include child, whose room is one less than its parent's,
-      may start past the point where a cover from scratch would stop.
+      the cliques before the one that held v are the parent's.  The child
+      takes the parent's final state less v if its cover stopped before v,
+      and otherwise regrows that clique from its snapshot less v (none if
+      that is empty).  A greedy cover goes on as a function of its rest
+      alone, so if the rest left is the parent's next snapshot (or final
+      rest), every later clique is the parent's: the child rejoins the
+      parent's cover and takes its later snapshots and final state.
+      Snapshots so inherited may still hold vertices that left the pool
+      since, so each is restricted to the pool before it is regrown from
+      or compared.  The cliques do not depend on the bound, which only
+      says when a cover stops, so a cover that stops later makes the same
+      prune decision: a ``best_size`` raised by the include child only lets
+      the resumed cover run further, and a resuming include child, whose
+      room is one less than its parent's, may start past the point where a
+      cover from scratch would stop.
     * **Degrees.**  A candidate's count of candidate neighbours drops by
-      one exactly when it is adjacent to v, and v leaves the pool (-1)."""
+      one exactly when it is adjacent to v, read off v's row of ``graph``,
+      the boolean adjacency kept until the search ends, and v leaves the
+      pool (-1)."""
     size = len(verts)
     full = (1 << size) - 1
     bits = tuple(1 << v for v in range(size))
@@ -235,7 +263,7 @@ def _solve(
             continue
         if state is not None and state[0] == parent:
             _, v, snapshots, rest, cliques, degrees = state
-            rest, cliques = _resume_cover(snapshots, rest, cliques, bits[v], pool)
+            rest, cliques = _resume_cover(snapshots, rest, cliques, bits[v], pool, adj1, bits1)
         else:
             snapshots, rest, cliques, degrees = [], pool, 0, None
         rest, cliques = _greedy_clique_cover(rest, cliques, snapshots, adj1, bits1, room)
@@ -244,7 +272,7 @@ def _solve(
         if degrees is None:
             degrees = _pool_degrees(pool, words)
         else:
-            _drop_vertex(degrees, words, v)
+            _drop_vertex(degrees, graph, v)
         v = _branch_vertex(degrees)
         state = (nodes, v, snapshots, rest, cliques, degrees)
         pool ^= bits[v]
@@ -269,12 +297,12 @@ def _solve(
 
 
 # Without a node budget the tree is searched to the end only up to n = 6
-# (99,591 nodes at t = 2, 2.5 s fresh on a 2-core machine, 2.2-3.0 s across
+# (99,591 nodes at t = 2, 1.6 s fresh on a 2-core machine, 1.6-1.7 s across
 # runs); from n = 6 on the CLI sets this budget unless told not to.
 EXHAUSTIVE_CAP = 6
 # The t whose unbudgeted tree at n = EXHAUSTIVE_CAP does not finish (still
 # running after 45 s on a 2-core machine); fresh, t = 1, 2, 5 and 6 take
-# 0.5, 2.5, 3.7 and 0.3 s (medians of three runs in one sitting).
+# 0.23, 1.6, 1.7 and 0.15 s (medians of three runs in one sitting).
 EXHAUSTIVE_CAP_SLOW_T = (3, 4)
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -288,8 +316,7 @@ def max_independent_set(n: int, t: int, *, node_budget: int | None = None) -> Se
     """
     if node_budget is not None and node_budget < 1:
         raise ValueError(f"search: the node budget must be at least 1 (got {node_budget})")
-    verts, adj, words = graph_bitsets(n, t)
-    return _solve(verts, adj, words, t, node_budget=node_budget)
+    return _solve(*graph_bitsets(n, t), t, node_budget=node_budget)
 
 
 def verify_certificate(result: SearchResult) -> bool:

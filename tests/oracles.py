@@ -687,7 +687,7 @@ def max_independent_set_naive(n: int, t: int = 2) -> tuple[int, tuple[tuple[int,
     if n > NAIVE_CAP:
         raise ValueError(f"naive search capped at n <= {NAIVE_CAP}")
     verts = list(all_perms(n))
-    _, adj, _ = graph_bitsets(n, t)
+    _, adj, _, _ = graph_bitsets(n, t)
     size = len(verts)
     best = (0, 0)
 
@@ -709,7 +709,7 @@ def maximum_sets(n: int, t: int = 2) -> list[tuple[tuple[int, ...], ...]]:
     if n > NAIVE_CAP:
         raise ValueError(f"exhaustive listing capped at n <= {NAIVE_CAP}")
     verts = list(all_perms(n))
-    _, adj, _ = graph_bitsets(n, t)
+    _, adj, _, _ = graph_bitsets(n, t)
     size = len(verts)
     best_size = max_independent_set(n, t).independence_number
     found: list[int] = []
@@ -755,9 +755,10 @@ def relabel_graph_independence_number(n: int, t: int, relabel: tuple[int, ...]) 
     for i, v in enumerate(relabel, start=1):
         inv[v - 1] = i
     conj = [tuple(relabel[s[inv[i - 1] - 1] - 1] for i in range(1, n + 1)) for s in verts]
-    adj, words = _adjacency_bitsets(agreement_matrix(conj, t))
+    graph = agreement_matrix(conj, t)
+    adj, words = _adjacency_bitsets(graph)
     # forcing one vertex is sound on any labelling of a vertex-transitive graph
-    result = _solve(np.array(verts), adj, words, t, node_budget=None)
+    result = _solve(np.array(verts), adj, words, graph, t, node_budget=None)
     return result.independence_number
 
 

@@ -72,7 +72,7 @@ def test_compose_applies_right_argument_first():
 
 
 def test_compose_degree_mismatch():
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DegreeMismatchError, match="degrees differ: 3 vs 4"):
         compose(identity(3), identity(4))
 
 

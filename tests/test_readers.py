@@ -34,8 +34,9 @@ them, and no other package function hands an argument of its own to
 instead of landing.
 
 Every check (``raise ArithmeticError`` or ``LPError``) and every refusal
-(``raise ValueError``) in the package is named by a string of a test, so a
-check that no test makes fire cannot become ``pass`` unnoticed."""
+(``raise ValueError``), or raise of a package subclass of one of them, in
+the package is named by a string of a test, so a check that no test makes
+fire cannot become ``pass`` unnoticed."""
 
 import argparse
 import ast
@@ -316,7 +317,7 @@ def test_every_cli_option_is_set_by_a_readme_command_or_a_benchmark_step():
     assert parser_options() - set_options() == set(ALLOWED_UNSET_OPTIONS)
 
 
-RAISED = {"ArithmeticError", "LPError", "ValueError"}
+RAISED = {"ArithmeticError", "ValueError"}
 # a string names a message when it covers this many characters of the
 # message's own text, or all of it when the text is shorter
 NAMING_LENGTH = 12
@@ -324,17 +325,33 @@ NAMING_LENGTH = 12
 Message = tuple[str | None, ...]
 
 
-def raise_sites(source: str) -> list[tuple[int, Message]]:
-    """(line, message) of each ``raise`` of an ArithmeticError, LPError or
-    ValueError in ``source``; a message is its text parts, with None for
-    each f-string field.  A message that is not a literal fails here."""
+def raised_classes(sources: dict[str, str]) -> set[str]:
+    """RAISED and every class of the ``sources`` (module name -> text) that
+    subclasses one of them, at any depth, by its ``class X(Base)``
+    statement."""
+    bases = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for text in sources.values()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = set(RAISED)
+    while grown := {name for name, names in bases.items() if names & raised} - raised:
+        raised |= grown
+    return raised
+
+
+def raise_sites(source: str, raised: set[str]) -> list[tuple[int, Message]]:
+    """(line, message) of each ``raise`` of a class of ``raised`` in
+    ``source``; a message is its text parts, with None for each f-string
+    field.  A message that is not a literal fails here."""
     sites = []
     for node in ast.walk(ast.parse(source)):
         if (
             isinstance(node, ast.Raise)
             and isinstance(node.exc, ast.Call)
             and isinstance(node.exc.func, ast.Name)
-            and node.exc.func.id in RAISED
+            and node.exc.func.id in raised
         ):
             message = node.exc.args[0]
             assert isinstance(message, (ast.Constant, ast.JoinedStr)), ast.unparse(node)
@@ -395,10 +412,13 @@ def named_messages(strings: set[str], messages: set[Message]) -> set[Message]:
 
 def unnamed_sites(sources: dict[str, str], strings: set[str]) -> list[str]:
     """"module:line message" of each raise site of the ``sources`` (module
-    name -> text) whose message no string names, fields shown as {}; fails
-    when the sources hold no site at all, where the lint would pass
-    vacuously."""
-    sites = [(m, line, msg) for m, text in sources.items() for line, msg in raise_sites(text)]
+    name -> text) whose message no string names, fields shown as {}; a
+    site raises a class of ``raised_classes(sources)``.  Fails when the
+    sources hold no site at all, where the lint would pass vacuously."""
+    raised = raised_classes(sources)
+    sites = [
+        (m, line, msg) for m, text in sources.items() for line, msg in raise_sites(text, raised)
+    ]
     assert sites, "no raise site found"
     named = named_messages(strings, {msg for _, _, msg in sites})
     return [
@@ -427,6 +447,7 @@ def strings_of_the_tests() -> set[str]:
 
 def test_every_check_and_refusal_is_named_by_a_test():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert {"LPError", "DegreeMismatchError"} <= raised_classes(sources)
     assert unnamed_sites(sources, strings_of_the_tests()) == []
 
 
@@ -436,17 +457,32 @@ def check(x):
         raise ValueError("a refusal that no test names")
     if x > 9:
         raise ArithmeticError(f"check of {x} failed beyond repair")
+    if x == 5:
+        raise FiveError("five is refused by a subclass")
+"""
+# a subclass of a subclass, defined in another module
+SYNTHETIC_ERRORS = """
+class RangeError(ValueError):
+    pass
+
+
+class FiveError(RangeError):
+    pass
 """
 
 
 def test_the_naming_lint_reports_only_the_unnamed_site():
     # a field is a wildcard, but a string that fits inside one covers none
     # of the text; 10 characters of it are too few
+    sources = {"synthetic": SYNTHETIC, "errors": SYNTHETIC_ERRORS}
     strings = {"check of 12 failed", "a string that fits in the field", "test names"}
-    assert unnamed_sites({"synthetic": SYNTHETIC}, strings) == [
-        "synthetic:4 a refusal that no test names"
+    assert unnamed_sites(sources, strings) == [
+        "synthetic:4 a refusal that no test names",
+        "synthetic:8 five is refused by a subclass",
     ]
     strings.add("refusal that no")
-    assert unnamed_sites({"synthetic": SYNTHETIC}, strings) == []
+    assert unnamed_sites(sources, strings) == ["synthetic:8 five is refused by a subclass"]
+    strings.add("refused by a subclass")
+    assert unnamed_sites(sources, strings) == []
     with pytest.raises(AssertionError, match="no raise site found"):
         unnamed_sites({"empty": "def check(x):\n    return x\n"}, strings)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -29,7 +30,7 @@ from snspectra.search import (
 
 
 def test_gamma3_is_k33():
-    verts, adj, _ = graph_bitsets(3, 2)
+    verts, adj, _, _ = graph_bitsets(3, 2)
     assert len(verts) == 6
     assert all(mask.bit_count() == 3 for mask in adj)
     result = max_independent_set(3, 2)
@@ -57,7 +58,7 @@ def test_empty_graph_t_equals_n():
 
 def _oracle_result(n, t, force, budget=None):
     """The oracle's recursive search on the lex-ordered graph, as a result."""
-    verts, adj, _ = graph_bitsets(n, t)
+    verts, adj, _, _ = graph_bitsets(n, t)
     size, nodes, mask, exhausted = recursive_search(adj, force_identity=force, node_budget=budget)
     witness = tuple(tuple(map(int, verts[i])) for i in range(len(verts)) if mask >> i & 1)
     return SearchResult(
@@ -112,7 +113,7 @@ def test_independence_number_n6():
 @pytest.mark.parametrize("t,alpha,tree", [(2, 48, 99_591), (5, 360, 109_903)])
 def test_search_keeps_the_recursive_tree_at_n6(t, alpha, tree):
     # the full trees, against the recursive bottom-up scan
-    verts, adj, _ = graph_bitsets(6, t)
+    verts, adj, _, _ = graph_bitsets(6, t)
     size, nodes, mask, exhausted = recursive_search(adj, force_identity=True, node_budget=None)
     result = max_independent_set(6, t)
     assert (size, nodes, exhausted) == (alpha, tree, True)
@@ -153,7 +154,7 @@ def _mirror(mask, size):
 def test_mirror_is_an_automorphism(n, t):
     # lex index size-1-b is w0 times vertex b, and left multiplication by
     # w0 = (n, ..., 1) keeps agreement counts; the top-down search rests on it
-    _, adj, _ = graph_bitsets(n, t)
+    _, adj, _, _ = graph_bitsets(n, t)
     size = len(adj)
     assert all(adj[size - 1 - b] == _mirror(adj[b], size) for b in range(size))
 
@@ -167,7 +168,7 @@ def _cover_tables(adj):
 def test_clique_cover_early_exit_keeps_every_prune_decision(n):
     # the cover runs from the top bit down, the bottom-up oracle on the
     # mirrored pool
-    _, adj, _ = graph_bitsets(n, 2)
+    _, adj, _, _ = graph_bitsets(n, 2)
     adj1, bits1 = _cover_tables(adj)
     rng = random.Random(n)
     for _ in range(40):
@@ -183,19 +184,48 @@ def test_clique_cover_early_exit_keeps_every_prune_decision(n):
             assert all(b & a == b for a, b in itertools.pairwise(chain))
 
 
+def _full_cover(pool, adj1, bits1):
+    """Every snapshot of the greedy cover of ``pool`` from scratch, then
+    its final rest, 0."""
+    snapshots = []
+    search._greedy_clique_cover(pool, 0, snapshots, adj1, bits1, len(adj1))
+    return [*snapshots, 0]
+
+
+def _resume_cases(snapshots, rest, cliques, bit, pool, child, state):
+    """What a resume from the parent's cover (``snapshots``, ``rest``,
+    ``cliques``) of ``pool`` met, read off the cover: the vertex past its
+    parent's stop, or the snapshot of its clique stale (holding vertices
+    that left before the parent) or empty in the child, and whether the
+    resumed ``state`` rejoined the parent's."""
+    if rest & bit:
+        return {"stopped before the vertex"}
+    start = next(s for s in reversed(snapshots) if s & bit)
+    cases = {"rejoined" if state == (rest, cliques) else "regrown"}
+    if start & ~pool:
+        cases.add("stale snapshot")
+    if not start & child:
+        cases.add("empty regrow start")
+    return cases
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_resumed_exclude_child_keeps_the_prune_decision_and_branch_vertex(n):
-    # the exclude child of a branching node resumes its parent's cover and
-    # degrees; at the parent's room, at a room raised by an include subtree
-    # that found a larger set, and at the room one less of an include child
-    # that resumes when the branch vertex has no candidate neighbour, its
-    # prune decision is the one of a cover from scratch, and its branch
-    # vertex that of the scan
-    _, adj, words = graph_bitsets(n, 2)
+    # down chains of exclude children, each resuming its parent's cover and
+    # degrees, so later snapshots are inherited stale: at the parent's room,
+    # at a room raised by an include subtree that found a larger set, and at
+    # the room one less of an include child that resumes when the branch
+    # vertex has no candidate neighbour, the resumed or rejoined cover makes
+    # the prune decision of a cover from scratch, and its snapshots,
+    # restricted to the child's pool, are that cover's first ones; the
+    # branch vertex is that of the scan.  The resume holds for any vertex
+    # dropped, so the vertex of a last clique of one vertex is dropped too,
+    # which leaves the regrow nothing to start from
+    _, adj, words, graph = graph_bitsets(n, 2)
     size = len(adj)
     adj1, bits1 = _cover_tables(adj)
     rng = random.Random(200 + n)
-    resumed_mid_cover = stopped_before = 0
+    reached = collections.Counter()
     for _ in range(60):
         density = rng.random()
         pool = sum(1 << v for v in range(size) if rng.random() < density)
@@ -207,26 +237,71 @@ def test_resumed_exclude_child_keeps_the_prune_decision_and_branch_vertex(n):
         rest, cliques = search._greedy_clique_cover(pool, 0, snapshots, adj1, bits1, room)
         assert cliques > room
         degrees = search._pool_degrees(pool, words)
-        v = search._branch_vertex(degrees)
-        child = pool ^ (1 << v)
-        if rest >> v & 1:
-            stopped_before += 1
-        else:
-            resumed_mid_cover += 1
-        scratch = greedy_clique_count(_mirror(child, size), adj)
-        for child_room in range(max(room - 1, 0), room + 4):
-            kept = list(snapshots)
-            start = search._resume_cover(kept, rest, cliques, 1 << v, child)
-            _, count = search._greedy_clique_cover(*start, kept, adj1, bits1, child_room)
-            assert (count <= child_room) == (scratch <= child_room)
-        search._drop_vertex(degrees, words, v)
-        # outside the pool only the sign counts
-        incremental = [max(d, -1) for d in degrees.tolist()]
-        assert incremental == search._pool_degrees(child, words).tolist()
-        if child:
-            mirrored = branch_vertex_by_scan(_mirror(child, size), adj)
+        for _ in range(12):
+            if cliques <= room or pool.bit_count() < 2:
+                break
+            v = search._branch_vertex(degrees)
+            last = _full_cover(pool, adj1, bits1)[-2]
+            for u in {v, last.bit_length() - 1} if last.bit_count() == 1 else {v}:
+                child = pool ^ (1 << u)
+                scratch = _full_cover(child, adj1, bits1)
+                assert len(scratch) - 1 == greedy_clique_count(_mirror(child, size), adj)
+                for child_room in range(max(room - 1, 0), room + 4):
+                    kept = list(snapshots)
+                    state = search._resume_cover(kept, rest, cliques, 1 << u, child, adj1, bits1)
+                    reached.update(
+                        _resume_cases(snapshots, rest, cliques, 1 << u, pool, child, state)
+                    )
+                    state = search._greedy_clique_cover(*state, kept, adj1, bits1, child_room)
+                    count = state[1]
+                    assert (count <= child_room) == (len(scratch) - 1 <= child_room)
+                    assert [s & child for s in kept] + [state[0]] == scratch[: count + 1]
+                    if (u, child_room) == (v, room):
+                        resumed = kept, *state
+            # the exclude child, at its parent's room, is the next parent
+            snapshots, rest, cliques = resumed
+            search._drop_vertex(degrees, graph, v)
+            pool ^= 1 << v
+            # outside the pool only the sign counts
+            incremental = [max(d, -1) for d in degrees.tolist()]
+            assert incremental == search._pool_degrees(pool, words).tolist()
+            mirrored = branch_vertex_by_scan(_mirror(pool, size), adj)
             assert search._branch_vertex(degrees) == size - 1 - mirrored
-    assert resumed_mid_cover and stopped_before
+    assert set(reached) == {
+        "stopped before the vertex",
+        "rejoined",
+        "regrown",
+        "stale snapshot",
+        "empty regrow start",
+    }, reached
+
+
+@pytest.mark.parametrize(
+    "n,nodes,rejoins,cliques",
+    [(5, 1189, 169, 6_437), pytest.param(6, 99_591, 15_236, 2_197_264, marks=pytest.mark.slow)],
+)
+def test_resumed_covers_rejoin_their_parents(monkeypatch, n, nodes, rejoins, cliques):
+    # a resumed cover that regrows the clique of the branch vertex into the
+    # parent's next snapshot takes every later clique from the parent; from
+    # the clique of the vertex on, every clique was regrown: 7,185 at
+    # (5, 2) and 2,525,180 at (6, 2)
+    grown = [0, 0]
+    cover, resume = search._greedy_clique_cover, search._resume_cover
+
+    def counted_cover(rest, count, *args):
+        state = cover(rest, count, *args)
+        grown[0] += state[1] - count
+        return state
+
+    def counted_resume(snapshots, rest, count, bit, *args):
+        state = resume(snapshots, rest, count, bit, *args)
+        grown[1] += not rest & bit and state == (rest, count)
+        return state
+
+    monkeypatch.setattr(search, "_greedy_clique_cover", counted_cover)
+    monkeypatch.setattr(search, "_resume_cover", counted_resume)
+    result = max_independent_set(n, 2)
+    assert (result.nodes, grown[1], grown[0]) == (nodes, rejoins, cliques)
 
 
 def _oracle_cases():
@@ -262,7 +337,7 @@ def test_search_keeps_the_recursive_tree(n, t, force, budget):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_branch_vertex_matches_the_scan(n):
-    _, adj, words = graph_bitsets(n, 2)
+    _, adj, words, _ = graph_bitsets(n, 2)
     rng = random.Random(100 + n)
     for _ in range(40):
         pool = 0
@@ -435,6 +510,21 @@ def test_the_edgeless_n7_include_chain_builds_its_degrees_once(monkeypatch):
         5_040,
         True,
     )
+
+
+def test_the_node_loop_unpacks_no_adjacency_row(monkeypatch):
+    # each count of degrees from scratch unpacks its pool, and nothing else
+    # is unpacked: an exclude child subtracts the boolean row of its branch
+    # vertex, where it used to unpack that row from the words
+    pools, unpacked = [], []
+    pool_degrees, unpackbits = search._pool_degrees, search.np.unpackbits
+    monkeypatch.setattr(search, "_pool_degrees", lambda *a: pools.append(a[0]) or pool_degrees(*a))
+    monkeypatch.setattr(
+        search.np, "unpackbits", lambda a, **k: unpacked.append(a.tobytes()) or unpackbits(a, **k)
+    )
+    result = max_independent_set(5, 2)
+    assert (result.nodes, len(pools)) == (1189, 151)
+    assert unpacked == [pool.to_bytes(len(unpacked[0]), "little") for pool in pools]
 
 
 def test_budgeted_search_passes_verification():

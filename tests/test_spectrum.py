@@ -277,8 +277,9 @@ def test_builder_matches_direct_agreement_count(n):
         assert graph.dtype == bool
         assert np.array_equal(graph, agreement_matrix(verts, t)), t
         assert np.array_equal(graph, generator_rank_graph(n, t)), t
-        rows, adj, words = graph_bitsets(n, t)
+        rows, adj, words, kept = graph_bitsets(n, t)
         assert rows.tolist() == [list(v) for v in verts], t
+        assert kept.dtype == bool and np.array_equal(kept, graph), t
         assert adj == agreement_bitsets(verts, t), t
         assert words.dtype == np.dtype("<u8"), t
         assert words.shape == (len(verts), -(-len(verts) // 64)), t
