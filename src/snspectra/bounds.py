@@ -30,7 +30,7 @@ def hoffman_bound(d: int, lam_min: int, nverts: int) -> Fraction:
     if lam_min >= 0:
         raise ValueError(f"bound needs a negative least eigenvalue, got {lam_min}")
     if d <= 0:
-        raise ValueError("degree must be positive")
+        raise ValueError("Hoffman bound: degree must be positive")
     return Fraction(-lam_min, d - lam_min) * nverts
 
 
@@ -40,7 +40,7 @@ def cross_hoffman_bound(d: int, nu: int, nverts: int) -> Fraction:
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     if d <= 0:
-        raise ValueError("degree must be positive")
+        raise ValueError("cross-independence bound: degree must be positive")
     return Fraction(nu, d + nu) * nverts
 
 

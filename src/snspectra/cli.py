@@ -19,7 +19,7 @@ import math
 import sys
 
 from . import reports
-from .families import FAMILIES, PAIRWISE_CAP
+from .families import FAMILIES, GRAPH_CAP, PAIRWISE_CAP
 from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP
 
 
@@ -69,7 +69,7 @@ def chartable(args: argparse.Namespace) -> dict | str:
 
 
 def spectrum(args: argparse.Namespace) -> dict:
-    from .spectrum import GRAPH_CAP, SPECTRUM_CAP
+    from .spectrum import SPECTRUM_CAP
 
     if args.n < 3:
         raise ValueError(
@@ -107,7 +107,7 @@ def families(args: argparse.Namespace) -> dict | str:
     _cap(f"family {name}: n is", n, ROW_DEGREE_CAP, "ROW_DEGREE_CAP, the int8 row limit")
     free = n - spec.pinned(t)
     if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+        raise ValueError(f"family {name}: need 1 <= t <= n, got t={t}, n={n}")
     if free < spec.min_free:
         raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
     _cap(f"family {name}: unpinned points are", free, ENUMERATION_CAP, "ENUMERATION_CAP")
@@ -121,7 +121,6 @@ def families(args: argparse.Namespace) -> dict | str:
 
 def search(args: argparse.Namespace) -> dict:
     from .search import DEFAULT_NODE_BUDGET, EXHAUSTIVE_CAP, EXHAUSTIVE_CAP_SLOW_T
-    from .spectrum import GRAPH_CAP
 
     n = args.n
     budget = None if args.exact or n < EXHAUSTIVE_CAP else DEFAULT_NODE_BUDGET

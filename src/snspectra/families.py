@@ -1,7 +1,7 @@
 """Named extremal families of permutations: ``Family``, the package's one
 check of permutation rows (bounds and the search certificate take their
-rows through it), the constructors, exact size formulas, and the pairwise
-independence check.
+rows through it), the constructors, exact size formulas, the pairwise
+independence check and its agreement counts, and the explicit graph.
 
 Throughout, "fixed points >= k" means fixed points that are *elements* at
 least k (so (1 2)(5 6) has the fixed points 3 and 4 below 5 and none above).
@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .lazy import np
 from .perms import ROW_DEGREE_CAP, derangement_count, identity, perm_rows
 
 PAIRWISE_CAP = 12000
 AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
+GRAPH_CAP = 7  # the largest degree of an explicit n! x n! graph
 
 
 class Family:
@@ -114,7 +115,7 @@ def family_B(n: int) -> Family:
     differs from one (that is, G_4), together with the four block-swap
     elements."""
     if n < 7:
-        raise ValueError("need n >= 7")
+        raise ValueError("family B is defined for n >= 7")
     return Family(n, "B", np.concatenate([_stabilizer_part(4, n, False), hilton_milner_tail(n)]))
 
 
@@ -131,7 +132,7 @@ F_RULES = {1: (3, 1), 2: (4, 0), 3: (4, 1), 4: (5, 1)}
 def _stabilizer_part(j: int, n: int, in_f: bool) -> np.ndarray:
     """The permutations fixing 1 and 2 that lie in F_j (``in_f``) or not."""
     if j not in F_RULES:
-        raise ValueError(f"j must be 1..4, got {j}")
+        raise ValueError(f"families F_j and G_j: j must be 1..4, got {j}")
     low, count = F_RULES[j]
     rows = perm_rows(n, [(1, 1), (2, 2)])
     fixed = (rows[:, low - 1 :] == np.arange(low, n + 1)).sum(axis=1)
@@ -143,7 +144,7 @@ def family_F(j: int, n: int) -> Family:
     knocks out, in the four translation cases: exactly one fixed point >= 3
     (j=1); none >= 4 (j=2); exactly one >= 4 (j=3); exactly one >= 5 (j=4)."""
     if n < 7:
-        raise ValueError("need n >= 7")
+        raise ValueError(f"family F{j} is defined for n >= 7")
     return Family(n, f"F{j}", _stabilizer_part(j, n, True))
 
 
@@ -157,7 +158,7 @@ def family_F_size_formula(j: int, n: int) -> int:
         return (n - 3) * (d(n - 3) + d(n - 4))
     if j == 4:
         return (n - 4) * (d(n - 3) + 2 * d(n - 4) + d(n - 5))
-    raise ValueError(f"j must be 1..4, got {j}")
+    raise ValueError(f"size formula of F_j: j must be 1..4, got {j}")
 
 
 def family_G(j: int, n: int) -> Family:
@@ -227,7 +228,7 @@ FAMILIES: dict[str, FamilySpec] = {
 
 
 # ---------------------------------------------------------------------------
-# Pairwise independence.
+# Pairwise independence, agreement counts and the explicit graph.
 
 
 class VerificationResult(NamedTuple):
@@ -248,7 +249,7 @@ def verify(family: Family, t: int) -> VerificationResult:
     ``checked_pairs`` stays C(|A|, 2): every pair is covered, by a comparison
     or by that argument."""
     if not 1 <= t <= family.n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={family.n}")
+        raise ValueError(f"independence check: need 1 <= t <= n, got t={t}, n={family.n}")
     if len(family) > PAIRWISE_CAP:
         raise ValueError(f"family too large for pairwise scan: {len(family)}")
     witness = _first_agreeing_pair(family.members, t)
@@ -285,3 +286,30 @@ def _first_agreeing_pair(rows: np.ndarray, t: int) -> tuple[tuple[int, ...], ...
             i, j = np.argwhere(hits)[0]
             return tuple(rows[start + i].tolist()), tuple(rows[later + j].tolist())
     return None
+
+
+def agreement_blocks(rows: np.ndarray, against: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, counts) for each block of AGREEMENT_BLOCK rows from ``start``:
+    the ``agreement_counts`` of ``rows[start : start + AGREEMENT_BLOCK]``
+    against every row of ``against``."""
+    for start in range(0, len(rows), AGREEMENT_BLOCK):
+        yield start, agreement_counts(rows[start : start + AGREEMENT_BLOCK], against)
+
+
+def agreement_graph(n: int, t: int) -> np.ndarray:
+    """The n! x n! boolean adjacency matrix, vertices in lexicographic
+    order, of the graph joining permutations that agree on exactly t-1
+    points: ``agreement_counts == t - 1``, the package's one definition of
+    an edge.  At t = n it has no edges, as no two permutations agree on
+    exactly n-1 points, and nothing is counted."""
+    if n > GRAPH_CAP:
+        raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
+    if not 1 <= t <= n:
+        raise ValueError(f"agreement graph: need 1 <= t <= n, got t={t}, n={n}")
+    if t == n:
+        return np.zeros((math.factorial(n),) * 2, dtype=bool)
+    verts = perm_rows(n)
+    graph = np.empty((len(verts), len(verts)), dtype=bool)
+    for start, counts in agreement_blocks(verts, verts):
+        np.equal(counts, t - 1, out=graph[start : start + AGREEMENT_BLOCK])
+    return graph

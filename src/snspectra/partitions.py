@@ -54,7 +54,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     ((3,), (2, 1), (1, 1, 1))
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError("partitions of n: n must be nonnegative")
     if n == 0:
         return ((),)
 
@@ -81,7 +81,7 @@ def dimension(alpha: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _dimension(alpha: Partition) -> int:
     if not _ordered(alpha):
-        raise ValueError(f"not a partition: {alpha!r}")
+        raise ValueError(f"dimension: {alpha!r} is not a partition")
     # heights[j] is the height of column j, counted from the bottom row up
     heights: list[int] = []
     for i in range(len(alpha) - 1, -1, -1):

@@ -24,10 +24,6 @@ ROW_DEGREE_CAP = 127
 ENUMERATION_CAP = 10
 
 
-class DegreeMismatchError(ValueError):
-    """Two permutations of different degree were combined."""
-
-
 def identity(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1))
 
@@ -35,7 +31,7 @@ def identity(n: int) -> tuple[int, ...]:
 def compose(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
     """Composition s∘t, i.e. apply t first: (s∘t)(i) = s(t(i))."""
     if len(s) != len(t):
-        raise DegreeMismatchError(f"degrees differ: {len(s)} vs {len(t)}")
+        raise ValueError(f"degrees differ: {len(s)} vs {len(t)}")
     return tuple(s[j - 1] for j in t)
 
 
@@ -92,7 +88,7 @@ def derangement_count(n: int) -> int:
     """d_n by the recurrence d_m = m d_{m-1} + (-1)^m from d_0 = 1, which
     gives d_1 = 0."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError("derangement count: n must be nonnegative")
     d = 1
     for m in range(1, n + 1):
         d = m * d + (-1 if m & 1 else 1)

@@ -38,10 +38,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .families import AGREEMENT_BLOCK, Family, agreement_counts, verify
+from .families import Family, agreement_blocks, agreement_graph, verify
 from .lazy import np
 from .perms import perm_rows
-from .spectrum import agreement_graph, generating_classes
 
 
 def graph_bitsets(n: int, t: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray]:
@@ -174,8 +173,10 @@ def _spectral_upper_bound(n: int, t: int) -> int:
     than the plain Hoffman bound (uniform weights are feasible for its LP);
     an optimum that fails its certificate raises LPError.  At t = n no class
     has t-1 fixed points, the graph has no edges and no eigenvalue bound
-    applies, so the bound is the vertex count n!.  The LP module is imported
-    here, so that a search that exhausts its tree never loads it."""
+    applies, so the bound is the vertex count n!.  The character route and
+    the LP module are imported here, so that a search that exhausts its tree
+    never loads them."""
+    from .spectrum import generating_classes
     from .weightopt import optimize_bound
 
     if not generating_classes(n, t):
@@ -335,9 +336,7 @@ def verify_certificate(result: SearchResult) -> bool:
     if not result.exact:
         return True
     # every vertex is a member (n agreements) or a neighbour of one
-    verts = perm_rows(result.n)
-    for start in range(0, len(verts), AGREEMENT_BLOCK):
-        counts = agreement_counts(verts[start : start + AGREEMENT_BLOCK], witness.members)
-        if not ((counts == result.n) | (counts == result.t - 1)).any(axis=1).all():
-            return False
-    return True
+    return all(
+        ((counts == result.n) | (counts == result.t - 1)).any(axis=1).all()
+        for _, counts in agreement_blocks(perm_rows(result.n), witness.members)
+    )

@@ -28,14 +28,14 @@ four exact checks hold:
 
 together with the trace identity sum f^2 lambda^2 = n! * degree.
 
-``agreement_graph`` builds the explicit graph from agreement counts, the one
-definition of an edge; ``brute_force_spectrum``, the independent oracle,
-diagonalizes it numerically, rounds, and then *proves* the rounded multiset
-exact.  The graph is a Cayley graph, so A commutes with left translation;
-once that is checked, the column of the identity stands for the whole
-matrix: (a) prod(A - lambda I) vanishes on it, modulo enough primes to cover
-the entry bound, and (b) its closed-walk counts give the exact power traces,
-and each multiplicity is the trace of its spectral idempotent
+``brute_force_spectrum``, the independent oracle, diagonalizes the explicit
+graph numerically (``families.agreement_graph``, the one definition of an
+edge), rounds, and then *proves* the rounded multiset exact.  The graph is
+a Cayley graph, so A commutes with left translation; once that is checked,
+the column of the identity stands for the whole matrix: (a) prod(A - lambda
+I) vanishes on it, modulo enough primes to cover the entry bound, and (b)
+its closed-walk counts give the exact power traces, and each multiplicity
+is the trace of its spectral idempotent
 prod_{mu != lambda} (A - mu I) / (lambda - mu), a combination of those traces.
 """
 
@@ -47,7 +47,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .characters import CycleType, class_size, mn_character
-from .families import AGREEMENT_BLOCK, agreement_counts
 from .lazy import np
 from .partitions import Partition, dimension, partitions_of
 from .perms import derangement_count, perm_rows
@@ -69,7 +68,7 @@ def generating_classes(n: int, t: int) -> Classes:
     if n < 2:
         raise ValueError("need n >= 2")
     if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}")
+        raise ValueError(f"generating classes: need 1 <= t <= n, got t={t}")
     return tuple((c, class_size(c)) for c in partitions_of(n) if c.count(1) == t - 1)
 
 
@@ -116,7 +115,7 @@ def eigenvalue(alpha: Partition, t: int) -> int:
     the skew tableau count f^{alpha/(m)} is an integer."""
     n = sum(alpha)
     if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}")
+        raise ValueError(f"eigenvalue: need 1 <= t <= n, got t={t}")
     k = t - 1
     f = dimension(alpha)
     total = 0
@@ -281,29 +280,6 @@ def closed_form_eigenvalue(row: str, n: int) -> int:
 # ---------------------------------------------------------------------------
 # The explicit graph, and the brute-force oracle with exactness certificate.
 
-GRAPH_CAP = 7
-
-
-def agreement_graph(n: int, t: int) -> np.ndarray:
-    """The n! x n! boolean adjacency matrix, vertices in lexicographic
-    order, of the graph joining permutations that agree on exactly t-1
-    points: ``agreement_counts == t - 1``, AGREEMENT_BLOCK rows at a time.
-    At t = n it has no edges, as no two permutations agree on exactly n-1
-    points (``generating_classes`` is empty), and nothing is counted."""
-    if n > GRAPH_CAP:
-        raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
-    if not 1 <= t <= n:
-        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
-    if t == n:
-        return np.zeros((math.factorial(n),) * 2, dtype=bool)
-    verts = perm_rows(n)
-    graph = np.empty((len(verts), len(verts)), dtype=bool)
-    for start in range(0, len(verts), AGREEMENT_BLOCK):
-        stop = start + AGREEMENT_BLOCK
-        np.equal(agreement_counts(verts[start:stop], verts), t - 1, out=graph[start:stop])
-    return graph
-
-
 def _is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -384,6 +360,8 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
     integer quotient, with one extra moment as a check.  A failed check
     raises ``ArithmeticError``.
     """
+    from .families import agreement_graph
+
     adj = agreement_graph(n, t)
     if not _left_translation_invariant(adj, n):
         raise ArithmeticError("adjacency does not commute with left translation")

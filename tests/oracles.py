@@ -30,7 +30,7 @@ production routes against.  None of them is used by the package itself.
 * agreement-graph adjacency by direct agreement counting, and by ranking
   g∘s over the generators s with t-1 fixed points (``generator_rank_graph``,
   the one construction that counts no agreements), the oracles for
-  ``spectrum.agreement_graph``;
+  ``families.agreement_graph``;
 * unpruned independent-set scans and a relabelled search, the oracles for
   the branch-and-bound; the recursive branch-and-bound with a pure-Python
   degree scan, the oracle for the tree, node count and witness of the
@@ -88,7 +88,6 @@ from snspectra.partitions import (
 )
 from snspectra.perms import (
     ENUMERATION_CAP,
-    DegreeMismatchError,
     compose,
     derangement_count,
     inverse,
@@ -165,7 +164,7 @@ def agree_count(s: Sequence[int], t: Sequence[int]) -> int:
     Equals the number of fixed points of ``inverse(t) ∘ s``.
     """
     if len(s) != len(t):
-        raise DegreeMismatchError(f"degrees differ: {len(s)} vs {len(t)}")
+        raise ValueError(f"degrees differ: {len(s)} vs {len(t)}")
     return sum(a == b for a, b in zip(s, t))
 
 

@@ -48,8 +48,9 @@ LOADS = {
     "hoffman --n 6 --t 2": BOUNDS,
     "spectrum --n 6 --t 2": SPECTRUM,
     "wopt --n 6 --t 2": BOUNDS | {"weightopt"},
-    # the tree is exhausted, so no weighted bound and no LP is needed
-    "search --n 4 --t 2 --exact": SPECTRUM | {"search"},
+    # the tree is exhausted, so no weighted bound, no character route and no
+    # LP is needed
+    "search --n 4 --t 2 --exact": START | {"search"},
     "spectrum --n 4 --t 2 --verify": SPECTRUM,
 }
 

@@ -45,6 +45,8 @@ def test_partitions_of_small():
     assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
     assert len(partitions_of(5)) == 7
     assert len(partitions_of(10)) == 42
+    with pytest.raises(ValueError, match="partitions of n: n must be nonnegative"):
+        partitions_of(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -119,7 +121,7 @@ def test_a_hook_product_that_does_not_divide_n_factorial_is_refused(monkeypatch)
 
 @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, -1), (0,)])
 def test_dimension_refuses_parts_out_of_order_or_not_positive(parts):
-    with pytest.raises(ValueError, match="not a partition"):
+    with pytest.raises(ValueError, match=re.escape(f"dimension: {parts!r} is not a partition")):
         dimension(parts)
 
 

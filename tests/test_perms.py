@@ -21,7 +21,6 @@ from oracles import (
     sign,
 )
 from snspectra.perms import (
-    DegreeMismatchError,
     compose,
     derangement_count,
     derangement_counts,
@@ -72,7 +71,7 @@ def test_compose_applies_right_argument_first():
 
 
 def test_compose_degree_mismatch():
-    with pytest.raises(DegreeMismatchError, match="degrees differ: 3 vs 4"):
+    with pytest.raises(ValueError, match="degrees differ: 3 vs 4"):
         compose(identity(3), identity(4))
 
 
@@ -171,6 +170,8 @@ def test_derangement_conventions():
     assert derangement_count(1) == 0
     assert derangement_counts(0).d == 1
     assert derangement_counts(0).e == 1
+    with pytest.raises(ValueError, match="derangement count: n must be nonnegative"):
+        derangement_count(-1)
 
 
 def test_derangement_small_values():

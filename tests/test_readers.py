@@ -36,7 +36,13 @@ instead of landing.
 Every check (``raise ArithmeticError`` or ``LPError``) and every refusal
 (``raise ValueError``), or raise of a package subclass of one of them, in
 the package is named by a string of a test, so a check that no test makes
-fire cannot become ``pass`` unnoticed."""
+fire cannot become ``pass`` unnoticed; and no two functions raise one
+message, so a test that names a message names one function's check.
+
+Agreements are counted in ``families`` alone: no other module names
+``AGREEMENT_BLOCK`` or ``agreement_counts``, ``spectrum`` imports
+``families`` only inside the oracle, and ``search`` imports ``spectrum``
+only for the bound of a search cut short."""
 
 import argparse
 import ast
@@ -247,6 +253,69 @@ def test_no_package_module_imports_a_private_name():
     assert private_imports() == []
 
 
+# the names of the blocked agreement scan, which only ``families`` holds
+AGREEMENT_NAMES = {"AGREEMENT_BLOCK", "agreement_counts"}
+# (module, package module it imports only inside the functions that need it)
+DEFERRED_IMPORTS = (("spectrum", "families"), ("search", "spectrum"))
+
+
+def _imported(node: ast.AST) -> set[str]:
+    """The package modules that an import statement imports from."""
+    if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("snspectra")):
+        home = (node.module or "").removeprefix("snspectra").lstrip(".")
+        return {home} if home else {a.name for a in node.names}
+    if isinstance(node, ast.Import):
+        return {a.name.removeprefix("snspectra.") for a in node.names}
+    return set()
+
+
+def agreement_breaches(trees: dict[str, ast.Module]) -> list[str]:
+    """"module:line ..." of each name of AGREEMENT_NAMES outside
+    ``families``, and of each module-level import of DEFERRED_IMPORTS: the
+    explicit graph and every whole-set agreement scan are built in
+    ``families``, so the character route needs no agreement counting and an
+    exhausted search loads no character route."""
+    found = []
+    for module, tree in trees.items():
+        if module == "families":
+            continue
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.add(node.name)
+            found += [f"{module}:{node.lineno} names {name}" for name in names & AGREEMENT_NAMES]
+    for module, home in DEFERRED_IMPORTS:
+        found += [
+            f"{module}:{node.lineno} imports {home} at module level"
+            for node in trees[module].body
+            if home in _imported(node)
+        ]
+    return found
+
+
+def test_only_families_counts_agreements():
+    assert agreement_breaches(TREES) == []
+
+
+def test_the_agreement_lint_reports_each_breach():
+    trees = {
+        "families": ast.parse("AGREEMENT_BLOCK = 512\nagreement_counts = None\n"),
+        "spectrum": ast.parse("from .families import agreement_counts\n"),
+        "search": ast.parse(
+            "from . import spectrum\n"
+            "def bound(n):\n"
+            "    from .spectrum import generating_classes\n"
+            "    return families.AGREEMENT_BLOCK\n"
+        ),
+    }
+    assert agreement_breaches(trees) == [
+        "spectrum:1 names agreement_counts",
+        "search:4 names AGREEMENT_BLOCK",
+        "spectrum:1 imports families at module level",
+        "search:1 imports spectrum at module level",
+    ]
+
+
 def _functions(tree: ast.Module):
     """(qualified name, node) of each top-level function and method."""
     for node in tree.body:
@@ -341,12 +410,15 @@ def raised_classes(sources: dict[str, str]) -> set[str]:
     return raised
 
 
-def raise_sites(source: str, raised: set[str]) -> list[tuple[int, Message]]:
-    """(line, message) of each ``raise`` of a class of ``raised`` in
-    ``source``; a message is its text parts, with None for each f-string
-    field.  A message that is not a literal fails here."""
+def raise_sites(source: str, raised: set[str]) -> list[tuple[int, str, Message]]:
+    """(line, function, message) of each ``raise`` of a class of ``raised``
+    in ``source``: the function is the top-level function or method that
+    holds it, or "<module>"; a message is its text parts, with None for
+    each f-string field.  A message that is not a literal fails here."""
+    tree = ast.parse(source)
+    owner = {node: name for name, func in _functions(tree) for node in ast.walk(func)}
     sites = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Raise)
             and isinstance(node.exc, ast.Call)
@@ -357,7 +429,7 @@ def raise_sites(source: str, raised: set[str]) -> list[tuple[int, Message]]:
             assert isinstance(message, (ast.Constant, ast.JoinedStr)), ast.unparse(node)
             parts = message.values if isinstance(message, ast.JoinedStr) else [message]
             text = tuple(p.value if isinstance(p, ast.Constant) else None for p in parts)
-            sites.append((node.lineno, text))
+            sites.append((node.lineno, owner.get(node, "<module>"), text))
     return sorted(sites)
 
 
@@ -410,6 +482,10 @@ def named_messages(strings: set[str], messages: set[Message]) -> set[Message]:
     return named
 
 
+def _shown(message: Message) -> str:
+    return "".join("{}" if part is None else part for part in message)
+
+
 def unnamed_sites(sources: dict[str, str], strings: set[str]) -> list[str]:
     """"module:line message" of each raise site of the ``sources`` (module
     name -> text) whose message no string names, fields shown as {}; a
@@ -417,15 +493,27 @@ def unnamed_sites(sources: dict[str, str], strings: set[str]) -> list[str]:
     sources hold no site at all, where the lint would pass vacuously."""
     raised = raised_classes(sources)
     sites = [
-        (m, line, msg) for m, text in sources.items() for line, msg in raise_sites(text, raised)
+        (m, line, msg) for m, text in sources.items() for line, _, msg in raise_sites(text, raised)
     ]
     assert sites, "no raise site found"
     named = named_messages(strings, {msg for _, _, msg in sites})
-    return [
-        f"{m}:{line} " + "".join("{}" if part is None else part for part in msg)
-        for m, line, msg in sites
-        if msg not in named
-    ]
+    return [f"{m}:{line} {_shown(msg)}" for m, line, msg in sites if msg not in named]
+
+
+def shared_messages(sources: dict[str, str]) -> list[str]:
+    """"message: module.function, ..." for each message that raise sites in
+    more than one function of the ``sources`` share.  A test string names a
+    message, not a site, so a shared message would let one test name every
+    site that raises it; the branches of one check in one function may
+    share theirs."""
+    raised = raised_classes(sources)
+    owners: dict[Message, set[str]] = {}
+    for m, text in sources.items():
+        for _, function, msg in raise_sites(text, raised):
+            owners.setdefault(msg, set()).add(f"{m}.{function}")
+    return sorted(
+        f"{_shown(msg)}: " + ", ".join(sorted(fs)) for msg, fs in owners.items() if len(fs) > 1
+    )
 
 
 def strings_of_the_tests() -> set[str]:
@@ -447,8 +535,13 @@ def strings_of_the_tests() -> set[str]:
 
 def test_every_check_and_refusal_is_named_by_a_test():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert {"LPError", "DegreeMismatchError"} <= raised_classes(sources)
+    assert "LPError" in raised_classes(sources)
     assert unnamed_sites(sources, strings_of_the_tests()) == []
+
+
+def test_no_two_functions_raise_one_message():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert shared_messages(sources) == []
 
 
 SYNTHETIC = """
@@ -486,3 +579,28 @@ def test_the_naming_lint_reports_only_the_unnamed_site():
     assert unnamed_sites(sources, strings) == []
     with pytest.raises(AssertionError, match="no raise site found"):
         unnamed_sites({"empty": "def check(x):\n    return x\n"}, strings)
+
+
+SHARED = """
+class Check:
+    def first(self, x):
+        if x < 0:
+            raise ValueError(f"need x >= 0, got {x}")
+        if x != int(x):
+            raise ValueError(f"need x >= 0, got {x}")
+
+
+def second(x):
+    raise ValueError(f"need x >= 0, got {x}")
+
+
+def third(x):
+    raise ValueError(f"need x >= 1, got {x}")
+"""
+
+
+def test_the_sharing_lint_reports_a_message_of_two_functions():
+    # the two branches of one check may share a message
+    assert shared_messages({"synthetic": SHARED}) == [
+        "need x >= 0, got {}: synthetic.Check.first, synthetic.second"
+    ]

@@ -22,14 +22,13 @@ from oracles import (
     mn_character as tuple_mn_character,
     transpose,
 )
-from snspectra import spectrum
+from snspectra import families, spectrum
+from snspectra.families import GRAPH_CAP, agreement_graph
 from snspectra.partitions import classify, dimension, partitions_of
 from snspectra.perms import derangement_count, derangement_counts
 from snspectra.search import graph_bitsets
 from snspectra.spectrum import (
-    GRAPH_CAP,
     TABLE_ROWS,
-    agreement_graph,
     brute_force_spectrum,
     class_eigenvalues,
     closed_form_eigenvalue,
@@ -45,8 +44,12 @@ def test_generating_set_classwise():
     assert sum(size for _, size in classes) == 6 * derangement_count(5)
     assert all(c.count(1) == 1 for c, _ in classes)
     assert generating_classes(5, 5) == ()
-    for n, t in [(5, 6), (5, 0), (1, 1)]:
-        with pytest.raises(ValueError):
+    for n, t, message in [
+        (5, 6, "generating classes: need 1 <= t <= n, got t=6"),
+        (5, 0, "generating classes: need 1 <= t <= n, got t=0"),
+        (1, 1, "need n >= 2"),
+    ]:
+        with pytest.raises(ValueError, match=message):
             generating_classes(n, t)
     # the classes and their sizes are the cycle types of the generators
     for n in range(2, 7):
@@ -80,7 +83,7 @@ def test_shifted_schur_eigenvalue_equals_the_class_sum_oracle(n):
 
 def test_eigenvalue_refuses_t_outside_1_to_n():
     for t in (0, 5):
-        with pytest.raises(ValueError, match=f"need 1 <= t <= n, got t={t}"):
+        with pytest.raises(ValueError, match=f"eigenvalue: need 1 <= t <= n, got t={t}"):
             eigenvalue((2, 2), t)
 
 
@@ -285,7 +288,8 @@ def test_builder_matches_direct_agreement_count(n):
         assert words.shape == (len(verts), -(-len(verts) // 64)), t
         assert adj == tuple(int.from_bytes(row.tobytes(), "little") for row in words), t
     for t in (0, n + 1):
-        with pytest.raises(ValueError, match=f"need 1 <= t <= n, got t={t}, n={n}"):
+        message = f"agreement graph: need 1 <= t <= n, got t={t}, n={n}"
+        with pytest.raises(ValueError, match=message):
             agreement_graph(n, t)
     with pytest.raises(ValueError, match="explicit graphs capped"):
         agreement_graph(GRAPH_CAP + 1, 2)
@@ -294,7 +298,7 @@ def test_builder_matches_direct_agreement_count(n):
 def test_edgeless_graph_counts_no_agreements(monkeypatch):
     # at t = n no two permutations agree on exactly n-1 points; the 5040 x
     # 5040 counts took 0.3 s to find no edge
-    monkeypatch.setattr(spectrum, "agreement_counts", lambda *a: pytest.fail("counted"))
+    monkeypatch.setattr(families, "agreement_counts", lambda *a: pytest.fail("counted"))
     graph = agreement_graph(7, 7)
     assert graph.shape == (5040, 5040) and graph.dtype == bool
     assert not graph.any()
@@ -362,11 +366,10 @@ def test_oracle_walks_one_krylov_sequence_per_prime(monkeypatch, n, t, products)
     # r products per prime for r distinct eigenvalues: v_k = A^k e_id for
     # k = 0..r gives both the annihilator and the walk counts (68 products
     # at (6, 2) when each prime took one walk for each)
-    graph = spectrum.agreement_graph
     monkeypatch.setattr(_CountedMatrix, "products", 0)
     # astype keeps the subclass, so the float64 copy counts its products
     monkeypatch.setattr(
-        spectrum, "agreement_graph", lambda n, t: graph(n, t).view(_CountedMatrix)
+        families, "agreement_graph", lambda n, t: agreement_graph(n, t).view(_CountedMatrix)
     )
     pairs, cert = brute_force_spectrum(n, t)
     assert pairs == full_spectrum(n, t).multiset()
@@ -388,11 +391,11 @@ def _swap_one_edge_pair(graph):
 
 @pytest.mark.parametrize("n,t", [(4, 2), (5, 2), (5, 3)])
 def test_oracle_refuses_a_graph_that_is_not_cayley(n, t, monkeypatch):
-    graph = spectrum.agreement_graph(n, t)
+    graph = agreement_graph(n, t)
     moved = _swap_one_edge_pair(graph)
     assert np.array_equal(moved, moved.T) and (moved.sum(axis=1) == graph[0].sum()).all()
     assert (moved != graph).sum() == 8
-    monkeypatch.setattr(spectrum, "agreement_graph", lambda n, t: moved)
+    monkeypatch.setattr(families, "agreement_graph", lambda n, t: moved)
     with pytest.raises(ArithmeticError, match="left translation"):
         brute_force_spectrum(n, t)
 
