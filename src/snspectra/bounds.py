@@ -26,12 +26,10 @@ from .spectrum import Spectrum, full_spectrum
 
 def hoffman_bound(d: int, lam_min: int, nverts: int) -> Fraction:
     """Independence bound (-lam_min)/(d - lam_min) * N for a d-regular graph
-    on N vertices with least eigenvalue lam_min < 0."""
+    on N vertices with least eigenvalue lam_min < 0: the cross bound at -lam_min."""
     if lam_min >= 0:
         raise ValueError(f"bound needs a negative least eigenvalue, got {lam_min}")
-    if d <= 0:
-        raise ValueError("Hoffman bound: degree must be positive")
-    return Fraction(-lam_min, d - lam_min) * nverts
+    return cross_hoffman_bound(d, -lam_min, nverts)
 
 
 def cross_hoffman_bound(d: int, nu: int, nverts: int) -> Fraction:
@@ -40,7 +38,7 @@ def cross_hoffman_bound(d: int, nu: int, nverts: int) -> Fraction:
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     if d <= 0:
-        raise ValueError("cross-independence bound: degree must be positive")
+        raise ValueError(f"ratio bound nu/(d + nu) * N: degree d must be positive (got d={d})")
     return Fraction(nu, d + nu) * nverts
 
 

@@ -19,7 +19,8 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
-from .partitions import Partition, check_partition, dimension, integer_parts, partitions_of
+from .partitions import Partition, check_partition, dimension, partitions_of
+from .perms import integer_entries
 
 CycleType = tuple[int, ...]
 
@@ -92,7 +93,7 @@ def mn_character(alpha: Sequence[int], ctype: Sequence[int]) -> int:
     # integer, Fraction) gives its sum that type, so only then are the parts
     # converted; the plain ints of the hot loops skip the conversion.
     if type(sum(alpha)) is not int or type(sum(ctype)) is not int:
-        alpha, ctype = integer_parts(alpha), integer_parts(ctype)
+        alpha, ctype = (integer_entries(p, "partition", "tuple") for p in (alpha, ctype))
     mask, degree = _partition_mask(alpha)
     ctype, ctype_degree = _cycle_type(ctype)
     if degree != ctype_degree:

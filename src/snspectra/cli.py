@@ -20,7 +20,7 @@ import sys
 
 from . import reports
 from .families import FAMILIES, GRAPH_CAP, PAIRWISE_CAP
-from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP
+from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP, check_t
 
 
 def _cap(what: str, value: int, cap: int, by: str) -> None:
@@ -78,6 +78,7 @@ def spectrum(args: argparse.Namespace) -> dict:
     _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
     if args.verify:
         _cap("spectrum --verify: n is", args.n, GRAPH_CAP, "GRAPH_CAP")
+    check_t(args.n, args.t)
     return reports.spectrum_report(args.n, args.t, args.verify)
 
 
@@ -106,8 +107,7 @@ def families(args: argparse.Namespace) -> dict | str:
     name, spec, n, t = args.family, FAMILIES[args.family], args.n, args.t
     _cap(f"family {name}: n is", n, ROW_DEGREE_CAP, "ROW_DEGREE_CAP, the int8 row limit")
     free = n - spec.pinned(t)
-    if not 1 <= t <= n:
-        raise ValueError(f"family {name}: need 1 <= t <= n, got t={t}, n={n}")
+    check_t(n, t)
     if free < spec.min_free:
         raise ValueError(f"family {name} needs n >= {n - free + spec.min_free}")
     _cap(f"family {name}: unpinned points are", free, ENUMERATION_CAP, "ENUMERATION_CAP")
@@ -132,6 +132,7 @@ def search(args: argparse.Namespace) -> dict:
                 f"search without a node budget: t = {args.t} at n = {n} is refused by "
                 f"EXHAUSTIVE_CAP_SLOW_T = {EXHAUSTIVE_CAP_SLOW_T}"
             )
+    check_t(n, args.t)
     return reports.search_report(n, args.t, budget)
 
 
@@ -139,6 +140,7 @@ def wopt(args: argparse.Namespace) -> dict:
     from .weightopt import WOPT_CAP
 
     _cap("wopt: n is", args.n, WOPT_CAP, "WOPT_CAP")
+    check_t(args.n, args.t)
     return reports.wopt_report(args.n, args.t)
 
 

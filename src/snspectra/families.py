@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .lazy import np
-from .perms import ROW_DEGREE_CAP, derangement_count, identity, perm_rows
+from .perms import ROW_DEGREE_CAP, check_t, derangement_count, identity, integer_entries, perm_rows
 
 PAIRWISE_CAP = 12000
 AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
@@ -46,8 +46,7 @@ class Family:
             raise ValueError("member degree mismatch")
         if rows.dtype.kind not in "iu":  # an int cast would truncate 2.5 to 2
             for member in members:
-                if not all(isinstance(v, (int, np.integer)) for v in member):
-                    raise ValueError(f"member {tuple(member)} is not a row of integers")
+                integer_entries(member, "member", "row")
         rows = rows.reshape(len(rows), n)
         if not (np.sort(rows, axis=1) == np.arange(1, n + 1)).all():  # 300 is never cast
             raise ValueError(f"a member is not a permutation of 1..{n}")
@@ -102,10 +101,15 @@ def hilton_milner_tail(n: int) -> np.ndarray:
     return rows[(rows[:, :2] > 2).all(axis=1)]
 
 
+def _from_seven(n: int) -> None:
+    """Refuse a degree below 7, where B and the F_j are not defined."""
+    if n < 7:
+        raise ValueError(f"families B and F_j are defined for n >= 7 (got n={n})")
+
+
 def family_B_size_formula(n: int) -> int:
     """(n-2)! - |F_4| + 4: B is G_4 together with the four tail elements."""
-    if n < 7:
-        raise ValueError("size formula needs n >= 7")
+    _from_seven(n)
     return math.factorial(n - 2) - family_F_size_formula(4, n) + 4
 
 
@@ -114,8 +118,7 @@ def family_B(n: int) -> Family:
     2-coset: permutations fixing 1 and 2 whose number of fixed points >= 5
     differs from one (that is, G_4), together with the four block-swap
     elements."""
-    if n < 7:
-        raise ValueError("family B is defined for n >= 7")
+    _from_seven(n)
     return Family(n, "B", np.concatenate([_stabilizer_part(4, n, False), hilton_milner_tail(n)]))
 
 
@@ -125,15 +128,24 @@ def family_B(n: int) -> Family:
 
 
 # F_j is the set of permutations fixing 1 and 2 with exactly ``count`` fixed
-# points >= ``low``, as (low, count).
-F_RULES = {1: (3, 1), 2: (4, 0), 3: (4, 1), 4: (5, 1)}
+# points >= ``low``, as (low, count, size): |F_j| = size(n, derangement_count).
+F_RULES: dict[int, tuple[int, int, Callable]] = {
+    1: (3, 1, lambda n, d: (n - 2) * d(n - 3)),
+    2: (4, 0, lambda n, d: d(n - 2) + d(n - 3)),
+    3: (4, 1, lambda n, d: (n - 3) * (d(n - 3) + d(n - 4))),
+    4: (5, 1, lambda n, d: (n - 4) * (d(n - 3) + 2 * d(n - 4) + d(n - 5))),
+}
+
+
+def _f_rule(j: int) -> tuple[int, int, Callable]:
+    if j not in F_RULES:
+        raise ValueError(f"families F_j and G_j: j must be 1..4, got {j}")
+    return F_RULES[j]
 
 
 def _stabilizer_part(j: int, n: int, in_f: bool) -> np.ndarray:
     """The permutations fixing 1 and 2 that lie in F_j (``in_f``) or not."""
-    if j not in F_RULES:
-        raise ValueError(f"families F_j and G_j: j must be 1..4, got {j}")
-    low, count = F_RULES[j]
+    low, count, _ = _f_rule(j)
     rows = perm_rows(n, [(1, 1), (2, 2)])
     fixed = (rows[:, low - 1 :] == np.arange(low, n + 1)).sum(axis=1)
     return rows[(fixed == count) == in_f]
@@ -143,22 +155,12 @@ def family_F(j: int, n: int) -> Family:
     """Permutations fixing 1 and 2 that a single extra excluded element
     knocks out, in the four translation cases: exactly one fixed point >= 3
     (j=1); none >= 4 (j=2); exactly one >= 4 (j=3); exactly one >= 5 (j=4)."""
-    if n < 7:
-        raise ValueError(f"family F{j} is defined for n >= 7")
+    _from_seven(n)
     return Family(n, f"F{j}", _stabilizer_part(j, n, True))
 
 
 def family_F_size_formula(j: int, n: int) -> int:
-    d = derangement_count
-    if j == 1:
-        return (n - 2) * d(n - 3)
-    if j == 2:
-        return d(n - 2) + d(n - 3)
-    if j == 3:
-        return (n - 3) * (d(n - 3) + d(n - 4))
-    if j == 4:
-        return (n - 4) * (d(n - 3) + 2 * d(n - 4) + d(n - 5))
-    raise ValueError(f"size formula of F_j: j must be 1..4, got {j}")
+    return _f_rule(j)[2](n, derangement_count)
 
 
 def family_G(j: int, n: int) -> Family:
@@ -248,8 +250,7 @@ def verify(family: Family, t: int) -> VerificationResult:
     entries agree at least t times and are never compared, yet
     ``checked_pairs`` stays C(|A|, 2): every pair is covered, by a comparison
     or by that argument."""
-    if not 1 <= t <= family.n:
-        raise ValueError(f"independence check: need 1 <= t <= n, got t={t}, n={family.n}")
+    check_t(family.n, t)
     if len(family) > PAIRWISE_CAP:
         raise ValueError(f"family too large for pairwise scan: {len(family)}")
     witness = _first_agreeing_pair(family.members, t)
@@ -304,8 +305,7 @@ def agreement_graph(n: int, t: int) -> np.ndarray:
     exactly n-1 points, and nothing is counted."""
     if n > GRAPH_CAP:
         raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
-    if not 1 <= t <= n:
-        raise ValueError(f"agreement graph: need 1 <= t <= n, got t={t}, n={n}")
+    check_t(n, t)
     if t == n:
         return np.zeros((math.factorial(n),) * 2, dtype=bool)
     verts = perm_rows(n)

@@ -13,16 +13,9 @@ import operator
 from functools import lru_cache
 from typing import Sequence
 
+from .perms import check_degree, integer_entries
+
 Partition = tuple[int, ...]
-
-
-def integer_parts(parts: Sequence[int]) -> tuple[int, ...]:
-    """The parts as Python ints.  Integer types such as numpy's pass through
-    ``operator.index``; any other part, 2.0 included, is a ``ValueError``."""
-    try:
-        return tuple(map(operator.index, parts))
-    except TypeError:
-        raise ValueError(f"not a partition: {tuple(parts)!r} has a non-integer part") from None
 
 
 def _ordered(p: Partition) -> bool:
@@ -32,13 +25,13 @@ def _ordered(p: Partition) -> bool:
 
 def is_partition(parts: Sequence[int]) -> bool:
     try:
-        return _ordered(integer_parts(parts))
+        return _ordered(integer_entries(parts, "partition", "tuple"))
     except ValueError:
         return False
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
-    p = integer_parts(parts)
+    p = integer_entries(parts, "partition", "tuple")
     if not _ordered(p):
         raise ValueError(f"not a partition: {p!r}")
     return p
@@ -53,8 +46,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     >>> partitions_of(3)
     ((3,), (2, 1), (1, 1, 1))
     """
-    if n < 0:
-        raise ValueError("partitions of n: n must be nonnegative")
+    check_degree(n)
     if n == 0:
         return ((),)
 
@@ -75,13 +67,12 @@ def dimension(alpha: Sequence[int]) -> int:
     tableaux of shape alpha; the character modules compute the same value as
     a character at the identity, through disjoint code."""
     # the memo is keyed by Python ints, so (2.0, 1.0) cannot hit (2, 1)
-    return _dimension(integer_parts(alpha))
+    return _dimension(integer_entries(alpha, "partition", "tuple"))
 
 
 @lru_cache(maxsize=None)
 def _dimension(alpha: Partition) -> int:
-    if not _ordered(alpha):
-        raise ValueError(f"dimension: {alpha!r} is not a partition")
+    check_partition(alpha)  # at the first call only: the memo keeps only partitions
     # heights[j] is the height of column j, counted from the bottom row up
     heights: list[int] = []
     for i in range(len(alpha) - 1, -1, -1):

@@ -1,5 +1,6 @@
 """Permutations of {1..n} in one-line notation, their cycle notation,
-derangement combinatorics, and the one enumeration of permutation sets.
+derangement combinatorics, the one enumeration of permutation sets, and the
+one check of each shared input rule (t in 1..n, n >= 0, integer entries).
 
 A permutation is a tuple ``(s(1), ..., s(n))`` of the integers 1..n; a set of
 them is an int8 array of such rows in lexicographic order.  All functions are
@@ -22,6 +23,25 @@ ROW_DEGREE_CAP = 127
 # (a table at n = 14, 2.1 s); families --family 2coset --n 12, 10 free points,
 # takes 1.1-1.25 s and 153 MB, and an 11th free point multiplies both by about 11.
 ENUMERATION_CAP = 10
+
+
+def check_t(n: int, t: int) -> None:
+    """Refuse a t outside 1..n: the graph joins permutations agreeing exactly t-1 times."""
+    if not 1 <= t <= n:
+        raise ValueError(f"need 1 <= t <= n, got t={t}, n={n}")
+
+
+def check_degree(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"a degree n must be nonnegative (got n={n})")
+
+
+def integer_entries(entries: Sequence[int], what: str, shape: str) -> tuple[int, ...]:
+    """The entries as Python ints by ``operator.index``: 2.0 is a ValueError."""
+    try:
+        return tuple(map(operator.index, entries))
+    except TypeError:
+        raise ValueError(f"{what} {tuple(entries)!r} is not a {shape} of integers") from None
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -87,8 +107,7 @@ DERANGEMENT_CAP = 16_000
 def derangement_count(n: int) -> int:
     """d_n by the recurrence d_m = m d_{m-1} + (-1)^m from d_0 = 1, which
     gives d_1 = 0."""
-    if n < 0:
-        raise ValueError("derangement count: n must be nonnegative")
+    check_degree(n)
     d = 1
     for m in range(1, n + 1):
         d = m * d + (-1 if m & 1 else 1)
@@ -110,17 +129,6 @@ def derangement_counts(n: int) -> DerangementCounts:
 # Enumeration.
 
 
-def _integer_pin(pin: Sequence[int]) -> tuple[int, int]:
-    """A pin (i, j) as Python ints.  Integer types such as numpy's pass
-    through ``operator.index``; any other entry, 2.0 included, is a
-    ``ValueError`` naming the pin."""
-    try:
-        i, j = map(operator.index, pin)
-    except TypeError:
-        raise ValueError(f"pin {tuple(pin)!r} is not a pair of integers") from None
-    return i, j
-
-
 def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
     """The permutations of degree n with s(i) = j for each pinned (i, j), as
     one-line rows (int8, values 1..n) in lexicographic order.
@@ -135,12 +143,13 @@ def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
     >>> perm_rows(4, [(3, 1), (1, 4)]).tolist()
     [[4, 2, 1, 3], [4, 3, 1, 2]]
     """
-    pins = [_integer_pin(pin) for pin in pins]
+    pins = [integer_entries(pin, "pin", "pair") for pin in pins]
     pinned = dict(pins)
     if len(pinned) != len(pins) or len(set(pinned.values())) != len(pins):
         raise ValueError("a source or a target point is pinned twice")
     if not all(1 <= i <= n and 1 <= j <= n for i, j in pins):
         raise ValueError(f"pinned point outside 1..{n}")
+    check_degree(n)
     if n > ROW_DEGREE_CAP:
         raise ValueError(f"int8 rows hold degrees up to {ROW_DEGREE_CAP} (got n={n})")
     rows = np.zeros((1, 0), dtype=np.int8)

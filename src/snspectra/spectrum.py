@@ -49,7 +49,7 @@ from typing import Callable, NamedTuple, Sequence
 from .characters import CycleType, class_size, mn_character
 from .lazy import np
 from .partitions import Partition, dimension, partitions_of
-from .perms import derangement_count, perm_rows
+from .perms import check_t, derangement_count, perm_rows
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +67,7 @@ def generating_classes(n: int, t: int) -> Classes:
     ``t - 1 = n - 1`` admits no permutations; the tuple is then empty."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if not 1 <= t <= n:
-        raise ValueError(f"generating classes: need 1 <= t <= n, got t={t}")
+    check_t(n, t)
     return tuple((c, class_size(c)) for c in partitions_of(n) if c.count(1) == t - 1)
 
 
@@ -114,8 +113,7 @@ def eigenvalue(alpha: Partition, t: int) -> int:
     ArithmeticError unless each f^alpha h*_m(alpha) is divisible by n↓m, as
     the skew tableau count f^{alpha/(m)} is an integer."""
     n = sum(alpha)
-    if not 1 <= t <= n:
-        raise ValueError(f"eigenvalue: need 1 <= t <= n, got t={t}")
+    check_t(n, t)
     k = t - 1
     f = dimension(alpha)
     total = 0

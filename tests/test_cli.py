@@ -167,7 +167,7 @@ def test_search_t_out_of_range_is_usage_error(capsys, t):
     code, out, err = run_cli(capsys, ["search", "--n", "4", "--t", t])
     assert code == 2
     assert out == ""
-    assert f"agreement graph: need 1 <= t <= n, got t={t}, n=4" in err
+    assert f"need 1 <= t <= n, got t={t}, n=4" in err
 
 
 def test_wopt(capsys):
@@ -377,11 +377,11 @@ def forbid_reports(monkeypatch, *names):
         # vacuous passes: no pair agrees on exactly -1 or 8 points
         (
             "families --family B --n 8 --t 0 --verify-independence",
-            "family B: need 1 <= t <= n, got t=0, n=8",
+            "need 1 <= t <= n, got t=0, n=8",
         ),
         (
             "families --family B --n 8 --t 9 --verify-independence",
-            "family B: need 1 <= t <= n, got t=9, n=8",
+            "need 1 <= t <= n, got t=9, n=8",
         ),
         # used to build a family labelled HM(t=-1)
         ("families --family HM --n 6 --t -1", "1 <= t <= n"),

@@ -45,7 +45,7 @@ def test_partitions_of_small():
     assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
     assert len(partitions_of(5)) == 7
     assert len(partitions_of(10)) == 42
-    with pytest.raises(ValueError, match="partitions of n: n must be nonnegative"):
+    with pytest.raises(ValueError, match=r"a degree n must be nonnegative \(got n=-1\)"):
         partitions_of(-1)
 
 
@@ -121,7 +121,7 @@ def test_a_hook_product_that_does_not_divide_n_factorial_is_refused(monkeypatch)
 
 @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (2, -1), (0,)])
 def test_dimension_refuses_parts_out_of_order_or_not_positive(parts):
-    with pytest.raises(ValueError, match=re.escape(f"dimension: {parts!r} is not a partition")):
+    with pytest.raises(ValueError, match=re.escape(f"not a partition: {parts!r}")):
         dimension(parts)
 
 
@@ -179,7 +179,7 @@ def test_partition_text_roundtrip(alpha):
 @pytest.mark.parametrize("parts", [(2.5, 1.5), (2.0, 1.0), (3, 1.0), ("2", "1")])
 def test_non_integer_parts_are_not_partitions(parts):
     assert not is_partition(parts)
-    with pytest.raises(ValueError, match="has a non-integer part"):
+    with pytest.raises(ValueError, match="is not a tuple of integers"):
         check_partition(parts)
 
 
@@ -194,7 +194,7 @@ def test_non_integer_parts_rejected_with_a_named_error():
         lambda: transpose((2.0, 1.0)),
         lambda: hook_lengths((2.0, 1.0)),
     ):
-        with pytest.raises(ValueError, match="non-integer"):
+        with pytest.raises(ValueError, match="not a tuple of integers"):
             call()
 
 

@@ -170,7 +170,7 @@ def test_derangement_conventions():
     assert derangement_count(1) == 0
     assert derangement_counts(0).d == 1
     assert derangement_counts(0).e == 1
-    with pytest.raises(ValueError, match="derangement count: n must be nonnegative"):
+    with pytest.raises(ValueError, match=r"a degree n must be nonnegative \(got n=-1\)"):
         derangement_count(-1)
 
 

@@ -36,8 +36,10 @@ instead of landing.
 Every check (``raise ArithmeticError`` or ``LPError``) and every refusal
 (``raise ValueError``), or raise of a package subclass of one of them, in
 the package is named by a string of a test, so a check that no test makes
-fire cannot become ``pass`` unnoticed; and no two functions raise one
-message, so a test that names a message names one function's check.
+fire cannot become ``pass`` unnoticed; no two functions raise one message,
+so a test that names a message names one function's check; and no two
+functions guard such a raise with one condition, so an input rule that
+several routes share is checked by one function that they all call.
 
 Agreements are counted in ``families`` alone: no other module names
 ``AGREEMENT_BLOCK`` or ``agreement_counts``, ``spectrum`` imports
@@ -74,6 +76,13 @@ ALLOWED_UNREAD_CONSTANTS = {
 # optional parameters that only the tests set
 ALLOWED_UNPASSED = {
     "cli.main.argv": "the tests' entry point; the console script passes none",
+}
+
+# conditions that guard a refusal in two functions, each for its own rule
+ALLOWED_SHARED_GUARDS = {
+    "n < 4": "two rules with one threshold: B's four tail elements need the "
+    "points 1..4 (families.hilton_milner_tail), and (n-2, 2) is a partition "
+    "only from n = 4 on (bounds.paper_tail_split)",
 }
 
 # CLI options that no README command or benchmark step sets
@@ -410,6 +419,16 @@ def raised_classes(sources: dict[str, str]) -> set[str]:
     return raised
 
 
+def _raises(node: ast.AST, raised: set[str]) -> bool:
+    """Whether ``node`` is a ``raise`` of a call of a class of ``raised``."""
+    return (
+        isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+        and node.exc.func.id in raised
+    )
+
+
 def raise_sites(source: str, raised: set[str]) -> list[tuple[int, str, Message]]:
     """(line, function, message) of each ``raise`` of a class of ``raised``
     in ``source``: the function is the top-level function or method that
@@ -419,12 +438,7 @@ def raise_sites(source: str, raised: set[str]) -> list[tuple[int, str, Message]]
     owner = {node: name for name, func in _functions(tree) for node in ast.walk(func)}
     sites = []
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Raise)
-            and isinstance(node.exc, ast.Call)
-            and isinstance(node.exc.func, ast.Name)
-            and node.exc.func.id in raised
-        ):
+        if _raises(node, raised):
             message = node.exc.args[0]
             assert isinstance(message, (ast.Constant, ast.JoinedStr)), ast.unparse(node)
             parts = message.values if isinstance(message, ast.JoinedStr) else [message]
@@ -516,6 +530,21 @@ def shared_messages(sources: dict[str, str]) -> list[str]:
     )
 
 
+def shared_guards(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Condition -> the "module.function"s of the ``sources`` (module name
+    -> text), for each condition, the ``ast.unparse`` of an ``if`` test,
+    that guards a raise of a class of ``raised_classes(sources)`` in its
+    body in more than one function: two copies of one input rule."""
+    raised = raised_classes(sources)
+    owners: dict[str, set[str]] = {}
+    for m, text in sources.items():
+        for name, func in _functions(ast.parse(text)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.If) and any(_raises(s, raised) for s in node.body):
+                    owners.setdefault(ast.unparse(node.test), set()).add(f"{m}.{name}")
+    return {test: sorted(fs) for test, fs in sorted(owners.items()) if len(fs) > 1}
+
+
 def strings_of_the_tests() -> set[str]:
     """Every string constant and f-string of the tests but this file, each
     field of an f-string read as a NUL, which only a field of a message
@@ -542,6 +571,11 @@ def test_every_check_and_refusal_is_named_by_a_test():
 def test_no_two_functions_raise_one_message():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert shared_messages(sources) == []
+
+
+def test_no_two_functions_guard_one_condition():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert set(shared_guards(sources)) == set(ALLOWED_SHARED_GUARDS)
 
 
 SYNTHETIC = """
@@ -604,3 +638,34 @@ def test_the_sharing_lint_reports_a_message_of_two_functions():
     assert shared_messages({"synthetic": SHARED}) == [
         "need x >= 0, got {}: synthetic.Check.first, synthetic.second"
     ]
+
+
+GUARDED = """
+def first(n):
+    if n < 0:
+        raise ValueError("first refuses a negative n")
+    if n > 9:
+        return n
+
+
+class Check:
+    def second(self, n):
+        if n < 0:
+            raise RangeError(f"second refuses {n}")
+        elif n > 9:
+            raise TypeError("not a class the lints follow")
+
+
+def third(n):
+    if n < 0:
+        return 0
+    if n > 9:
+        raise ArithmeticError("only third guards a raise with n > 9")
+"""
+
+
+def test_the_guard_lint_reports_a_condition_of_two_functions():
+    # a condition that guards no raise, or only a raise of another class,
+    # is no copy of a rule
+    sources = {"synthetic": GUARDED, "errors": SYNTHETIC_ERRORS}
+    assert shared_guards(sources) == {"n < 0": ["synthetic.Check.second", "synthetic.first"]}

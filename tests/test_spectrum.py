@@ -45,8 +45,8 @@ def test_generating_set_classwise():
     assert all(c.count(1) == 1 for c, _ in classes)
     assert generating_classes(5, 5) == ()
     for n, t, message in [
-        (5, 6, "generating classes: need 1 <= t <= n, got t=6"),
-        (5, 0, "generating classes: need 1 <= t <= n, got t=0"),
+        (5, 6, "need 1 <= t <= n, got t=6, n=5"),
+        (5, 0, "need 1 <= t <= n, got t=0, n=5"),
         (1, 1, "need n >= 2"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -83,7 +83,7 @@ def test_shifted_schur_eigenvalue_equals_the_class_sum_oracle(n):
 
 def test_eigenvalue_refuses_t_outside_1_to_n():
     for t in (0, 5):
-        with pytest.raises(ValueError, match=f"eigenvalue: need 1 <= t <= n, got t={t}"):
+        with pytest.raises(ValueError, match=f"need 1 <= t <= n, got t={t}, n=4"):
             eigenvalue((2, 2), t)
 
 
@@ -288,7 +288,7 @@ def test_builder_matches_direct_agreement_count(n):
         assert words.shape == (len(verts), -(-len(verts) // 64)), t
         assert adj == tuple(int.from_bytes(row.tobytes(), "little") for row in words), t
     for t in (0, n + 1):
-        message = f"agreement graph: need 1 <= t <= n, got t={t}, n={n}"
+        message = f"need 1 <= t <= n, got t={t}, n={n}"
         with pytest.raises(ValueError, match=message):
             agreement_graph(n, t)
     with pytest.raises(ValueError, match="explicit graphs capped"):
