@@ -42,9 +42,7 @@ def cross_hoffman_bound(d: int, nu: int, nverts: int) -> Fraction:
     return Fraction(nu, d + nu) * nverts
 
 
-def stability_gap_bound(
-    d: int, lam_m: int, lam_n: int, density: Fraction
-) -> Fraction:
+def stability_gap_bound(d: int, lam_m: int, lam_n: int, density: Fraction) -> Fraction:
     """Upper bound on the squared distance from the characteristic vector of
     an independent set of the given density to span{1} plus the eigenspaces
     below the split index:
@@ -85,9 +83,7 @@ def paper_tail_split(n: int, t: int) -> tuple[tuple[Partition, ...], int, int]:
     spec = full_spectrum(n, t)
     by_alpha = {r.partition: r.eigenvalue for r in spec.rows}
     threshold = max(by_alpha[(n - 2, 2)], by_alpha[(n - 2, 1, 1)])
-    tail = tuple(
-        a for a in partitions_of(n) if a != (n,) and by_alpha[a] <= threshold
-    )
+    tail = tuple(a for a in partitions_of(n) if a != (n,) and by_alpha[a] <= threshold)
     rest = [by_alpha[a] for a in partitions_of(n) if a != (n,) and a not in set(tail)]
     if not rest:
         raise ValueError(

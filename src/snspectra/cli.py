@@ -1,7 +1,9 @@
 """Command-line surface, one function per command.  Each sizes its input
-from the arguments alone and refuses it before any work when it is over a
-limit (the constant beside the route it guards), then calls its report
-builder, which raises ArithmeticError at any check that fails.
+from the arguments alone and refuses it before any work: by ``_cap`` over
+a limit kept beside its route, or by the one check that the route makes
+too (``perms.check_row_degree``, ``families.check_graph_degree`` and
+``check_pairwise``, ``spectrum.check_edges`` at t = n).  It then calls its
+report builder, which raises ArithmeticError at any check that fails.
 
 Exit codes: 0 on success; 1 when a check fails, an ArithmeticError (the
 failed check is named on stderr); 2 when an input is refused, a ValueError
@@ -19,8 +21,8 @@ import math
 import sys
 
 from . import reports
-from .families import FAMILIES, GRAPH_CAP, PAIRWISE_CAP
-from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, ROW_DEGREE_CAP, check_t
+from .families import FAMILIES, check_graph_degree, check_pairwise
+from .perms import DERANGEMENT_CAP, ENUMERATION_CAP, check_row_degree, check_t
 
 
 def _cap(what: str, value: int, cap: int, by: str) -> None:
@@ -77,7 +79,7 @@ def spectrum(args: argparse.Namespace) -> dict:
         )
     _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
     if args.verify:
-        _cap("spectrum --verify: n is", args.n, GRAPH_CAP, "GRAPH_CAP")
+        check_graph_degree(args.n)
     check_t(args.n, args.t)
     return reports.spectrum_report(args.n, args.t, args.verify)
 
@@ -92,20 +94,16 @@ def table(args: argparse.Namespace) -> dict | str:
 
 
 def hoffman(args: argparse.Namespace) -> dict:
-    from .spectrum import SPECTRUM_CAP, generating_classes
+    from .spectrum import SPECTRUM_CAP, check_edges
 
     _cap("full spectra: n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
-    if not generating_classes(args.n, args.t):
-        raise ValueError(
-            f"hoffman: the generating set is empty (no permutation of degree {args.n} has "
-            f"exactly {args.t - 1} fixed points), so no eigenvalue bound applies"
-        )
+    check_edges(args.n, args.t)
     return reports.hoffman_report(args.n, args.t)
 
 
 def families(args: argparse.Namespace) -> dict | str:
     name, spec, n, t = args.family, FAMILIES[args.family], args.n, args.t
-    _cap(f"family {name}: n is", n, ROW_DEGREE_CAP, "ROW_DEGREE_CAP, the int8 row limit")
+    check_row_degree(n)
     free = n - spec.pinned(t)
     check_t(n, t)
     if free < spec.min_free:
@@ -114,8 +112,7 @@ def families(args: argparse.Namespace) -> dict | str:
     if args.members:
         return reports.family_members_text(name, n, t)
     if args.verify_independence:
-        size = spec.size_formula(n) if spec.size_formula else math.factorial(free)
-        _cap(f"pairwise check: family {name} size is", size, PAIRWISE_CAP, "PAIRWISE_CAP")
+        check_pairwise(spec.size_formula(n) if spec.size_formula else math.factorial(free))
     return reports.family_report(name, n, t, args.verify_independence)
 
 
@@ -124,7 +121,7 @@ def search(args: argparse.Namespace) -> dict:
 
     n = args.n
     budget = None if args.exact or n < EXHAUSTIVE_CAP else DEFAULT_NODE_BUDGET
-    _cap("search: n is", n, GRAPH_CAP, "GRAPH_CAP")
+    check_graph_degree(n)
     if budget is None:
         _cap("search without a node budget: n is", n, EXHAUSTIVE_CAP, "EXHAUSTIVE_CAP")
         if n == EXHAUSTIVE_CAP and args.t in EXHAUSTIVE_CAP_SLOW_T:
@@ -137,10 +134,12 @@ def search(args: argparse.Namespace) -> dict:
 
 
 def wopt(args: argparse.Namespace) -> dict:
+    from .spectrum import check_edges
     from .weightopt import WOPT_CAP
 
     _cap("wopt: n is", args.n, WOPT_CAP, "WOPT_CAP")
     check_t(args.n, args.t)
+    check_edges(args.n, args.t)
     return reports.wopt_report(args.n, args.t)
 
 

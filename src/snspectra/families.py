@@ -17,7 +17,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .lazy import np
-from .perms import ROW_DEGREE_CAP, check_t, derangement_count, identity, integer_entries, perm_rows
+from .perms import check_row_degree, check_t, derangement_count, integer_entries, perm_rows
 
 PAIRWISE_CAP = 12000
 AGREEMENT_BLOCK = 512  # rows per agreement_counts call: 2.6 MB against S_7
@@ -36,8 +36,9 @@ class Family:
     members: np.ndarray
 
     def __init__(self, n: int, label: str, members: Sequence[Sequence[int]] | np.ndarray) -> None:
-        if not 1 <= n <= ROW_DEGREE_CAP:
-            raise ValueError(f"a family has degree 1..{ROW_DEGREE_CAP} (got n={n})")
+        if n < 1:
+            raise ValueError(f"a family has degree n >= 1 (got n={n})")
+        check_row_degree(n)
         try:
             rows = np.asarray(members)
         except ValueError:  # rows of different lengths
@@ -81,8 +82,8 @@ def t_coset(pairs: Sequence[tuple[int, int]], n: int) -> Family:
     """All permutations with s(i_k) = j_k for the given pairs; size (n-t)!.
     For two pairs this is an independent set of the agreement-at-one-point
     graph, since members pairwise agree on at least two points."""
-    label = "coset[" + ",".join(f"{i}->{j}" for i, j in pairs) + "]"
-    return Family(n, label, perm_rows(n, pairs))
+    rows = perm_rows(n, pairs)  # checks each pair before the label reads it
+    return Family(n, "coset[" + ",".join(f"{i}->{j}" for i, j in pairs) + "]", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def hm_family(n: int, t: int) -> Family:
         raise ValueError(f"need 1 <= t <= n - 2, got t={t}, n={n}")
     rows = perm_rows(n, [(i, i) for i in range(1, t + 1)])
     rows = rows[(rows[:, t + 1 :] == np.arange(t + 2, n + 1)).any(axis=1)]
-    swaps = np.tile(np.array(identity(n), dtype=np.int8), (t, 1))  # row i - 1 becomes (i t+1)
+    swaps = np.tile(np.arange(1, n + 1, dtype=np.int8), (t, 1))  # row i - 1 becomes (i t+1)
     swaps[:, t] = np.arange(1, t + 1)
     swaps[np.arange(t), np.arange(t)] = t + 1
     return Family(n, f"HM(t={t})", np.concatenate([rows, swaps]))
@@ -241,6 +242,11 @@ class VerificationResult(NamedTuple):
     witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
+def check_pairwise(size: int) -> None:
+    if size > PAIRWISE_CAP:
+        raise ValueError(f"pairwise scans capped at {PAIRWISE_CAP} by PAIRWISE_CAP (got {size})")
+
+
 def verify(family: Family, t: int) -> VerificationResult:
     """Check that no two members agree on exactly t-1 points; on failure the
     witness is the lexicographically smallest violating pair.
@@ -251,8 +257,7 @@ def verify(family: Family, t: int) -> VerificationResult:
     ``checked_pairs`` stays C(|A|, 2): every pair is covered, by a comparison
     or by that argument."""
     check_t(family.n, t)
-    if len(family) > PAIRWISE_CAP:
-        raise ValueError(f"family too large for pairwise scan: {len(family)}")
+    check_pairwise(len(family))
     witness = _first_agreeing_pair(family.members, t)
     return VerificationResult(witness is None, math.comb(len(family), 2), witness)
 
@@ -297,14 +302,18 @@ def agreement_blocks(rows: np.ndarray, against: np.ndarray) -> Iterator[tuple[in
         yield start, agreement_counts(rows[start : start + AGREEMENT_BLOCK], against)
 
 
+def check_graph_degree(n: int) -> None:
+    if n > GRAPH_CAP:
+        raise ValueError(f"explicit graphs capped at {GRAPH_CAP} by GRAPH_CAP (got n={n})")
+
+
 def agreement_graph(n: int, t: int) -> np.ndarray:
     """The n! x n! boolean adjacency matrix, vertices in lexicographic
     order, of the graph joining permutations that agree on exactly t-1
     points: ``agreement_counts == t - 1``, the package's one definition of
     an edge.  At t = n it has no edges, as no two permutations agree on
     exactly n-1 points, and nothing is counted."""
-    if n > GRAPH_CAP:
-        raise ValueError(f"explicit graphs capped at n <= {GRAPH_CAP} (got n={n})")
+    check_graph_degree(n)
     check_t(n, t)
     if t == n:
         return np.zeros((math.factorial(n),) * 2, dtype=bool)

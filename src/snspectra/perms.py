@@ -1,6 +1,6 @@
 """Permutations of {1..n} in one-line notation, their cycle notation,
 derangement combinatorics, the one enumeration of permutation sets, and the
-one check of each shared input rule (t in 1..n, n >= 0, integer entries).
+one check of each shared input rule (t in 1..n, n in 0..127, integer entries).
 
 A permutation is a tuple ``(s(1), ..., s(n))`` of the integers 1..n; a set of
 them is an int8 array of such rows in lexicographic order.  All functions are
@@ -36,16 +36,17 @@ def check_degree(n: int) -> None:
         raise ValueError(f"a degree n must be nonnegative (got n={n})")
 
 
+def check_row_degree(n: int) -> None:
+    if n > ROW_DEGREE_CAP:
+        raise ValueError(f"int8 rows: n capped at {ROW_DEGREE_CAP} by ROW_DEGREE_CAP (got n={n})")
+
+
 def integer_entries(entries: Sequence[int], what: str, shape: str) -> tuple[int, ...]:
     """The entries as Python ints by ``operator.index``: 2.0 is a ValueError."""
     try:
         return tuple(map(operator.index, entries))
     except TypeError:
         raise ValueError(f"{what} {tuple(entries)!r} is not a {shape} of integers") from None
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
 
 
 def compose(s: Sequence[int], t: Sequence[int]) -> tuple[int, ...]:
@@ -144,14 +145,15 @@ def perm_rows(n: int, pins: Sequence[tuple[int, int]] = ()) -> np.ndarray:
     [[4, 2, 1, 3], [4, 3, 1, 2]]
     """
     pins = [integer_entries(pin, "pin", "pair") for pin in pins]
+    if any(len(pin) != 2 for pin in pins):
+        raise ValueError(f"a pin is a pair (i, j) with s(i) = j (got {pins})")
     pinned = dict(pins)
     if len(pinned) != len(pins) or len(set(pinned.values())) != len(pins):
         raise ValueError("a source or a target point is pinned twice")
     if not all(1 <= i <= n and 1 <= j <= n for i, j in pins):
         raise ValueError(f"pinned point outside 1..{n}")
     check_degree(n)
-    if n > ROW_DEGREE_CAP:
-        raise ValueError(f"int8 rows hold degrees up to {ROW_DEGREE_CAP} (got n={n})")
+    check_row_degree(n)
     rows = np.zeros((1, 0), dtype=np.int8)
     for m in range(1, n - len(pinned) + 1):
         prev, rows = rows, np.empty((m * len(rows), m), dtype=np.int8)

@@ -171,11 +171,10 @@ def _branch_vertex(degrees: np.ndarray) -> int:
 def _spectral_upper_bound(n: int, t: int) -> int:
     """floor of the certified optimal weighted Hoffman bound, never weaker
     than the plain Hoffman bound (uniform weights are feasible for its LP);
-    an optimum that fails its certificate raises LPError.  At t = n no class
-    has t-1 fixed points, the graph has no edges and no eigenvalue bound
-    applies, so the bound is the vertex count n!.  The character route and
-    the LP module are imported here, so that a search that exhausts its tree
-    never loads them."""
+    an optimum that fails its certificate raises LPError.  The edgeless graph
+    (t = n) has no eigenvalue bound, so its bound is the vertex count n!.
+    The character route and the LP module are imported here, so that a
+    search that exhausts its tree never loads them."""
     from .spectrum import generating_classes
     from .weightopt import optimize_bound
 

@@ -71,6 +71,14 @@ def generating_classes(n: int, t: int) -> Classes:
     return tuple((c, class_size(c)) for c in partitions_of(n) if c.count(1) == t - 1)
 
 
+def check_edges(n: int, t: int) -> None:
+    if not generating_classes(n, t):
+        raise ValueError(
+            f"the generating set is empty (no permutation of degree {n} has "
+            f"exactly {t - 1} fixed points), so no eigenvalue bound applies"
+        )
+
+
 def class_eigenvalues(alpha: Partition, classes: Classes) -> tuple[int, ...]:
     """The scalar |c| chi_alpha(c) / f^alpha of each class c on the isotypic
     component of alpha.  Each is a central character value, hence an
@@ -370,9 +378,7 @@ def brute_force_spectrum(n: int, t: int) -> tuple[tuple[tuple[int, int], ...], S
     rounded = np.rint(numeric).astype(np.int64)
     max_residual = float(np.max(np.abs(numeric - rounded)))
     if max_residual > 0.25:
-        raise ArithmeticError(
-            f"numeric eigenvalues too far from integers (dev {max_residual})"
-        )
+        raise ArithmeticError(f"numeric eigenvalues too far from integers (dev {max_residual})")
     distinct = sorted({int(x) for x in rounded})
     r = len(distinct)
 

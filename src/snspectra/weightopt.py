@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 from .bounds import hoffman_bound
 from .characters import CycleType, class_size
 from .partitions import Partition, partitions_of
-from .spectrum import class_eigenvalues, generating_classes
+from .spectrum import check_edges, class_eigenvalues, generating_classes
 
 
 def weighted_eigenvalue(
@@ -241,12 +241,10 @@ def optimize_bound(n: int, t: int) -> WeightedBoundResult:
     normalized class weights; return the weights and the induced
     independence bound, exactly.  The optimum comes with the checked
     primal/dual pair of ``solve_lp_min``, and the weights are substituted
-    back through ``weighted_eigenvalue``; LPError names a failed check.  At
-    t = n no class has t-1 fixed points and there is nothing to weight, a
-    ValueError."""
+    back through ``weighted_eigenvalue``; LPError names a failed check.  The
+    edgeless graph (t = n) has nothing to weight and is refused."""
+    check_edges(n, t)
     classes = generating_classes(n, t)
-    if not classes:
-        raise ValueError(f"no generating classes for n={n}, t={t}")
     k = len(classes)
     alphas = [a for a in partitions_of(n) if a != (n,)]
 

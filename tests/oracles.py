@@ -116,6 +116,10 @@ CycleType = tuple[int, ...]
 # family constructors, and member sets for comparing families.
 
 
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
 def all_perms(n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
     """All of S_n in lexicographic one-line order; refuses n above the cap."""
     if n > cap:

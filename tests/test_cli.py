@@ -191,7 +191,7 @@ def test_wopt_without_generating_classes_is_usage_error(capsys):
     code, out, err = run_cli(capsys, ["wopt", "--n", "5", "--t", "5"])
     assert code == 2
     assert out == ""
-    assert "no generating classes for n=5, t=5" in err
+    assert "the generating set is empty (no permutation of degree 5 has exactly 4" in err
 
 
 def test_reproduce_bundle(capsys):
@@ -406,6 +406,9 @@ def forbid_reports(monkeypatch, *names):
         ("hoffman --n 2", "the generating set is empty"),
         ("hoffman --n 3 --t 3", "the generating set is empty"),
         ("hoffman --n 4 --t 4", "no permutation of degree 4 has exactly 3 fixed points"),
+        ("hoffman --n 5 --t 5", "no permutation of degree 5 has exactly 4 fixed points"),
+        # t = n: used to be refused inside wopt_report, by optimize_bound
+        ("wopt --n 5 --t 5", "no permutation of degree 5 has exactly 4 fixed points"),
         # t = n tested first: "no permutation of degree 0 has exactly -1 fixed points"
         ("hoffman --n 0 --t 0", "need n >= 2"),
         ("hoffman --n -3 --t -3", "need n >= 2"),
@@ -552,7 +555,7 @@ def test_families_refuses_a_degree_past_the_int8_rows(capsys, monkeypatch, famil
     code, out, err = run_cli(capsys, [*argv, "--verify-independence"])
     assert code == 2
     assert out == ""
-    assert "capped at 127 by ROW_DEGREE_CAP, the int8 row limit" in err
+    assert "int8 rows: n capped at 127 by ROW_DEGREE_CAP" in err
 
 
 def test_families_members_excludes_verify_independence(capsys, monkeypatch):

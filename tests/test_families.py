@@ -20,6 +20,7 @@ from oracles import (
     fixed_point_census,
     fixed_points_ge,
     fixed_points_ge5,
+    identity,
     is_t_intersecting,
     least_agreeing_pair,
     many_fixed_points_count,
@@ -48,7 +49,7 @@ from snspectra.families import (
     t_coset,
     verify,
 )
-from snspectra.perms import identity, perm_rows
+from snspectra.perms import perm_rows
 from snspectra.search import SearchResult, verify_certificate
 
 
@@ -113,7 +114,11 @@ def test_rows_in_any_order_come_out_sorted_and_a_repeat_is_found():
 def test_family_refuses_a_degree_outside_the_int8_rows(n):
     # n = 0 raised TypeError from np.lexsort, which had no keys; n = 128
     # raised OverflowError in the int8 cast
-    with pytest.raises(ValueError, match=r"a family has degree 1\.\.127 \(got n="):
+    message = {
+        0: "a family has degree n >= 1 (got n=0)",
+        128: "int8 rows: n capped at 127 by ROW_DEGREE_CAP (got n=128)",
+    }[n]
+    with pytest.raises(ValueError, match=re.escape(message)):
         Family(n, "x", [identity(n)])
 
 
@@ -305,7 +310,7 @@ def test_verify_refuses_a_family_above_the_pairwise_cap(monkeypatch):
     members = list(itertools.islice(all_perms(8), PAIRWISE_CAP + 1))
     fam = Family(8, "big", members)
     monkeypatch.setattr(families, "_first_agreeing_pair", lambda rows, t: pytest.fail("scanned"))
-    with pytest.raises(ValueError, match="too large for pairwise scan: 12001"):
+    with pytest.raises(ValueError, match=r"capped at 12000 by PAIRWISE_CAP \(got 12001\)"):
         verify(fam, 2)
 
 

@@ -5,7 +5,9 @@ called with such an input: each raises the rule's one message from the
 rule's one check, the last frame of the traceback.  The rules whose copies
 read differently (integer entries, a partition's order, F_j's index) are
 covered here, where ``tests/test_readers.py``'s guard lint, which compares
-the text of conditions, cannot see them."""
+the text of conditions, cannot see them.  So are the caps that library
+routes check too, and the edgeless graph at t = n: the CLI refuses each
+before any work with the same message as the library."""
 
 import pytest
 
@@ -25,7 +27,9 @@ from snspectra.families import (
 )
 from snspectra.partitions import _dimension, check_partition, classify, dimension, partitions_of
 from snspectra.perms import derangement_count, perm_rows
-from snspectra.spectrum import eigenvalue, generating_classes
+from snspectra.search import max_independent_set
+from snspectra.spectrum import brute_force_spectrum, eigenvalue, generating_classes
+from snspectra.weightopt import optimize_bound
 
 
 def refusal(call, check: str) -> str:
@@ -35,6 +39,17 @@ def refusal(call, check: str) -> str:
         call()
     assert info.traceback[-1].name == check
     return str(info.value)
+
+
+def cli_refusal(monkeypatch, capsys, command: str) -> str:
+    """The stderr of ``command``, asserting that it exits 2 with no output
+    and enters no report builder."""
+    for name in BUILDERS + ("family_members_text",):
+        monkeypatch.setattr(reports, name, lambda *a, name=name: pytest.fail(f"entered {name}"))
+    code = cli.main(command.split())
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    return err
 
 
 # 1: t in 1..n, at n = 5
@@ -63,13 +78,10 @@ BUILDERS = ("spectrum_report", "hoffman_report", "wopt_report", "search_report",
 def test_every_n_t_command_refuses_t_outside_1_to_n_before_its_report(
     capsys, monkeypatch, command, above
 ):
-    for name in BUILDERS + ("family_members_text",):
-        monkeypatch.setattr(reports, name, lambda *a, name=name: pytest.fail(f"entered {name}"))
     n = int(command.split()[-1])
     t = n + 1 if above else 0
-    code = cli.main([*command.split(), "--t", str(t)])
-    out, err = capsys.readouterr()
-    assert (code, out, err) == (2, "", f"error: need 1 <= t <= n, got t={t}, n={n}\n")
+    err = cli_refusal(monkeypatch, capsys, f"{command} --t {t}")
+    assert err == f"error: need 1 <= t <= n, got t={t}, n={n}\n"
 
 
 # 2: a nonnegative degree; perm_rows and t_coset used to reach numpy's
@@ -172,3 +184,67 @@ RATIO_ROUTES = {
 def test_a_ratio_bound_of_a_degree_below_one(route):
     message = refusal(RATIO_ROUTES[route], "cross_hoffman_bound")
     assert message == "ratio bound nu/(d + nu) * N: degree d must be positive (got d=0)"
+
+
+# 8-11: the caps that library routes check too, and the edgeless graph at
+# t = n, where no eigenvalue bound applies, as check: (its one message, the
+# library routes that make it, commands that it refuses before any work)
+CAP_RULES = {
+    "check_row_degree": (
+        "int8 rows: n capped at 127 by ROW_DEGREE_CAP (got n=128)",
+        {
+            "perms.perm_rows": lambda: perm_rows(128),
+            "families.Family": lambda: Family(128, "x", []),
+        },
+        ["families --family 2coset --n 128"],
+    ),
+    "check_graph_degree": (
+        "explicit graphs capped at 7 by GRAPH_CAP (got n=8)",
+        {
+            "families.agreement_graph": lambda: agreement_graph(8, 2),
+            "search.max_independent_set": lambda: max_independent_set(8, 2),
+            "spectrum.brute_force_spectrum": lambda: brute_force_spectrum(8, 2),
+        },
+        ["search --n 8", "spectrum --n 8 --verify"],
+    ),
+    "check_pairwise": (
+        "pairwise scans capped at 12000 by PAIRWISE_CAP (got 40320)",
+        {"families.verify": lambda: verify(Family(8, "S_8", perm_rows(8)), 2)},
+        ["families --family 2coset --n 10 --verify-independence"],
+    ),
+    "check_edges": (
+        "the generating set is empty (no permutation of degree 5 has exactly 4 fixed "
+        "points), so no eigenvalue bound applies",
+        {"weightopt.optimize_bound": lambda: optimize_bound(5, 5)},
+        ["hoffman --n 5 --t 5", "wopt --n 5 --t 5"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "check,route", [(check, r) for check, (_, routes, _) in CAP_RULES.items() for r in routes]
+)
+def test_a_library_route_past_a_cap_or_at_t_equal_to_n(check, route):
+    message, routes, _ = CAP_RULES[check]
+    assert refusal(routes[route], check) == message
+
+
+@pytest.mark.parametrize(
+    "check,command", [(check, c) for check, (_, _, commands) in CAP_RULES.items() for c in commands]
+)
+def test_a_command_past_a_cap_or_at_t_equal_to_n(capsys, monkeypatch, check, command):
+    assert cli_refusal(monkeypatch, capsys, command) == f"error: {CAP_RULES[check][0]}\n"
+
+
+# 12: a pin of perm_rows is a pair; (1, 2, 3) used to reach Python's own
+# "dictionary update sequence element #0 has length 3; 2 is required"
+PIN_ROUTES = {
+    "perms.perm_rows": lambda: perm_rows(4, [(1, 2, 3)]),
+    "families.t_coset": lambda: t_coset([(1, 2, 3)], 4),
+}
+
+
+@pytest.mark.parametrize("route", PIN_ROUTES)
+def test_a_pin_that_is_not_a_pair(route):
+    message = refusal(PIN_ROUTES[route], "perm_rows")
+    assert message == "a pin is a pair (i, j) with s(i) = j (got [(1, 2, 3)])"

@@ -13,6 +13,7 @@ from oracles import (
     derangement_count_recurrence,
     fixed_points,
     generating_set,
+    identity,
     is_permutation,
     num_fixed_points,
     parse_cycles,
@@ -25,7 +26,6 @@ from snspectra.perms import (
     derangement_count,
     derangement_counts,
     format_cycles,
-    identity,
     inverse,
     perm_rows,
 )
@@ -289,7 +289,7 @@ def test_perm_rows_refuses_bad_pins(pins, message):
 def test_perm_rows_refuses_a_point_or_a_degree_out_of_range():
     with pytest.raises(ValueError, match=r"pinned point outside 1\.\.3"):
         perm_rows(3, [(4, 1)])
-    with pytest.raises(ValueError, match=r"int8 rows hold degrees up to 127 \(got n=128\)"):
+    with pytest.raises(ValueError, match=r"n capped at 127 by ROW_DEGREE_CAP \(got n=128\)"):
         perm_rows(128)
 
 

@@ -39,7 +39,11 @@ the package is named by a string of a test, so a check that no test makes
 fire cannot become ``pass`` unnoticed; no two functions raise one message,
 so a test that names a message names one function's check; and no two
 functions guard such a raise with one condition, so an input rule that
-several routes share is checked by one function that they all call.
+several routes share is checked by one function that they all call.  A
+resource cap (a ``*_CAP`` constant) is read by the refusal guards of one
+module only, so a cap that a library route checks is refused by that
+route's check, which the CLI calls too, and a cap of the CLI alone by
+``cli._cap``.
 
 Agreements are counted in ``families`` alone: no other module names
 ``AGREEMENT_BLOCK`` or ``agreement_counts``, ``spectrum`` imports
@@ -578,6 +582,54 @@ def test_no_two_functions_guard_one_condition():
     assert set(shared_guards(sources)) == set(ALLOWED_SHARED_GUARDS)
 
 
+def _bare_name(node: ast.AST) -> str:
+    """``x`` for a name ``x`` and for an attribute ``m.x``; "" otherwise."""
+    return getattr(node, "id", None) or getattr(node, "attr", "")
+
+
+def cap_guards(sources: dict[str, str]) -> dict[str, list[str]]:
+    """``*_CAP`` name -> the "module.function"s of the ``sources`` (module
+    name -> text) whose refusal guards read it.  A refusal guard is the
+    test of an ``if`` that guards a raise of a class of
+    ``raised_classes(sources)`` in its body, or an argument of a call of
+    ``_cap``, the CLI's check of a cap."""
+    raised = raised_classes(sources)
+    readers: dict[str, set[str]] = {}
+    for m, text in sources.items():
+        for name, func in _functions(ast.parse(text)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.If) and any(_raises(s, raised) for s in node.body):
+                    guards = [node.test]
+                elif isinstance(node, ast.Call) and _bare_name(node.func) == "_cap":
+                    guards = node.args
+                else:
+                    continue
+                for sub in (sub for guard in guards for sub in ast.walk(guard)):
+                    if (cap := _bare_name(sub)).endswith("_CAP"):
+                        readers.setdefault(cap, set()).add(f"{m}.{name}")
+    return {cap: sorted(fs) for cap, fs in sorted(readers.items())}
+
+
+def shared_caps(sources: dict[str, str]) -> dict[str, list[str]]:
+    """The entries of ``cap_guards`` whose functions lie in more than one
+    module: two copies of one cap's refusal."""
+    return {
+        cap: fs
+        for cap, fs in cap_guards(sources).items()
+        if len({f.split(".")[0] for f in fs}) > 1
+    }
+
+
+def test_no_cap_is_refused_in_two_modules():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert shared_caps(sources) == {}
+    # the caps that library routes check too, each compared by one function
+    guards = cap_guards(sources)
+    assert guards["ROW_DEGREE_CAP"] == ["perms.check_row_degree"]
+    assert guards["GRAPH_CAP"] == ["families.check_graph_degree"]
+    assert guards["PAIRWISE_CAP"] == ["families.check_pairwise"]
+
+
 SYNTHETIC = """
 def check(x):
     if x < 0:
@@ -669,3 +721,48 @@ def test_the_guard_lint_reports_a_condition_of_two_functions():
     # is no copy of a rule
     sources = {"synthetic": GUARDED, "errors": SYNTHETIC_ERRORS}
     assert shared_guards(sources) == {"n < 0": ["synthetic.Check.second", "synthetic.first"]}
+
+
+CAPPED = {
+    "cli": """
+def _cap(what, value, cap, by):
+    if value > cap:
+        raise ValueError(f"{what} capped at {cap} by {by}")
+
+
+def command(args):
+    _cap("n is", args.n, families.GRAPH_CAP, "GRAPH_CAP")
+    _cap("n is", args.n, SPECTRUM_CAP, "SPECTRUM_CAP")
+    _cap("top is", args.top, TABLE_CAP, "TABLE_CAP")
+    if args.n > ROW_DEGREE_CAP:
+        return 0
+
+
+def other(args):
+    _cap("top is", args.top, TABLE_CAP, "TABLE_CAP")
+""",
+    "families": """
+def graph(n):
+    if n > GRAPH_CAP:
+        raise RangeError(f"graphs capped at {GRAPH_CAP}")
+    if n == PAIRWISE_CAP:
+        raise TypeError("not a class the lints follow")
+    return n < ROW_DEGREE_CAP
+""",
+    "spectrum": """
+def spectrum(n):
+    if n > SPECTRUM_CAP:
+        raise ValueError(f"spectra capped at {SPECTRUM_CAP}")
+""",
+    "errors": SYNTHETIC_ERRORS,
+}
+
+
+def test_the_cap_lint_reports_a_cap_refused_in_two_modules():
+    # a comparison that guards no raise, or only a raise of another class,
+    # is no refusal; one module may refuse a cap in several functions
+    assert shared_caps(CAPPED) == {
+        "GRAPH_CAP": ["cli.command", "families.graph"],
+        "SPECTRUM_CAP": ["cli.command", "spectrum.spectrum"],
+    }
+    assert cap_guards(CAPPED)["TABLE_CAP"] == ["cli.command", "cli.other"]

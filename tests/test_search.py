@@ -10,6 +10,7 @@ from oracles import (
     all_perms,
     branch_vertex_by_scan,
     greedy_clique_count,
+    identity,
     max_independent_set_naive,
     maximum_sets,
     perms_fixing,
@@ -20,7 +21,7 @@ from oracles import (
 )
 from snspectra import cli, reports, search
 from snspectra.bounds import bound_report
-from snspectra.perms import compose, identity, inverse, perm_rows
+from snspectra.perms import compose, inverse, perm_rows
 from snspectra.search import (
     SearchResult,
     graph_bitsets,

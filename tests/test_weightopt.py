@@ -311,7 +311,8 @@ def test_a_failed_re_substitution_is_refused(monkeypatch, name, fake, check):
 
 def test_optimize_requires_generating_classes():
     # an input refused, not a failed solve
-    with pytest.raises(ValueError, match="no generating classes for n=5, t=5"):
+    message = r"the generating set is empty \(no permutation of degree 5 has exactly 4 fixed"
+    with pytest.raises(ValueError, match=message):
         optimize_bound(5, 5)  # no class has exactly 4 fixed points
 
 
